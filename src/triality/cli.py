@@ -103,8 +103,16 @@ def branch_energy_report(sol: InstanceSolution, k: int) -> energies.EnergyReport
 
 
 def branch_label_name(sol: InstanceSolution, k: int) -> str:
-    names = {str(lab) for lab in sol.labels[:, k] if lab is not None}
-    return names.pop() if len(names) == 1 else "mixed"
+    names = [str(lab) for lab in dualsolve.TrialityLabel if np.any(sol.labels[:, k] == lab)]
+    return names[0] if len(names) == 1 else "mixed"
+
+
+def _label_text(labels: np.ndarray) -> np.ndarray:
+    """str() of every TrialityLabel in an object array, matched by identity."""
+    out = np.empty(labels.shape, dtype=object)
+    for lab in dualsolve.TrialityLabel:
+        out[labels == lab] = str(lab)
+    return out
 
 
 def reconstruct_branch(sol: InstanceSolution, k: int) -> ScalarField | np.ndarray:
@@ -119,40 +127,39 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> ScalarField | np.ndarra
     return fields.reconstruct_displacement(zf, tf, spec.measure, curl_tol=spec.curl_tol)
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else format_float(v) for v in row) + "\n")
+def _write_rows(path: Path, header: str, columns, row_format: str | None = None) -> None:
+    """Pipeline CSV files: equal-length columns through fields.write_csv."""
+    fields.write_csv(path, header, columns, row_format)
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
-    rows = []
-    for i in range(sol.coords.shape[0]):
-        for k in range(3):
-            z = sol.roots[i, k]
-            if np.isnan(z):
-                continue
-            rows.append((sol.coords[i, 0], sol.coords[i, 1], sol.tau_sq[i],
-                         str(k + 1), z, sol.residuals[i, k], str(sol.labels[i, k])))
-    _write_rows(path, "x,y,tau_sq,k,zeta,residual,label", rows)
+    node, k = np.nonzero(~np.isnan(sol.roots))
+    # each node's x,y,tau_sq prefix is formatted once, however many roots it has
+    prefix = np.array(list(map("%.17g,%.17g,%.17g".__mod__, zip(
+        sol.coords[:, 0].tolist(), sol.coords[:, 1].tolist(), sol.tau_sq.tolist()))), dtype=object)
+    _write_rows(path, "x,y,tau_sq,k,zeta,residual,label",
+                [prefix[node], k + 1, sol.roots[node, k], sol.residuals[node, k],
+                 _label_text(sol.labels[node, k])],
+                "%s,%d,%.17g,%.17g,%s")
 
 
 def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyReport],
                      path: Path) -> None:
-    rows = []
-    for k, rep in sorted(reports.items()):
-        rows.append((float(np.mean(sol.tau_sq)), float(np.mean(sol.roots[:, k])),
-                     branch_label_name(sol, k), rep.primal, rep.dual, rep.gap))
-    _write_rows(path, "tau_sq,zeta,label,primal,dual,gap", rows)
+    ks = sorted(reports)
+    _write_rows(path, "tau_sq,zeta,label,primal,dual,gap",
+                [[float(np.mean(sol.tau_sq))] * len(ks),
+                 [float(np.mean(sol.roots[:, k])) for k in ks],
+                 [branch_label_name(sol, k) for k in ks],
+                 [reports[k].primal for k in ks], [reports[k].dual for k in ks],
+                 [reports[k].gap for k in ks]],
+                "%.17g,%.17g,%s,%.17g,%.17g,%.17g")
 
 
 def write_branch_field(sol: InstanceSolution, k: int, u, path: Path) -> None:
     if sol.grid is not None:
         fields.write_scalar_csv(ScalarField(sol.grid, u), path)
     else:
-        rows = [(sol.x[i], 0.0, u[i]) for i in range(sol.x.size)]
-        _write_rows(path, "x,y,value", rows)
+        _write_rows(path, "x,y,value", [sol.x, np.zeros_like(sol.x), u])
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +240,12 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     taus = np.linspace(tau_min, tau_max, steps)
     roots, _, _, counts = dualsolve.solve_roots_array(
         spec.energy, spec.measure, taus ** 2, spec.solver, convention)
-    rows = []
-    for i, tau in enumerate(taus):
-        gd = [np.nan] * 3
-        for k in range(3):
-            if not np.isnan(roots[i, k]):
-                gd[k] = energies.dual_density(spec.energy, spec.measure,
-                                              roots[i, k], tau * tau)
-        rows.append((tau, str(int(counts[i])), roots[i, 0], roots[i, 1], roots[i, 2],
-                     gd[0], gd[1], gd[2]))
-    _write_rows(outdir / "sweep.csv",
-                "tau,root_count,zeta1,zeta2,zeta3,Pi_d_1,Pi_d_2,Pi_d_3", rows)
+    found = ~np.isnan(roots)
+    t2 = np.broadcast_to((taus * taus)[:, None], roots.shape)
+    pid = np.full(roots.shape, np.nan)
+    pid[found] = energies.dual_density(spec.energy, spec.measure, roots[found], t2[found])
+    _write_rows(outdir / "sweep.csv", "tau,root_count,zeta1,zeta2,zeta3,Pi_d_1,Pi_d_2,Pi_d_3",
+                [taus, counts, *roots.T, *pid.T], "%.17g,%d" + ",%.17g" * 6)
 
     # dual algebraic curve h(zeta) under both residual conventions
     zc = None
@@ -254,15 +256,12 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     z_lo = 4.0 * zc - 1.0 if zc is not None else -3.0
     z_hi = max(1.5, 1.5 * float(roots[-1, 0])) if taus[-1] > 0 else 1.5
     zgrid = np.linspace(z_lo, z_hi, 1001)
-    hrows = []
-    for z in zgrid:
-        h2d = dualsolve.residual_factor(spec.measure, "derived") * z * z * (
-            dVstar(spec.energy, z) - spec.measure.b)
-        h2p = dualsolve.residual_factor(spec.measure, "paper-eq45") * z * z * (
-            dVstar(spec.energy, z) - spec.measure.b)
-        hrows.append((z, np.sqrt(h2d) if h2d >= 0 else np.nan,
-                      np.sqrt(h2p) if h2p >= 0 else np.nan))
-    _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", hrows)
+    h = []
+    for conv in ("derived", "paper-eq45"):
+        h2 = dualsolve.residual_factor(spec.measure, conv) * zgrid * zgrid * (
+            dVstar(spec.energy, zgrid) - spec.measure.b)
+        h.append(np.sqrt(np.where(h2 >= 0, h2, np.nan)))
+    _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", [zgrid, *h])
     _write_figure_curves(spec, outdir, taus)
     print(f"wrote {outdir}/sweep.csv ({steps} rows), hcurve.csv, wcurve.csv, "
           f"gcurve.csv, gdcurve.csv")
@@ -289,16 +288,13 @@ def _write_figure_curves(spec: ProblemSpec, outdir: Path, taus) -> None:
     else:
         w = V(energy, xi)
         dw = 2.0 * m.a * gamma * dV(energy, xi)
-    _write_rows(outdir / "wcurve.csv", "gamma,W,dW",
-                [(g, wv, dv) for g, wv, dv in zip(gamma, w, dw)])
-    grows = [(g, wv - g * tau_marks[0], wv - g * tau_marks[1], wv - g * tau_marks[2])
-             for g, wv in zip(gamma, w)]
-    _write_rows(outdir / "gcurve.csv", "gamma,G_tau_lo,G_tau_fold,G_tau_hi", grows)
+    _write_rows(outdir / "wcurve.csv", "gamma,W,dW", [gamma, w, dw])
+    _write_rows(outdir / "gcurve.csv", "gamma,G_tau_lo,G_tau_fold,G_tau_hi",
+                [gamma] + [w - gamma * t for t in tau_marks])
 
     zgrid = np.linspace(-6.0, 3.0, 1200)  # even count: skips zeta = 0 exactly
     gd = [energies.dual_density(energy, m, zgrid, t * t) for t in tau_marks]
-    _write_rows(outdir / "gdcurve.csv", "zeta,Gd_tau_lo,Gd_tau_fold,Gd_tau_hi",
-                [(z, a, b_, c) for z, a, b_, c in zip(zgrid, *gd)])
+    _write_rows(outdir / "gdcurve.csv", "zeta,Gd_tau_lo,Gd_tau_fold,Gd_tau_hi", [zgrid, *gd])
 
 
 # ---------------------------------------------------------------------------

@@ -301,11 +301,3 @@ def build_tau_interval(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
         raise ConfigError("interval geometry supports constant_tau loading only")
     return np.full(x.size, load.vec[0])
 
-
-def stream_values(spec: ProblemSpec, grid: Grid2) -> np.ndarray | None:
-    """Nodal stream function values when the loading is a stream function."""
-    load = spec.loading
-    if not isinstance(load, StreamLoading):
-        return None
-    X, Y = grid.coords()
-    return STREAM_CATALOG[load.name](X, Y, load.scale)

@@ -43,6 +43,7 @@ from .canonical import (
     d2Vstar,
     dVstar,
     kind_params,
+    xi_domain,
 )
 from .errors import DomainError, RootSolveError, SingularDualError
 
@@ -155,6 +156,27 @@ def _scan_grid(scan_points: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
+def _outer_scan_points(D, end: float, sign: float) -> list[float]:
+    """Doublings of a scan-grid end until D takes its asymptotic sign there.
+
+    Beyond such a point the dual curve keeps that sign, so no root lies
+    outside the extended grid.  Gives up after _kernels._EXPAND_LIMIT
+    doublings with RootSolveError rather than drop a root silently.
+    """
+    out = []
+    z = end
+    while sign != 0.0 and np.sign(D(z)) != sign:
+        if len(out) == _kernels._EXPAND_LIMIT:
+            raise RootSolveError(
+                f"dual curve has not reached its asymptotic sign at zeta={z!r}; "
+                "a root beyond the scan range cannot be bracketed",
+                best_zeta=z, best_residual=float(D(z)),
+            )
+        z = 2.0 * z
+        out.append(z)
+    return out
+
+
 def _critical_points(energy, m, grid) -> list[float]:
     """Interior critical points of the dual curve by derivative sign scan."""
     def slope(z):
@@ -216,21 +238,9 @@ def _hessian_eigs(energy, m, zeta, tau_sq):
     return along, 2.0 * a * zeta
 
 
-def _label_scalar(energy, m, zeta, tau_sq, dim) -> TrialityLabel:
-    if zeta == 0.0:
-        raise SingularDualError("cannot classify the trivial branch zeta = 0")
-    if zeta > 0.0:
-        return TrialityLabel.GLOBAL_MIN
-    along, perp = _hessian_eigs(energy, m, zeta, tau_sq)
-    eigs = [along] + [perp] * (dim - 1)
-    tol = EIG_ZERO_RTOL * (1.0 + abs(2.0 * m.a * zeta))
-    if any(abs(e) <= tol for e in eigs):
-        return TrialityLabel.DEGENERATE
-    if all(e > 0.0 for e in eigs):
-        return TrialityLabel.LOCAL_MIN
-    if all(e < 0.0 for e in eigs):
-        return TrialityLabel.LOCAL_MAX
-    return TrialityLabel.SADDLE
+#: label codes, 1-5 in TrialityLabel order; _LABELS[code] is the label (None: no root)
+_NO_ROOT, _GLOBAL_MIN, _LOCAL_MIN, _LOCAL_MAX, _SADDLE, _DEGENERATE = range(6)
+_LABELS = np.array([None, *TrialityLabel], dtype=object)
 
 
 def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
@@ -239,10 +249,10 @@ def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
 
     zeta > 0 is a global minimizer outright; for zeta < 0 the label follows
     the definiteness of the composed-energy Hessian at gamma = tau/(2a*zeta),
-    with a scale-aware zero tolerance on the eigenvalues.
+    with a scale-aware zero tolerance on the eigenvalues (see label_array).
     """
     t = np.asarray(tau_vec, dtype=float).ravel()
-    return _label_scalar(energy, m, float(zeta), float(t @ t), t.size)
+    return label_array(energy, m, [[float(zeta)]], [float(t @ t)], [[False]], t.size)[0, 0]
 
 
 def _scalar_newton(energy, m, factor, t2, lo, hi, tol, max_iter):
@@ -284,10 +294,20 @@ def _generic_roots_point(energy, m, factor, t2, opts):
     bracket, and adds tangent (fold) roots at critical points whose level
     matches tau^2.  Returns (zeta, residual, degenerate) triples.
     """
+    def D(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return factor * z * z * (dVstar(energy, z) - m.b) - t2
+
+    # D -> +inf as zeta -> +inf; as zeta -> -inf its sign is that of
+    # lim dV* - b, and where dV* decays to b itself (log model, b = 0) the
+    # dual term vanishes and D tends to -tau^2
+    gap = xi_domain(energy)[0] - m.b
+    neg_sign = np.sign(gap) if gap != 0.0 else -np.sign(t2)
     grid = _scan_grid(opts.scan_points)
+    grid = np.concatenate([_outer_scan_points(D, grid[0], neg_sign)[::-1], grid,
+                           _outer_scan_points(D, grid[-1], 1.0)])
     tol = opts.tol * max(1.0, t2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = factor * grid * grid * (dVstar(energy, grid) - m.b) - t2
+    vals = D(grid)
     found: list[tuple[float, float, bool]] = []
 
     def is_new(z):
@@ -397,33 +417,42 @@ def solve_all_roots(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq: float,
     roots, resid, degenerate, _ = solve_roots_array(
         energy, m, np.asarray([tau_sq], dtype=float), opts, convention
     )
-    out = []
-    for k in range(3):
-        z = roots[0, k]
-        if np.isnan(z):
-            continue
-        if degenerate[0, k]:
-            label = TrialityLabel.DEGENERATE
-        else:
-            label = _label_scalar(energy, m, float(z), float(tau_sq), dim)
-        out.append(DualRoot(float(z), float(resid[0, k]), label))
+    labels = label_array(energy, m, roots, [tau_sq], degenerate, dim)
+    out = [DualRoot(float(z), float(r), lab)
+           for z, r, lab in zip(roots[0], resid[0], labels[0]) if not np.isnan(z)]
     out.sort(key=lambda r: -r.zeta)
     return DualRootSet(float(tau_sq), tuple(out))
 
 
 def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, tau_sq,
-                degenerate, dim: int):
-    """Per-point labels for a roots array from solve_roots_array (object array)."""
-    roots = np.asarray(roots)
-    out = np.empty(roots.shape, dtype=object)
-    t2 = np.asarray(tau_sq, dtype=float)
-    for i in range(roots.shape[0]):
-        for k in range(roots.shape[1]):
-            z = roots[i, k]
-            if np.isnan(z):
-                out[i, k] = None
-            elif degenerate[i, k]:
-                out[i, k] = TrialityLabel.DEGENERATE
-            else:
-                out[i, k] = _label_scalar(energy, m, float(z), float(t2[i]), dim)
-    return out
+                degenerate, dim: int) -> np.ndarray:
+    """Labels of every slot of an (n, k) roots array with per-point tau_sq.
+
+    Returns an object array of TrialityLabel, None at nan slots.  Flagged
+    fold roots are DEGENERATE and zeta > 0 is a global minimizer outright.
+    Every other root is labelled from the Hessian spectrum of _hessian_eigs
+    at gamma = tau/(2a*zeta), `along` once and `perp` dim-1 times, counting
+    eigenvalues within EIG_ZERO_RTOL*(1 + |2a*zeta|) of zero as zero.  Labels
+    are computed as integer codes over whole arrays and looked up once.
+    """
+    z = np.asarray(roots, dtype=float)
+    t2 = np.broadcast_to(np.asarray(tau_sq, dtype=float)[:, None], z.shape)
+    codes = np.full(z.shape, _NO_ROOT, dtype=np.int8)
+    found = ~np.isnan(z)
+    deg = found & np.asarray(degenerate, dtype=bool)
+    codes[deg] = _DEGENERATE
+    found &= ~deg
+    if np.any(z[found] == 0.0):
+        raise SingularDualError("cannot classify the trivial branch zeta = 0")
+    codes[found & (z > 0.0)] = _GLOBAL_MIN
+    neg = found & (z < 0.0)
+    zn = z[neg]
+    along, perp = _hessian_eigs(energy, m, zn, t2[neg])
+    tol = EIG_ZERO_RTOL * (1.0 + np.abs(2.0 * m.a * zn))
+    zero, pos, negative = np.abs(along) <= tol, along > 0.0, along < 0.0
+    if dim > 1:
+        zero |= np.abs(perp) <= tol
+        pos &= perp > 0.0
+        negative &= perp < 0.0
+    codes[neg] = np.select([zero, pos, negative], [_DEGENERATE, _LOCAL_MIN, _LOCAL_MAX], _SADDLE)
+    return _LABELS[codes]

@@ -12,7 +12,6 @@ canonical right-then-up lattice path after an explicit curl audit; a second
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -284,23 +283,42 @@ def principal_invariants(F: np.ndarray) -> tuple[float, float, float]:
 # 17 significant digits for lossless round-trips.
 # ---------------------------------------------------------------------------
 
+#: rows formatted per block: each block is written before the next is built
+CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, header: str, columns, row_format: str | None = None) -> None:
+    """Write equal-length columns as CSV rows, streamed in row blocks.
+
+    row_format is one %-template for a whole row (default: "%.17g" for every
+    column).  Each block of CSV_BLOCK_ROWS rows is converted to Python values
+    with .tolist(), formatted and written before the next block, so memory
+    stays bounded by one block whatever the file size.
+    """
+    cols = [np.asarray(c) for c in columns]
+    template = (row_format or ",".join([_FMT] * len(cols))) + "\n"
+    n = len(cols[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols))
+            fh.write("".join(map(template.__mod__, block)))
+
+
 def write_scalar_csv(f: ScalarField, path) -> None:
     X, Y = f.grid.coords()
-    cols = np.column_stack([X.ravel(), Y.ravel(), f.values.ravel()])
-    _write_csv(path, "x,y,value", cols)
+    _write_csv(path, "x,y,value", [X.ravel(), Y.ravel(), f.values.ravel()])
 
 
 def write_vector_csv(f: VectorField2, path) -> None:
     X, Y = f.grid.coords()
-    cols = np.column_stack([X.ravel(), Y.ravel(), f.values[..., 0].ravel(), f.values[..., 1].ravel()])
-    _write_csv(path, "x,y,vx,vy", cols)
+    _write_csv(path, "x,y,vx,vy",
+               [X.ravel(), Y.ravel(), f.values[..., 0].ravel(), f.values[..., 1].ravel()])
 
 
-def _write_csv(path, header: str, rows: Iterable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+def _write_csv(path, header: str, columns) -> None:
+    """Field files: all-float columns through write_csv."""
+    write_csv(path, header, columns)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

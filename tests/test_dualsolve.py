@@ -8,6 +8,7 @@ from triality import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
+    RootSolveError,
     SingularDualError,
     SolverOptions,
     TrialityLabel,
@@ -207,6 +208,22 @@ def test_generic_scan_geometry_log_nonzero_shift(log11):
             assert np.allclose(rs.zetas(), oracle, atol=1e-8)
             for r in rs.roots:
                 assert abs(r.residual) <= 1e-10 * max(1.0, t2)
+
+
+def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
+    # log model, b = -0.5: the negative root sits near -sqrt(tau^2/2), outside
+    # the base scan grid |zeta| <= 1e3 once tau^2 > 2e6
+    m = QuadraticMeasure(1.0, -0.5)
+    for t2 in (1e6, 1e7, 1e12):
+        roots, resid, _, counts = solve_roots_array(log11, m, np.array([t2]))
+        assert counts[0] == 2
+        assert roots[0, 1] == pytest.approx(-math.sqrt(t2 / 2.0), rel=1e-9)
+        assert abs(dual_residual(log11, m, roots[0, 1], t2)) <= 1e-10 * t2
+    # a root the capped outer scan cannot bracket is an error, not a drop
+    from triality import _kernels
+    monkeypatch.setattr(_kernels, "_EXPAND_LIMIT", 1)
+    with pytest.raises(RootSolveError):
+        solve_roots_array(log11, m, np.array([1e7]))
 
 
 def test_generic_path_agrees_with_kernel_on_builtins(dw, log11, rng):
