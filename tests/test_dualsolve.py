@@ -215,7 +215,7 @@ def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
     # the base scan grid |zeta| <= 1e3 once tau^2 > 2e6
     m = QuadraticMeasure(1.0, -0.5)
     for t2 in (1e6, 1e7, 1e12):
-        roots, resid, _, counts = solve_roots_array(log11, m, np.array([t2]))
+        roots, _, _, counts = solve_roots_array(log11, m, np.array([t2]))
         assert counts[0] == 2
         assert roots[0, 1] == pytest.approx(-math.sqrt(t2 / 2.0), rel=1e-9)
         assert abs(dual_residual(log11, m, roots[0, 1], t2)) <= 1e-10 * t2
