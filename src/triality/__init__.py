@@ -2,7 +2,6 @@
 neo-Hookean type: dual algebraic root enumeration, triality classification,
 primal field reconstruction, and brute-force verification oracles."""
 
-from ._kernels import backend
 from .canonical import (
     CanonicalEnergy,
     LogNeoHookeanEnergy,

@@ -1,10 +1,9 @@
 """Hot numeric kernels: dual-root batch solving and discrete energy/gradient.
 
-Two interchangeable implementations live here.  The numba-jitted path is used
-when numba imports cleanly; setting the environment variable ``CDT_NO_NUMBA=1``
-(or installing without the ``accel`` extra) selects the pure-numpy fallback.
-Both paths implement the identical algorithm and are cross-checked in the test
-suite; ``benchmarks/bench_kernels.py`` compares their throughput.
+One numpy implementation, vectorised over material points.  Every kernel
+takes the energy object and evaluates its unchecked array methods
+(``energy.V``, ``energy.dVstar``, ...); the domain policy here is that a
+discrete energy with any xi outside the energy's domain is +inf.
 
 Root solving: per material point the residual is
 
@@ -16,66 +15,42 @@ zeta < 0 depending on tau^2 relative to the fold level eta^2 = D-max at the
 negative critical point zc.  Each bracket is refined by safeguarded Newton
 iteration (bisection fallback keeps iterates inside the bracket).  The batch
 solver serves the built-in closed-form geometries; nonstandard models go
-through the scan fallback in the dual-solve module instead.
+through the sign-scan fallback in the dual-solve module, which refines its
+brackets with the same ``newton_bracketed``.
 
 Flags per root slot: 0 = converged, 1 = degenerate fold root, 2 = failed.
 """
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
-
-KIND_QUADRATIC = 0
-KIND_LOG_NEOHOOKEAN = 1
 
 _DEGENERATE_RTOL = 1e-13  # |tau^2 - eta^2| window treated as the fold
 _EXPAND_LIMIT = 600       # bracket-expansion doublings before giving up
 
-_env = os.environ.get("CDT_NO_NUMBA", "").strip().lower()
-_NUMBA_OFF = _env in {"1", "true", "yes", "on"}
 
-if not _NUMBA_OFF:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementation (always available)
-# ---------------------------------------------------------------------------
-
-def _dvstar_np(kind, p1, p2, z):
-    if kind == KIND_QUADRATIC:
-        return z / p1
-    with np.errstate(over="ignore"):
-        return np.exp((z - p1) / p2 - 1.0)
-
-
-def _dres_np(kind, p1, p2, b, factor, z, t2):
+def residual(energy, b, factor, z, t2):
+    """D(z) = factor*z^2*(dV*(z) - b) - t2, overflow to +-inf allowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return factor * z * z * (_dvstar_np(kind, p1, p2, z) - b) - t2
+        return factor * z * z * (energy.dVstar(z) - b) - t2
 
 
-def _dres_prime_np(kind, p1, p2, b, factor, z):
-    ds = _dvstar_np(kind, p1, p2, z)
-    d2 = (1.0 / p1) if kind == KIND_QUADRATIC else ds / p2
+def _residual_prime(energy, b, factor, z):
     with np.errstate(over="ignore", invalid="ignore"):
-        return factor * (2.0 * z * (ds - b) + z * z * d2)
+        return factor * (2.0 * z * (energy.dVstar(z) - b) + z * z * energy.d2Vstar(z))
 
 
-def _vec_newton(kind, p1, p2, b, factor, lo, hi, t2, tol, max_iter):
-    """Safeguarded Newton on per-point brackets [lo, hi] with a sign change."""
+def newton_bracketed(energy, b, factor, lo, hi, t2, tol, max_iter):
+    """Safeguarded Newton on per-point brackets [lo, hi] with a sign change.
+
+    Returns (x, D(x), converged) arrays; converged means |D(x)| <= tol.
+    """
     lo = lo.copy()
     hi = hi.copy()
-    fhi = _dres_np(kind, p1, p2, b, factor, hi, t2)
+    fhi = residual(energy, b, factor, hi, t2)
     x = 0.5 * (lo + hi)
-    fx = _dres_np(kind, p1, p2, b, factor, x, t2)
+    fx = residual(energy, b, factor, x, t2)
     done = np.abs(fx) <= tol
     for _ in range(max_iter):
         if done.all():
@@ -87,19 +62,18 @@ def _vec_newton(kind, p1, p2, b, factor, lo, hi, t2, tol, max_iter):
         hi[upd_hi] = x[upd_hi]
         fhi[upd_hi] = fx[upd_hi]
         lo[upd_lo] = x[upd_lo]
-        fp = _dres_prime_np(kind, p1, p2, b, factor, x)
+        fp = _residual_prime(energy, b, factor, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - fx / fp
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = np.where(act, xn, x)
-        fx = np.where(act, _dres_np(kind, p1, p2, b, factor, x, t2), fx)
+        fx = np.where(act, residual(energy, b, factor, x, t2), fx)
         done = done | (np.abs(fx) <= tol)
     return x, fx, done
 
 
-def solve_roots_batch_numpy(kind, p1, p2, b, factor, tau_sq, tol_rel, max_iter,
-                            zc, eta_sq, z0neg):
+def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, zc, eta_sq, z0neg):
     """Vectorized root enumeration over an array of tau^2 values.
 
     Returns (roots, residuals, flags, counts); roots shape (n, 3), nan-padded,
@@ -116,15 +90,15 @@ def solve_roots_batch_numpy(kind, p1, p2, b, factor, tau_sq, tol_rel, max_iter,
     if pos.any():
         t2 = tau_sq[pos]
         hi = np.ones(t2.size)
-        f = _dres_np(kind, p1, p2, b, factor, hi, t2)
+        f = residual(energy, b, factor, hi, t2)
         for _ in range(_EXPAND_LIMIT):
             bad = f <= 0.0
             if not bad.any():
                 break
             hi[bad] *= 2.0
-            f[bad] = _dres_np(kind, p1, p2, b, factor, hi[bad], t2[bad])
-        x, fx, ok = _vec_newton(kind, p1, p2, b, factor,
-                                np.zeros(t2.size), hi, t2, tol[pos], max_iter)
+            f[bad] = residual(energy, b, factor, hi[bad], t2[bad])
+        x, fx, ok = newton_bracketed(energy, b, factor, np.zeros(t2.size), hi, t2,
+                                     tol[pos], max_iter)
         roots[pos, 0] = x
         resid[pos, 0] = fx
         flags[pos, 0] = np.where(ok, 0, 2)
@@ -136,16 +110,15 @@ def solve_roots_batch_numpy(kind, p1, p2, b, factor, tau_sq, tol_rel, max_iter,
         sub = ~zero & ~deg & (tau_sq < eta_sq)
         if zero.any() and np.isfinite(z0neg):
             roots[zero, 1] = z0neg
-            resid[zero, 1] = _dres_np(kind, p1, p2, b, factor, z0neg, 0.0)
+            resid[zero, 1] = residual(energy, b, factor, z0neg, 0.0)
         if deg.any():
             roots[deg, 1] = zc
-            resid[deg, 1] = _dres_np(kind, p1, p2, b, factor, zc, tau_sq[deg])
+            resid[deg, 1] = residual(energy, b, factor, zc, tau_sq[deg])
             flags[deg, 1] = 1
         if sub.any():
             t2 = tau_sq[sub]
-            x, fx, ok = _vec_newton(kind, p1, p2, b, factor,
-                                    np.full(t2.size, zc), np.zeros(t2.size),
-                                    t2, tol[sub], max_iter)
+            x, fx, ok = newton_bracketed(energy, b, factor, np.full(t2.size, zc),
+                                         np.zeros(t2.size), t2, tol[sub], max_iter)
             roots[sub, 1] = x
             resid[sub, 1] = fx
             flags[sub, 1] = np.where(ok, 0, 2)
@@ -154,17 +127,16 @@ def solve_roots_batch_numpy(kind, p1, p2, b, factor, tau_sq, tol_rel, max_iter,
             else:
                 w = np.full(t2.size, max(1.0, abs(zc)))
                 lo = zc - w
-                f = _dres_np(kind, p1, p2, b, factor, lo, t2)
+                f = residual(energy, b, factor, lo, t2)
                 for _ in range(_EXPAND_LIMIT):
                     bad = f >= 0.0
                     if not bad.any():
                         break
                     w[bad] *= 2.0
                     lo[bad] = zc - w[bad]
-                    f[bad] = _dres_np(kind, p1, p2, b, factor, lo[bad], t2[bad])
-            x, fx, ok = _vec_newton(kind, p1, p2, b, factor,
-                                    lo, np.full(t2.size, zc),
-                                    t2, tol[sub], max_iter)
+                    f[bad] = residual(energy, b, factor, lo[bad], t2[bad])
+            x, fx, ok = newton_bracketed(energy, b, factor, lo, np.full(t2.size, zc),
+                                         t2, tol[sub], max_iter)
             roots[sub, 2] = x
             resid[sub, 2] = fx
             flags[sub, 2] = np.where(ok, 0, 2)
@@ -173,316 +145,74 @@ def solve_roots_batch_numpy(kind, p1, p2, b, factor, tau_sq, tol_rel, max_iter,
     return roots, resid, flags, counts
 
 
-def _v_np(kind, p1, p2, xi):
-    if kind == KIND_QUADRATIC:
-        return 0.5 * p1 * xi * xi
-    return p1 * xi + p2 * xi * np.log(xi)
+def _outside_domain(energy, xi):
+    # a domain unbounded below (the quadratic energy's) needs no array test
+    return energy.xi_min > -math.inf and bool(np.any(xi <= energy.xi_min))
 
 
-def _dv_np(kind, p1, p2, xi):
-    if kind == KIND_QUADRATIC:
-        return p1 * xi
-    return p1 + p2 * (np.log(xi) + 1.0)
-
-
-def stored_energy_1d_numpy(u, h, kind, p1, p2, a, b):
+def stored_energy_1d(u, h, energy, m):
     g = np.diff(u) / h
-    xi = a * g * g + b
-    if kind == KIND_LOG_NEOHOOKEAN and np.any(xi <= 0.0):
+    xi = m.a * g * g + m.b
+    if _outside_domain(energy, xi):
         return np.inf
-    return h * float(np.sum(_v_np(kind, p1, p2, xi)))
+    return h * float(np.sum(energy.V(xi)))
 
 
-def stored_energy_grad_1d_numpy(u, h, kind, p1, p2, a, b, grad):
+def stored_energy_grad_1d(u, h, energy, m, grad):
     grad[:] = 0.0
     g = np.diff(u) / h
-    xi = a * g * g + b
-    if kind == KIND_LOG_NEOHOOKEAN and np.any(xi <= 0.0):
+    xi = m.a * g * g + m.b
+    if _outside_domain(energy, xi):
         return np.inf
-    s = 2.0 * a * g * _dv_np(kind, p1, p2, xi)
+    s = 2.0 * m.a * g * energy.dV(xi)
     grad[:-1] -= s
     grad[1:] += s
-    return h * float(np.sum(_v_np(kind, p1, p2, xi)))
+    return h * float(np.sum(energy.V(xi)))
 
 
 def _cell_differences(u, hx, hy):
-    d_bot = (u[:-1, 1:] - u[:-1, :-1]) / hx
-    d_top = (u[1:, 1:] - u[1:, :-1]) / hx
-    e_lft = (u[1:, :-1] - u[:-1, :-1]) / hy
-    e_rgt = (u[1:, 1:] - u[:-1, 1:]) / hy
-    return d_bot, d_top, e_lft, e_rgt
+    """One-sided differences per cell: x on the bottom/top edge, y on the left/right."""
+    return {"bot": (u[:-1, 1:] - u[:-1, :-1]) / hx,
+            "top": (u[1:, 1:] - u[1:, :-1]) / hx,
+            "lft": (u[1:, :-1] - u[:-1, :-1]) / hy,
+            "rgt": (u[1:, 1:] - u[:-1, 1:]) / hy}
 
 
+#: the four corner quadrature points of a cell, as (x-difference, y-difference)
 _QP_2D = (("bot", "lft"), ("bot", "rgt"), ("top", "lft"), ("top", "rgt"))
+# node slices receiving the -/+ ends of each one-sided difference
+_ENDS_2D = {"bot": (np.s_[:-1, :-1], np.s_[:-1, 1:]), "top": (np.s_[1:, :-1], np.s_[1:, 1:]),
+            "lft": (np.s_[:-1, :-1], np.s_[1:, :-1]), "rgt": (np.s_[:-1, 1:], np.s_[1:, 1:])}
 
 
-def stored_energy_2d_numpy(u, hx, hy, kind, p1, p2, a, b):
-    d_bot, d_top, e_lft, e_rgt = _cell_differences(u, hx, hy)
-    pairs = {"bot": d_bot, "top": d_top, "lft": e_lft, "rgt": e_rgt}
+def stored_energy_2d(u, hx, hy, energy, m):
+    diffs = _cell_differences(u, hx, hy)
     w = 0.25 * hx * hy
     total = 0.0
     for qx, qy in _QP_2D:
-        gx, gy = pairs[qx], pairs[qy]
-        xi = a * (gx * gx + gy * gy) + b
-        if kind == KIND_LOG_NEOHOOKEAN and np.any(xi <= 0.0):
+        gx, gy = diffs[qx], diffs[qy]
+        xi = m.a * (gx * gx + gy * gy) + m.b
+        if _outside_domain(energy, xi):
             return np.inf
-        total += w * float(np.sum(_v_np(kind, p1, p2, xi)))
+        total += w * float(np.sum(energy.V(xi)))
     return total
 
 
-def stored_energy_grad_2d_numpy(u, hx, hy, kind, p1, p2, a, b, grad):
+def stored_energy_grad_2d(u, hx, hy, energy, m, grad):
     grad[:, :] = 0.0
-    d_bot, d_top, e_lft, e_rgt = _cell_differences(u, hx, hy)
-    pairs = {"bot": d_bot, "top": d_top, "lft": e_lft, "rgt": e_rgt}
-    # node slices receiving the -/+ ends of each one-sided difference
-    xsl = {"bot": (np.s_[:-1, :-1], np.s_[:-1, 1:]), "top": (np.s_[1:, :-1], np.s_[1:, 1:])}
-    ysl = {"lft": (np.s_[:-1, :-1], np.s_[1:, :-1]), "rgt": (np.s_[:-1, 1:], np.s_[1:, 1:])}
+    diffs = _cell_differences(u, hx, hy)
     w = 0.25 * hx * hy
     total = 0.0
     for qx, qy in _QP_2D:
-        gx, gy = pairs[qx], pairs[qy]
-        xi = a * (gx * gx + gy * gy) + b
-        if kind == KIND_LOG_NEOHOOKEAN and np.any(xi <= 0.0):
+        gx, gy = diffs[qx], diffs[qy]
+        xi = m.a * (gx * gx + gy * gy) + m.b
+        if _outside_domain(energy, xi):
             return np.inf
-        total += w * float(np.sum(_v_np(kind, p1, p2, xi)))
-        coef = _dv_np(kind, p1, p2, xi)
-        sx = 2.0 * a * gx * coef * (w / hx)
-        sy = 2.0 * a * gy * coef * (w / hy)
-        neg, posl = xsl[qx]
-        grad[neg] -= sx
-        grad[posl] += sx
-        neg, posl = ysl[qy]
-        grad[neg] -= sy
-        grad[posl] += sy
+        total += w * float(np.sum(energy.V(xi)))
+        coef = energy.dV(xi)
+        for q, s in ((qx, 2.0 * m.a * gx * coef * (w / hx)),
+                     (qy, 2.0 * m.a * gy * coef * (w / hy))):
+            neg, pos = _ENDS_2D[q]
+            grad[neg] -= s
+            grad[pos] += s
     return total
-
-
-# ---------------------------------------------------------------------------
-# numba implementation
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _dvstar_nb(kind, p1, p2, z):
-        if kind == KIND_QUADRATIC:
-            return z / p1
-        return np.exp((z - p1) / p2 - 1.0)
-
-    @njit(cache=True)
-    def _dres_nb(kind, p1, p2, b, factor, z, t2):
-        return factor * z * z * (_dvstar_nb(kind, p1, p2, z) - b) - t2
-
-    @njit(cache=True)
-    def _dres_prime_nb(kind, p1, p2, b, factor, z):
-        ds = _dvstar_nb(kind, p1, p2, z)
-        if kind == KIND_QUADRATIC:
-            d2 = 1.0 / p1
-        else:
-            d2 = ds / p2
-        return factor * (2.0 * z * (ds - b) + z * z * d2)
-
-    @njit(cache=True)
-    def _newton_nb(kind, p1, p2, b, factor, t2, lo, hi, tol, max_iter):
-        fhi = _dres_nb(kind, p1, p2, b, factor, hi, t2)
-        x = 0.5 * (lo + hi)
-        fx = _dres_nb(kind, p1, p2, b, factor, x, t2)
-        for _ in range(max_iter):
-            if abs(fx) <= tol:
-                return x, fx, 0
-            if (fx > 0.0) == (fhi > 0.0):
-                hi = x
-                fhi = fx
-            else:
-                lo = x
-            fp = _dres_prime_nb(kind, p1, p2, b, factor, x)
-            use_mid = True
-            if fp != 0.0:
-                xn = x - fx / fp
-                if np.isfinite(xn) and lo < xn < hi:
-                    use_mid = False
-            if use_mid:
-                xn = 0.5 * (lo + hi)
-            x = xn
-            fx = _dres_nb(kind, p1, p2, b, factor, x, t2)
-        if abs(fx) <= tol:
-            return x, fx, 0
-        return x, fx, 2
-
-    @njit(cache=True)
-    def solve_roots_batch_numba(kind, p1, p2, b, factor, tau_sq, tol_rel, max_iter,
-                                zc, eta_sq, z0neg):
-        n = tau_sq.size
-        roots = np.full((n, 3), np.nan)
-        resid = np.zeros((n, 3))
-        flags = np.zeros((n, 3), dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        has_neg = not np.isnan(zc)
-        degtol = 0.0
-        if has_neg:
-            degtol = _DEGENERATE_RTOL * max(1.0, eta_sq)
-        for i in range(n):
-            t2 = tau_sq[i]
-            tol = tol_rel * max(1.0, t2)
-            if t2 > 0.0:
-                hi = 1.0
-                f = _dres_nb(kind, p1, p2, b, factor, hi, t2)
-                guard = 0
-                while f <= 0.0 and guard < _EXPAND_LIMIT:
-                    hi *= 2.0
-                    f = _dres_nb(kind, p1, p2, b, factor, hi, t2)
-                    guard += 1
-                x, fx, fl = _newton_nb(kind, p1, p2, b, factor, t2, 0.0, hi, tol, max_iter)
-                roots[i, 0] = x
-                resid[i, 0] = fx
-                flags[i, 0] = fl
-            if has_neg:
-                if t2 == 0.0:
-                    if not np.isnan(z0neg):
-                        roots[i, 1] = z0neg
-                        resid[i, 1] = _dres_nb(kind, p1, p2, b, factor, z0neg, 0.0)
-                elif abs(t2 - eta_sq) <= degtol:
-                    roots[i, 1] = zc
-                    resid[i, 1] = _dres_nb(kind, p1, p2, b, factor, zc, t2)
-                    flags[i, 1] = 1
-                elif t2 < eta_sq:
-                    x, fx, fl = _newton_nb(kind, p1, p2, b, factor, t2, zc, 0.0, tol, max_iter)
-                    roots[i, 1] = x
-                    resid[i, 1] = fx
-                    flags[i, 1] = fl
-                    if np.isnan(z0neg):
-                        w = max(1.0, abs(zc))
-                        lo = zc - w
-                        f = _dres_nb(kind, p1, p2, b, factor, lo, t2)
-                        guard = 0
-                        while f >= 0.0 and guard < _EXPAND_LIMIT:
-                            w *= 2.0
-                            lo = zc - w
-                            f = _dres_nb(kind, p1, p2, b, factor, lo, t2)
-                            guard += 1
-                    else:
-                        lo = z0neg
-                    x, fx, fl = _newton_nb(kind, p1, p2, b, factor, t2, lo, zc, tol, max_iter)
-                    roots[i, 2] = x
-                    resid[i, 2] = fx
-                    flags[i, 2] = fl
-            cnt = 0
-            for k in range(3):
-                if not np.isnan(roots[i, k]):
-                    cnt += 1
-            counts[i] = cnt
-        return roots, resid, flags, counts
-
-    @njit(cache=True)
-    def _v_nb(kind, p1, p2, xi):
-        if kind == KIND_QUADRATIC:
-            return 0.5 * p1 * xi * xi
-        return p1 * xi + p2 * xi * np.log(xi)
-
-    @njit(cache=True)
-    def _dv_nb(kind, p1, p2, xi):
-        if kind == KIND_QUADRATIC:
-            return p1 * xi
-        return p1 + p2 * (np.log(xi) + 1.0)
-
-    @njit(cache=True)
-    def stored_energy_1d_numba(u, h, kind, p1, p2, a, b):
-        total = 0.0
-        for c in range(u.size - 1):
-            g = (u[c + 1] - u[c]) / h
-            xi = a * g * g + b
-            if kind == KIND_LOG_NEOHOOKEAN and xi <= 0.0:
-                return np.inf
-            total += h * _v_nb(kind, p1, p2, xi)
-        return total
-
-    @njit(cache=True)
-    def stored_energy_grad_1d_numba(u, h, kind, p1, p2, a, b, grad):
-        grad[:] = 0.0
-        total = 0.0
-        for c in range(u.size - 1):
-            g = (u[c + 1] - u[c]) / h
-            xi = a * g * g + b
-            if kind == KIND_LOG_NEOHOOKEAN and xi <= 0.0:
-                return np.inf
-            total += h * _v_nb(kind, p1, p2, xi)
-            s = 2.0 * a * g * _dv_nb(kind, p1, p2, xi)
-            grad[c] -= s
-            grad[c + 1] += s
-        return total
-
-    @njit(cache=True)
-    def stored_energy_2d_numba(u, hx, hy, kind, p1, p2, a, b):
-        ny, nx = u.shape
-        w = 0.25 * hx * hy
-        total = 0.0
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                d1 = (u[j, i + 1] - u[j, i]) / hx
-                d2 = (u[j + 1, i + 1] - u[j + 1, i]) / hx
-                e1 = (u[j + 1, i] - u[j, i]) / hy
-                e2 = (u[j + 1, i + 1] - u[j, i + 1]) / hy
-                for q in range(4):
-                    gx = d1 if q < 2 else d2
-                    gy = e1 if q % 2 == 0 else e2
-                    xi = a * (gx * gx + gy * gy) + b
-                    if kind == KIND_LOG_NEOHOOKEAN and xi <= 0.0:
-                        return np.inf
-                    total += w * _v_nb(kind, p1, p2, xi)
-        return total
-
-    @njit(cache=True)
-    def stored_energy_grad_2d_numba(u, hx, hy, kind, p1, p2, a, b, grad):
-        ny, nx = u.shape
-        grad[:, :] = 0.0
-        w = 0.25 * hx * hy
-        total = 0.0
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                d1 = (u[j, i + 1] - u[j, i]) / hx
-                d2 = (u[j + 1, i + 1] - u[j + 1, i]) / hx
-                e1 = (u[j + 1, i] - u[j, i]) / hy
-                e2 = (u[j + 1, i + 1] - u[j, i + 1]) / hy
-                for q in range(4):
-                    gx = d1 if q < 2 else d2
-                    gy = e1 if q % 2 == 0 else e2
-                    xi = a * (gx * gx + gy * gy) + b
-                    if kind == KIND_LOG_NEOHOOKEAN and xi <= 0.0:
-                        return np.inf
-                    total += w * _v_nb(kind, p1, p2, xi)
-                    coef = _dv_nb(kind, p1, p2, xi)
-                    sx = 2.0 * a * gx * coef * w / hx
-                    sy = 2.0 * a * gy * coef * w / hy
-                    if q < 2:
-                        grad[j, i] -= sx
-                        grad[j, i + 1] += sx
-                    else:
-                        grad[j + 1, i] -= sx
-                        grad[j + 1, i + 1] += sx
-                    if q % 2 == 0:
-                        grad[j, i] -= sy
-                        grad[j + 1, i] += sy
-                    else:
-                        grad[j, i + 1] -= sy
-                        grad[j + 1, i + 1] += sy
-        return total
-
-    BACKEND = "numba"
-    solve_roots_batch = solve_roots_batch_numba
-    stored_energy_1d = stored_energy_1d_numba
-    stored_energy_grad_1d = stored_energy_grad_1d_numba
-    stored_energy_2d = stored_energy_2d_numba
-    stored_energy_grad_2d = stored_energy_grad_2d_numba
-else:
-    BACKEND = "numpy"
-    solve_roots_batch_numba = None
-    solve_roots_batch = solve_roots_batch_numpy
-    stored_energy_1d = stored_energy_1d_numpy
-    stored_energy_grad_1d = stored_energy_grad_1d_numpy
-    stored_energy_2d = stored_energy_2d_numpy
-    stored_energy_grad_2d = stored_energy_grad_2d_numpy
-
-
-def backend() -> str:
-    """Active kernel backend, 'numba' or 'numpy'."""
-    return BACKEND

@@ -6,6 +6,12 @@ V(xi) + V*(zeta) = xi*zeta exactly when zeta = dV(xi).  Strain enters through
 the quadratic measure family Lambda(gamma) = a*|gamma|^2 + b (Frobenius norm
 for matrices), which covers both the double-well measure (a=1/2, b=-1) and
 the shear-invariant measure (a=1, b=0) with a single parameterization.
+
+Each energy class holds its formulas as unchecked array methods (V, dV, d2V,
+Vstar, dVstar, d2Vstar) and the lower end xi_min of its xi domain; callers
+choose their own domain policy.  The module-level functions of the same
+names are the public, domain-checked calls: they raise DomainError for xi
+outside the domain.
 """
 from __future__ import annotations
 
@@ -17,33 +23,77 @@ import numpy as np
 
 from .errors import DomainError
 
-KIND_QUADRATIC = 0
-KIND_LOG_NEOHOOKEAN = 1
-
 
 @dataclass(frozen=True)
 class QuadraticEnergy:
-    """V(xi) = alpha*xi^2/2, defined on all of R."""
+    """V(xi) = alpha*xi^2/2, defined on all of R.
+
+    The array methods evaluate the formulas unchecked on scalars or arrays;
+    each caller applies its own domain policy (see xi_min).
+    """
 
     alpha: float = 1.0
+
+    xi_min = -math.inf  # the xi domain is the open interval (xi_min, inf)
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError(f"alpha must be a positive finite number, got {self.alpha}")
 
+    def V(self, xi):
+        return 0.5 * self.alpha * xi * xi
+
+    def dV(self, xi):
+        return self.alpha * xi
+
+    def d2V(self, xi):
+        return np.full_like(xi, self.alpha)
+
+    def Vstar(self, zeta):
+        return zeta * zeta / (2.0 * self.alpha)
+
+    def dVstar(self, zeta):
+        return zeta / self.alpha
+
+    def d2Vstar(self, zeta):
+        return np.full_like(zeta, 1.0 / self.alpha)
+
 
 @dataclass(frozen=True)
 class LogNeoHookeanEnergy:
-    """V(xi) = c1*xi + c2*xi*log(xi), defined on xi > 0."""
+    """V(xi) = c1*xi + c2*xi*log(xi), defined on xi > 0.
+
+    Unchecked array methods as for QuadraticEnergy.
+    """
 
     c1: float = 1.0
     c2: float = 1.0
+
+    xi_min = 0.0
 
     def __post_init__(self):
         for name in ("c1", "c2"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be a positive finite material constant, got {v}")
+
+    def V(self, xi):
+        return self.c1 * xi + self.c2 * xi * np.log(xi)
+
+    def dV(self, xi):
+        return self.c1 + self.c2 * (np.log(xi) + 1.0)
+
+    def d2V(self, xi):
+        return self.c2 / xi
+
+    def Vstar(self, zeta):
+        return self.c2 * np.exp((zeta - self.c1) / self.c2 - 1.0)
+
+    def dVstar(self, zeta):
+        return np.exp((zeta - self.c1) / self.c2 - 1.0)
+
+    def d2Vstar(self, zeta):
+        return self.dVstar(zeta) / self.c2
 
 
 CanonicalEnergy = Union[QuadraticEnergy, LogNeoHookeanEnergy]
@@ -63,37 +113,19 @@ class QuadraticMeasure:
             raise DomainError(f"measure shift b must be finite, got {self.b}")
 
 
-def kind_params(energy: CanonicalEnergy) -> tuple[int, float, float]:
-    """Numeric (kind, p1, p2) encoding used by the jit kernels."""
-    if isinstance(energy, QuadraticEnergy):
-        return KIND_QUADRATIC, energy.alpha, 0.0
-    if isinstance(energy, LogNeoHookeanEnergy):
-        return KIND_LOG_NEOHOOKEAN, energy.c1, energy.c2
-    raise TypeError(f"unsupported energy type: {type(energy)!r}")
-
-
 def xi_domain(energy: CanonicalEnergy) -> tuple[float, float]:
     """Open interval of admissible xi."""
-    if isinstance(energy, LogNeoHookeanEnergy):
-        return (0.0, math.inf)
-    return (-math.inf, math.inf)
+    return (energy.xi_min, math.inf)
 
 
-def zeta_domain(energy: CanonicalEnergy) -> tuple[float, float]:
-    """Open interval of admissible zeta.
-
-    dV maps (0, inf) onto all of R for the log model, and R onto R for the
-    quadratic one, so both conjugates live on the whole real line.
-    """
-    return (-math.inf, math.inf)
-
-
-def _check_xi(energy: CanonicalEnergy, xi) -> None:
-    if isinstance(energy, LogNeoHookeanEnergy) and np.any(np.asarray(xi) <= 0.0):
+def _checked_xi(energy: CanonicalEnergy, xi) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi <= energy.xi_min):
         raise DomainError(
-            "xi must be strictly positive for the log neo-Hookean energy "
+            f"xi must be strictly above {energy.xi_min} for {type(energy).__name__} "
             f"(got min {np.min(xi)}); refusing to clamp a constitutive-constraint violation"
         )
+    return xi
 
 
 def _ret(x):
@@ -103,53 +135,32 @@ def _ret(x):
 
 def V(energy: CanonicalEnergy, xi):
     """Canonical energy value; accepts scalars or arrays."""
-    xi = np.asarray(xi, dtype=float)
-    _check_xi(energy, xi)
-    if isinstance(energy, QuadraticEnergy):
-        return _ret(0.5 * energy.alpha * xi * xi)
-    return _ret(energy.c1 * xi + energy.c2 * xi * np.log(xi))
+    return _ret(energy.V(_checked_xi(energy, xi)))
 
 
 def dV(energy: CanonicalEnergy, xi):
     """Derivative zeta = dV(xi); strictly increasing on the xi domain."""
-    xi = np.asarray(xi, dtype=float)
-    _check_xi(energy, xi)
-    if isinstance(energy, QuadraticEnergy):
-        return _ret(energy.alpha * xi)
-    return _ret(energy.c1 + energy.c2 * (np.log(xi) + 1.0))
+    return _ret(energy.dV(_checked_xi(energy, xi)))
 
 
 def d2V(energy: CanonicalEnergy, xi):
     """Second derivative; positive everywhere on the xi domain."""
-    xi = np.asarray(xi, dtype=float)
-    _check_xi(energy, xi)
-    if isinstance(energy, QuadraticEnergy):
-        return _ret(np.full_like(xi, energy.alpha))
-    return _ret(energy.c2 / xi)
+    return _ret(energy.d2V(_checked_xi(energy, xi)))
 
 
 def Vstar(energy: CanonicalEnergy, zeta):
-    """Legendre conjugate V*(zeta)."""
-    zeta = np.asarray(zeta, dtype=float)
-    if isinstance(energy, QuadraticEnergy):
-        return _ret(zeta * zeta / (2.0 * energy.alpha))
-    return _ret(energy.c2 * np.exp((zeta - energy.c1) / energy.c2 - 1.0))
+    """Legendre conjugate V*(zeta); defined on all of R for both models."""
+    return _ret(energy.Vstar(np.asarray(zeta, dtype=float)))
 
 
 def dVstar(energy: CanonicalEnergy, zeta):
     """Conjugate derivative xi = dV*(zeta); the inverse map of dV."""
-    zeta = np.asarray(zeta, dtype=float)
-    if isinstance(energy, QuadraticEnergy):
-        return _ret(zeta / energy.alpha)
-    return _ret(np.exp((zeta - energy.c1) / energy.c2 - 1.0))
+    return _ret(energy.dVstar(np.asarray(zeta, dtype=float)))
 
 
 def d2Vstar(energy: CanonicalEnergy, zeta):
     """Second derivative of the conjugate, 1 / d2V(dV*(zeta))."""
-    zeta = np.asarray(zeta, dtype=float)
-    if isinstance(energy, QuadraticEnergy):
-        return _ret(np.full_like(zeta, 1.0 / energy.alpha))
-    return _ret(np.exp((zeta - energy.c1) / energy.c2 - 1.0) / energy.c2)
+    return _ret(energy.d2Vstar(np.asarray(zeta, dtype=float)))
 
 
 def duality_identity_residual(energy: CanonicalEnergy, xi):

@@ -280,14 +280,10 @@ def _write_figure_curves(spec: ProblemSpec, outdir: Path, taus) -> None:
 
     gamma = np.linspace(-3.0, 3.0, 1200)  # even count: skips gamma = 0 exactly
     xi = m.a * gamma * gamma + m.b
-    from .canonical import LogNeoHookeanEnergy, V, dV
-    if isinstance(energy, LogNeoHookeanEnergy):
-        ok = xi > 0.0
-        w = np.where(ok, V(energy, np.where(ok, xi, 1.0)), np.nan)
-        dw = np.where(ok, 2.0 * m.a * gamma * dV(energy, np.where(ok, xi, 1.0)), np.nan)
-    else:
-        w = V(energy, xi)
-        dw = 2.0 * m.a * gamma * dV(energy, xi)
+    ok = xi > energy.xi_min  # NaN outside the xi domain
+    safe = np.where(ok, xi, 1.0)
+    w = np.where(ok, energy.V(safe), np.nan)
+    dw = np.where(ok, 2.0 * m.a * gamma * energy.dV(safe), np.nan)
     _write_rows(outdir / "wcurve.csv", "gamma,W,dW", [gamma, w, dw])
     _write_rows(outdir / "gcurve.csv", "gamma,G_tau_lo,G_tau_fold,G_tau_hi",
                 [gamma] + [w - gamma * t for t in tau_marks])

@@ -40,10 +40,7 @@ from .canonical import (
     QuadraticEnergy,
     QuadraticMeasure,
     d2V,
-    d2Vstar,
     dVstar,
-    kind_params,
-    xi_domain,
 )
 from .errors import DomainError, RootSolveError, SingularDualError
 
@@ -121,8 +118,7 @@ def dual_residual(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq,
     z = np.asarray(zeta, dtype=float)
     if np.any(z == 0.0):
         raise SingularDualError("dual residual is taken at zeta = 0; the dual density is singular there")
-    f = residual_factor(m, convention)
-    out = f * z * z * (dVstar(energy, z) - m.b) - tau_sq
+    out = _kernels.residual(energy, m.b, residual_factor(m, convention), z, tau_sq)
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,19 +131,17 @@ def _closed_form_geometry(energy: CanonicalEnergy, m: QuadraticMeasure,
     negative roots at all", z0neg = nan is "the curve only decays to zero at
     -inf" (log model) rather than crossing it.
     """
-    f = residual_factor(m, convention)
     if isinstance(energy, QuadraticEnergy):
         if m.b >= 0.0:
             return math.nan, math.nan, math.nan
-        zc = 2.0 * m.b * energy.alpha / 3.0
-        z0neg = energy.alpha * m.b
-        eta_sq = f * zc * zc * (zc / energy.alpha - m.b)
-        return zc, eta_sq, z0neg
-    if isinstance(energy, LogNeoHookeanEnergy) and m.b == 0.0:
-        zc = -2.0 * energy.c2
-        eta_sq = f * zc * zc * dVstar(energy, zc)
-        return zc, eta_sq, math.nan
-    return None
+        zc, z0neg = 2.0 * m.b * energy.alpha / 3.0, energy.alpha * m.b
+    elif isinstance(energy, LogNeoHookeanEnergy) and m.b == 0.0:
+        zc, z0neg = -2.0 * energy.c2, math.nan
+    else:
+        return None
+    # the fold level eta^2 is the height of the unloaded dual curve at zc
+    eta_sq = float(_kernels.residual(energy, m.b, residual_factor(m, convention), zc, 0.0))
+    return zc, eta_sq, z0neg
 
 
 def _scan_grid(scan_points: int) -> np.ndarray:
@@ -181,7 +175,7 @@ def _critical_points(energy, m, grid) -> list[float]:
     """Interior critical points of the dual curve by derivative sign scan."""
     def slope(z):
         with np.errstate(over="ignore", invalid="ignore"):
-            return 2.0 * (dVstar(energy, z) - m.b) + z * d2Vstar(energy, z)
+            return 2.0 * (energy.dVstar(z) - m.b) + z * energy.d2Vstar(z)
 
     g = slope(grid)
     out = []
@@ -255,73 +249,50 @@ def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
     return label_array(energy, m, [[float(zeta)]], [float(t @ t)], [[False]], t.size)[0, 0]
 
 
-def _scalar_newton(energy, m, factor, t2, lo, hi, tol, max_iter):
-    """Safeguarded Newton on one bracket (generic fallback path)."""
-    def D(z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return factor * z * z * (dVstar(energy, z) - m.b) - t2
-
-    def Dp(z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return factor * (2.0 * z * (dVstar(energy, z) - m.b) + z * z * d2Vstar(energy, z))
-
-    fhi = D(hi)
-    x = 0.5 * (lo + hi)
-    fx = D(x)
-    for _ in range(max_iter):
-        if abs(fx) <= tol:
-            return x, fx
-        if (fx > 0.0) == (fhi > 0.0):
-            hi, fhi = x, fx
-        else:
-            lo = x
-        fp = Dp(x)
-        xn = x - fx / fp if fp != 0.0 else math.nan
-        if not (math.isfinite(xn) and lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        x = xn
-        fx = D(x)
-    raise RootSolveError(
-        f"dual root iteration did not converge: best zeta={x!r}, |D|={abs(fx)!r}",
-        best_zeta=x, best_residual=fx,
-    )
-
-
 def _generic_roots_point(energy, m, factor, t2, opts):
     """All roots at one point by the sign-scan fallback.
 
     Scans the dual curve on a logarithmic grid, refines every sign-change
-    bracket, and adds tangent (fold) roots at critical points whose level
-    matches tau^2.  Returns (zeta, residual, degenerate) triples.
+    bracket with the kernel's bracketed Newton, and adds tangent (fold) roots
+    at critical points whose level matches tau^2.  Returns (zeta, residual,
+    degenerate) triples.
     """
     def D(z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return factor * z * z * (dVstar(energy, z) - m.b) - t2
+        return _kernels.residual(energy, m.b, factor, z, t2)
 
-    # D -> +inf as zeta -> +inf; as zeta -> -inf its sign is that of
-    # lim dV* - b, and where dV* decays to b itself (log model, b = 0) the
-    # dual term vanishes and D tends to -tau^2
-    gap = xi_domain(energy)[0] - m.b
-    neg_sign = np.sign(gap) if gap != 0.0 else -np.sign(t2)
-    grid = _scan_grid(opts.scan_points)
-    grid = np.concatenate([_outer_scan_points(D, grid[0], neg_sign)[::-1], grid,
-                           _outer_scan_points(D, grid[-1], 1.0)])
-    tol = opts.tol * max(1.0, t2)
-    vals = D(grid)
     found: list[tuple[float, float, bool]] = []
 
     def is_new(z):
         return all(abs(z - p[0]) > 1e-9 * (1.0 + abs(z)) for p in found)
 
-    for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
-        lo, hi = grid[i], grid[i + 1]
-        if vals[i] == 0.0 or vals[i + 1] == 0.0:
-            continue  # exact zeros handled below; skips underflow plateaus
-        if lo < 0.0 < hi:
-            continue  # zeta = 0 is excluded from the dual feasible set
-        r, res = _scalar_newton(energy, m, factor, t2, lo, hi, tol, opts.max_iter)
-        if is_new(r):
-            found.append((r, res, False))
+    def refine(lo, hi):
+        x, fx, ok = _kernels.newton_bracketed(
+            energy, m.b, factor, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
+            t2, opts.tol * max(1.0, t2), opts.max_iter)
+        if not ok.all():
+            z, r = float(x[~ok][0]), float(fx[~ok][0])
+            raise RootSolveError(
+                f"dual root iteration did not converge: best zeta={z!r}, |D|={abs(r)!r}",
+                best_zeta=z, best_residual=r,
+            )
+        for r, res in zip(x.tolist(), fx.tolist()):
+            if is_new(r):
+                found.append((r, res, False))
+
+    # D -> +inf as zeta -> +inf; as zeta -> -inf its sign is that of
+    # lim dV* - b, and where dV* decays to b itself (log model, b = 0) the
+    # dual term vanishes and D tends to -tau^2
+    gap = energy.xi_min - m.b
+    neg_sign = np.sign(gap) if gap != 0.0 else -np.sign(t2)
+    grid = _scan_grid(opts.scan_points)
+    grid = np.concatenate([_outer_scan_points(D, grid[0], neg_sign)[::-1], grid,
+                           _outer_scan_points(D, grid[-1], 1.0)])
+    vals = D(grid)
+    # sign changes between nonzero values (exact zeros are handled below, and
+    # this skips underflow plateaus) that do not straddle the excluded zeta = 0
+    cells = np.nonzero((np.diff(np.sign(vals)) != 0) & (vals[:-1] != 0.0) & (vals[1:] != 0.0)
+                       & ~((grid[:-1] < 0.0) & (grid[1:] > 0.0)))[0]
+    refine(grid[cells], grid[cells + 1])
     # isolated exact zeros are genuine roots that landed on a grid point; a
     # run of zeros is the underflow floor of a strictly positive curve
     for i in np.nonzero(vals == 0.0)[0]:
@@ -332,7 +303,7 @@ def _generic_roots_point(energy, m, factor, t2, opts):
     # critical points: a level match is a tangent (fold) root; otherwise split
     # the enclosing cell there, which resolves root pairs closer than the grid
     for c in _critical_points(energy, m, grid):
-        dc = factor * c * c * (dVstar(energy, c) - m.b) - t2
+        dc = D(c)
         if abs(dc) <= _kernels._DEGENERATE_RTOL * max(1.0, t2):
             if is_new(c):
                 found.append((c, dc, True))
@@ -341,9 +312,7 @@ def _generic_roots_point(energy, m, factor, t2, opts):
         for lo, hi, flo, fhi in ((grid[j], c, vals[j], dc),
                                  (c, grid[j + 1], dc, vals[j + 1])):
             if flo != 0.0 and fhi != 0.0 and (flo > 0.0) != (fhi > 0.0):
-                r, res = _scalar_newton(energy, m, factor, t2, lo, hi, tol, opts.max_iter)
-                if is_new(r):
-                    found.append((r, res, False))
+                refine([lo], [hi])
     return found
 
 
@@ -365,10 +334,9 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
     factor = residual_factor(m, convention)
     geom = _closed_form_geometry(energy, m, convention)
     if geom is not None:
-        kind, p1, p2 = kind_params(energy)
         zc, eta_sq, z0neg = geom
         roots, resid, flags, counts = _kernels.solve_roots_batch(
-            kind, p1, p2, m.b, factor, t2, opts.tol, opts.max_iter, zc, eta_sq, z0neg
+            energy, m.b, factor, t2, opts.tol, opts.max_iter, zc, eta_sq, z0neg
         )
         if np.any(flags == 2):
             i, k = np.argwhere(flags == 2)[0]

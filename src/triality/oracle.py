@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .canonical import CanonicalEnergy, LogNeoHookeanEnergy, QuadraticMeasure, kind_params
+from .canonical import CanonicalEnergy, QuadraticMeasure
 from .config import (IntervalGeometry, ProblemSpec, build_grid, build_tau_grid,
                      build_tau_interval, interval_nodes)
 from .energies import trapezoid_weights_interval
@@ -45,24 +45,20 @@ class DiscreteProblem:
     load: np.ndarray           # linear functional weights: Pi(u) = E_W(u) - sum(load*u)
 
     def energy_value(self, u: np.ndarray) -> float:
-        kind, p1, p2 = kind_params(self.energy)
-        a, b = self.measure.a, self.measure.b
         if self.ndim == 1:
-            ew = _kernels.stored_energy_1d(u, self.spacings[0], kind, p1, p2, a, b)
+            ew = _kernels.stored_energy_1d(u, self.spacings[0], self.energy, self.measure)
         else:
-            ew = _kernels.stored_energy_2d(u, self.spacings[0], self.spacings[1], kind, p1, p2, a, b)
+            ew = _kernels.stored_energy_2d(u, *self.spacings, self.energy, self.measure)
         if not np.isfinite(ew):
             return np.inf
         return ew - float(np.sum(self.load * u))
 
     def energy_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        kind, p1, p2 = kind_params(self.energy)
-        a, b = self.measure.a, self.measure.b
         grad = np.empty_like(u)
         if self.ndim == 1:
-            ew = _kernels.stored_energy_grad_1d(u, self.spacings[0], kind, p1, p2, a, b, grad)
+            ew = _kernels.stored_energy_grad_1d(u, self.spacings[0], self.energy, self.measure, grad)
         else:
-            ew = _kernels.stored_energy_grad_2d(u, self.spacings[0], self.spacings[1], kind, p1, p2, a, b, grad)
+            ew = _kernels.stored_energy_grad_2d(u, *self.spacings, self.energy, self.measure, grad)
         if not np.isfinite(ew):
             return np.inf, grad
         grad -= self.load
@@ -243,34 +239,30 @@ class SublevelReport:
     pairs_sampled: int
 
 
-_LOG_EXCLUDE_XI = 1e-6  # sampled measure values below this violate xi > 0
+_XI_EDGE_MARGIN = 1e-6  # sampled measure values within this of a finite xi_min are rejected
 
 
 def _g_total(energy, m, gamma, tau):
     """Primal density for probes, extended to the closed xi domain.
 
-    The log energy takes its continuous limit 0 at xi = 0 and +inf on the
-    inadmissible region xi < 0 (segment interpolates may leave the domain;
+    At a finite xi_min the energy takes its continuous limit there, 0 for the
+    log model, and +inf below it (segment interpolates may leave the domain;
     an infinite midpoint is a genuine quasiconvexity violation since the
     admissible set itself is not convex there).
     """
     g = np.asarray(gamma, dtype=float)
     xi = m.a * np.sum(g * g, axis=-1) + m.b
-    if isinstance(energy, LogNeoHookeanEnergy):
-        safe = np.where(xi > 0.0, xi, 1.0)
-        v = np.where(xi > 0.0, energy.c1 * safe + energy.c2 * safe * np.log(safe),
-                     np.where(xi == 0.0, 0.0, np.inf))
-    else:
-        v = 0.5 * energy.alpha * xi * xi
+    ok = xi > energy.xi_min
+    v = np.where(ok, energy.V(np.where(ok, xi, 1.0)), np.where(xi == energy.xi_min, 0.0, np.inf))
     return v - np.sum(g * np.asarray(tau, dtype=float), axis=-1)
 
 
 def _sample_box(rng, energy, m, n, d, box):
-    """Uniform strain samples; log-model endpoints keep Lambda above 1e-6."""
+    """Uniform strain samples; endpoints keep Lambda 1e-6 above a finite xi_min."""
     pts = rng.uniform(-box, box, size=(n, d))
-    if isinstance(energy, LogNeoHookeanEnergy):
+    if np.isfinite(energy.xi_min):
         for _ in range(1000):
-            bad = m.a * np.sum(pts * pts, axis=-1) + m.b < _LOG_EXCLUDE_XI
+            bad = m.a * np.sum(pts * pts, axis=-1) + m.b < energy.xi_min + _XI_EDGE_MARGIN
             if not bad.any():
                 break
             pts[bad] = rng.uniform(-box, box, size=(int(bad.sum()), d))

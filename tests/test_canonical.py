@@ -17,7 +17,7 @@ from triality import (
     duality_identity_residual,
     measure_eval,
 )
-from triality.canonical import xi_domain, zeta_domain
+from triality.canonical import xi_domain
 
 from conftest import conjugate_sup
 
@@ -68,7 +68,6 @@ def test_material_constants_validated():
 def test_domains(dw, log11):
     assert xi_domain(dw) == (-math.inf, math.inf)
     assert xi_domain(log11) == (0.0, math.inf)
-    assert zeta_domain(dw) == zeta_domain(log11) == (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("energy,xi_lo,xi_hi", [

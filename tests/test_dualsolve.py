@@ -259,3 +259,16 @@ def test_paper_eq45_convention_log_roots(log11):
     for r in rs.roots:
         lhs = r.zeta ** 2 * math.exp(r.zeta - 2.0)
         assert lhs == pytest.approx(0.04, abs=1e-10)
+
+
+@pytest.mark.parametrize("energy,m", [(QuadraticEnergy(1.0), DW_MEASURE),
+                                      (LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, -0.5))],
+                         ids=["closed-form", "generic-scan"])
+def test_newton_nonconvergence_raises_with_best_iterate(energy, m):
+    # with no Newton steps allowed no bracket converges; the error carries
+    # the bracket midpoint and its residual, both finite
+    with pytest.raises(RootSolveError) as info:
+        solve_roots_array(energy, m, np.array([0.1]), SolverOptions(max_iter=0))
+    err = info.value
+    assert math.isfinite(err.best_zeta) and math.isfinite(err.best_residual)
+    assert abs(err.best_residual) > 1e-12

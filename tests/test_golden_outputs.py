@@ -4,7 +4,11 @@ Emitted files are a byte-identical contract: a fixed config and seed must
 reproduce every CSV and report byte for byte.  The digests below pin that
 contract for all six shipped configs, with `solve` and with
 `sweep --tau-min 0 --tau-max 1.1 --steps 500`, under both residual
-conventions.  Regenerate them only for a deliberate change of output format.
+conventions.  A seventh input, the log model of `log_1d_sub` with
+`measure_b = -0.5`, has no closed-form root geometry and pins the generic
+sign-scan path; under paper-eq45 its `solve` writes `roots.csv` and then
+exits 3, because the energy report takes V at a strain with xi < 0.
+Regenerate them only for a deliberate change of output format.
 """
 import hashlib
 from pathlib import Path
@@ -180,19 +184,60 @@ GOLDEN = {
     },
 }
 
+#: (command, convention) -> (exit code, digests) for log_1d_sub with measure_b = -0.5
+GOLDEN_GENERIC = {
+    ("solve", "derived"): (0, {
+        "energy_report.csv": "287c995ee3f12bee3be0de106179d7ba0f88224829d6e2b0e7191743a45985b6",
+        "fields_u_1.csv": "017448059ffe364ede85528bcc223341da1eb88add912946d2893b019f6ff990",
+        "fields_u_2.csv": "5722d7d037439f6103cd740b06562e883c32e1f4de3c50be2c6669ecf86ca96a",
+        "report.txt": "b72796d0d092f486292492a0c9b179050736b182c52c03357b5f2b54edf6a455",
+        "roots.csv": "43045f2b677081a38ef325bb6d6bb6b27c5bac56fcfca1e2ba3bee190adc02a9",
+    }),
+    ("solve", "paper-eq45"): (3, {
+        "roots.csv": "d10f154f02b546ae625f4b8373c707683d90cfbcbc39793307cceb7982cd4bbe",
+    }),
+    ("sweep", "derived"): (0, {
+        "gcurve.csv": "db18a70cdd7b058854005b7a89a45ef4cba4b33e72b38e020f6416e40cf6a1f4",
+        "gdcurve.csv": "f94929a74ac47018d40b1b5e5f43982aa39a693d4d430263323683c02aa1039f",
+        "hcurve.csv": "e26e34c1023a45d03602115b8c6124d90211ec90cb83237e2fbfe32debcd564a",
+        "sweep.csv": "2fc8e7158b8e37c86c36b0c32b1c8d19b0f953ee17b6e777b1a21357a5b0ecd0",
+        "wcurve.csv": "8216c404712493ec1c6e71e89c5e52aad30a959fda826240c115fc94d98e1f1d",
+    }),
+    ("sweep", "paper-eq45"): (0, {
+        "gcurve.csv": "db18a70cdd7b058854005b7a89a45ef4cba4b33e72b38e020f6416e40cf6a1f4",
+        "gdcurve.csv": "f94929a74ac47018d40b1b5e5f43982aa39a693d4d430263323683c02aa1039f",
+        "hcurve.csv": "b949346812fecd714fa554239c651a3dcb18490acf9c699925faa508167cdda0",
+        "sweep.csv": "3a875b9a780c407cf1645805b55203674bd2f295ad0f31d7ed936e16703e7328",
+        "wcurve.csv": "8216c404712493ec1c6e71e89c5e52aad30a959fda826240c115fc94d98e1f1d",
+    }),
+}
+
+
+def _run_digests(cfg, command, convention, out):
+    args = [command, str(cfg), "--out", str(out), "--residual-convention", convention]
+    if command == "sweep":
+        args += SWEEP_ARGS
+    code = main(args)
+    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(c))
 def test_output_digests(case, tmp_path, capsys):
     stem, command, convention = case
-    out = tmp_path / "out"
-    args = [command, str(CONFIGS / f"{stem}.cfg"), "--out", str(out),
-            "--residual-convention", convention]
-    if command == "sweep":
-        args += SWEEP_ARGS
-    assert main(args) == 0
+    code, digests = _run_digests(CONFIGS / f"{stem}.cfg", command, convention, tmp_path / "out")
     capsys.readouterr()
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert code == 0
     assert digests == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_GENERIC), ids=lambda c: "-".join(c))
+def test_generic_path_digests(case, tmp_path, capsys):
+    cfg = tmp_path / "log_1d_sub_b_neg.cfg"
+    cfg.write_text((CONFIGS / "log_1d_sub.cfg").read_text(encoding="utf-8")
+                   + "measure_b = -0.5\n", encoding="utf-8")
+    result = _run_digests(cfg, *case, tmp_path / "out")
+    capsys.readouterr()
+    assert result == GOLDEN_GENERIC[case]
 
 
 def test_golden_covers_every_shipped_config():

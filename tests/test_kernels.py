@@ -1,94 +1,15 @@
-"""Backend equivalence: the numba kernels and the numpy fallback must agree."""
-import os
-import subprocess
-import sys
-
+"""Kernel domain policy: a discrete energy outside the xi domain is +inf."""
 import numpy as np
-import pytest
 
 from triality import _kernels as K
-from triality.canonical import KIND_LOG_NEOHOOKEAN, KIND_QUADRATIC
-from triality.dualsolve import _closed_form_geometry
-from triality import LogNeoHookeanEnergy, QuadraticEnergy, QuadraticMeasure
-
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not available")
-
-CASES = [
-    (KIND_QUADRATIC, 1.0, 0.0, QuadraticEnergy(1.0), QuadraticMeasure(0.5, -1.0)),
-    (KIND_LOG_NEOHOOKEAN, 1.0, 1.0, LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, 0.0)),
-    (KIND_LOG_NEOHOOKEAN, 0.7, 1.6, LogNeoHookeanEnergy(0.7, 1.6), QuadraticMeasure(1.0, 0.0)),
-]
-
-
-@needs_numba
-@pytest.mark.parametrize("kind,p1,p2,energy,m", CASES)
-def test_root_batch_backends_agree(kind, p1, p2, energy, m, rng):
-    zc, eta_sq, z0 = _closed_form_geometry(energy, m, "derived")
-    tau_sq = np.concatenate([
-        np.zeros(3),
-        rng.uniform(0.0, 2.0, size=400),
-        [eta_sq if np.isfinite(eta_sq) else 0.5],
-    ])
-    factor = 4.0 * m.a
-    args = (kind, p1, p2, m.b, factor, tau_sq, 1e-12, 200, zc, eta_sq, z0)
-    r_nb, s_nb, f_nb, c_nb = K.solve_roots_batch_numba(*args)
-    r_np, s_np, f_np, c_np = K.solve_roots_batch_numpy(*args)
-    assert np.array_equal(c_nb, c_np)
-    assert np.array_equal(f_nb, f_np)
-    assert np.allclose(r_nb, r_np, atol=1e-12, equal_nan=True)
-    assert np.allclose(s_nb, s_np, atol=1e-12, equal_nan=True)
-
-
-@needs_numba
-@pytest.mark.parametrize("kind,p1,p2", [(KIND_QUADRATIC, 1.0, 0.0),
-                                        (KIND_LOG_NEOHOOKEAN, 1.0, 1.0)])
-def test_energy_kernels_backends_agree_1d(kind, p1, p2, rng):
-    a, b = (0.5, -1.0) if kind == KIND_QUADRATIC else (1.0, 0.0)
-    u = np.cumsum(rng.uniform(0.1, 0.3, size=40))  # monotone: xi > 0 for the log model
-    h = 0.05
-    g1 = np.empty_like(u)
-    g2 = np.empty_like(u)
-    e_nb = K.stored_energy_grad_1d_numba(u, h, kind, p1, p2, a, b, g1)
-    e_np = K.stored_energy_grad_1d_numpy(u, h, kind, p1, p2, a, b, g2)
-    assert e_nb == pytest.approx(e_np, rel=1e-13)
-    assert np.allclose(g1, g2, atol=1e-12)
-    assert K.stored_energy_1d_numba(u, h, kind, p1, p2, a, b) == pytest.approx(e_np, rel=1e-13)
-
-
-@needs_numba
-@pytest.mark.parametrize("kind,p1,p2", [(KIND_QUADRATIC, 1.0, 0.0),
-                                        (KIND_LOG_NEOHOOKEAN, 1.0, 1.0)])
-def test_energy_kernels_backends_agree_2d(kind, p1, p2, rng):
-    a, b = (0.5, -1.0) if kind == KIND_QUADRATIC else (1.0, 0.0)
-    u = np.cumsum(np.cumsum(rng.uniform(0.05, 0.2, size=(12, 9)), axis=0), axis=1)
-    g1 = np.empty_like(u)
-    g2 = np.empty_like(u)
-    e_nb = K.stored_energy_grad_2d_numba(u, 0.1, 0.12, kind, p1, p2, a, b, g1)
-    e_np = K.stored_energy_grad_2d_numpy(u, 0.1, 0.12, kind, p1, p2, a, b, g2)
-    assert e_nb == pytest.approx(e_np, rel=1e-12)
-    assert np.allclose(g1, g2, atol=1e-11)
-    assert K.stored_energy_2d_numba(u, 0.1, 0.12, kind, p1, p2, a, b) == pytest.approx(e_np, rel=1e-12)
+from triality import LogNeoHookeanEnergy, QuadraticMeasure
 
 
 def test_log_domain_guard_returns_inf():
+    log11, m = LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, 0.0)
     u = np.array([0.0, 0.0, 1.0])  # first cell has zero strain: xi = 0
     g = np.empty_like(u)
-    assert K.stored_energy_grad_1d_numpy(u, 0.5, KIND_LOG_NEOHOOKEAN, 1.0, 1.0, 1.0, 0.0, g) == np.inf
+    assert K.stored_energy_grad_1d(u, 0.5, log11, m, g) == np.inf
     u2 = np.zeros((3, 3))
     g2 = np.empty_like(u2)
-    assert K.stored_energy_grad_2d_numpy(u2, 0.5, 0.5, KIND_LOG_NEOHOOKEAN, 1.0, 1.0, 1.0, 0.0, g2) == np.inf
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, CDT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import triality; print(triality.backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_reported():
-    assert K.backend() in ("numba", "numpy")
-    if K.HAS_NUMBA:
-        assert K.backend() == "numba"
+    assert K.stored_energy_grad_2d(u2, 0.5, 0.5, log11, m, g2) == np.inf
