@@ -1,20 +1,18 @@
 """Command-line pipelines: solve one instance, sweep the load, or verify.
 
-    triality solve  <config> [--out DIR] [--residual-convention C] [--tol T] [--serial]
-    triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR] ...
-    triality verify <config> [--residual-convention C] ...
+    triality solve  <config> [--out DIR] [--residual-convention C]
+    triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR] [--residual-convention C]
+    triality verify <config> [--residual-convention C]
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration error,
-3 solver failure.  The environment variable CDT_SEED overrides the oracle
-seed from the config.  All CSV output uses 17 significant digits; runs are
-serial and deterministic for a fixed seed (--serial is accepted for interface
-stability and pins the already-default reference path).
+3 solver failure.  Every solver and oracle setting, the seed included, comes
+from the config file.  All CSV output uses 17 significant digits; runs are
+serial and deterministic for a fixed config.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -40,7 +38,7 @@ from .errors import (
     SingularDualError,
     TrialityError,
 )
-from .fields import ScalarField, VectorField2, curl2, format_float, strain_from_dual
+from .fields import ScalarField, VectorField2, format_float
 
 GAP_RTOL = 1e-8
 ORACLE_TOL = 1e-6
@@ -115,16 +113,20 @@ def _label_text(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _branch_fields(sol: InstanceSolution, k: int) -> tuple[ScalarField, VectorField2]:
+    """(zeta, tau) of branch k as grid fields (rectangle instances)."""
+    return (ScalarField(sol.grid, sol.roots[:, k].reshape(sol.grid.shape)),
+            VectorField2(sol.grid, sol.tau.reshape(sol.grid.shape + (2,))))
+
+
 def reconstruct_branch(sol: InstanceSolution, k: int) -> ScalarField | np.ndarray:
     """Displacement field of branch k; raises if the field is not integrable."""
     spec = sol.spec
-    zeta = sol.roots[:, k]
     if sol.grid is None:
         anchor = 0 if spec.geometry.fixed_end == "left" else sol.x.size - 1
-        return fields.reconstruct_interval(zeta, sol.tau[:, 0], spec.measure, sol.x, anchor)
-    zf = ScalarField(sol.grid, zeta.reshape(sol.grid.shape))
-    tf = VectorField2(sol.grid, sol.tau.reshape(sol.grid.shape + (2,)))
-    return fields.reconstruct_displacement(zf, tf, spec.measure, curl_tol=spec.curl_tol)
+        return fields.reconstruct_interval(sol.roots[:, k], sol.tau[:, 0], spec.measure,
+                                           sol.x, anchor)
+    return fields.reconstruct_displacement(*_branch_fields(sol, k), spec.measure)
 
 
 def _write_rows(path: Path, header: str, columns, row_format: str | None = None) -> None:
@@ -307,6 +309,7 @@ def run_verify(spec: ProblemSpec, convention: str) -> int:
     sol = solve_instance(spec, convention)
     branches = full_branches(sol)
     reports = {k: branch_energy_report(sol, k) for k in branches}
+    prob = oracle.discretize(spec)  # shared by the descent and the gradient check
 
     # 1 duality gap on every full branch
     for k in branches:
@@ -326,7 +329,7 @@ def run_verify(spec: ProblemSpec, convention: str) -> int:
     if isinstance(spec.loading, ConstantTau) and 0 in branches:
         pd1 = reports[0].dual
         try:
-            res = oracle.minimize_multistart(spec)
+            res = oracle.minimize_multistart(prob, spec.oracle)
             weak_ok = res.energy >= pd1 - ORACLE_TOL
             detail = (f"best = {res.energy:.9g}, Pi_d(zeta_1) = {pd1:.9g}, "
                       f"basins = {res.distinct_basins}")
@@ -343,7 +346,6 @@ def run_verify(spec: ProblemSpec, convention: str) -> int:
             "non-constant loading: discrete minimum and quadrature differ at O(h^2)")
 
     # 3 gradient check (displacement scaled to order-one strains)
-    prob = oracle.discretize(spec)
     rng = np.random.default_rng(spec.oracle.seed)
     u = 0.5 * min(prob.spacings) * rng.standard_normal(prob.shape)
     err = oracle.gradient_check(prob, u, h=1e-6, seed=spec.oracle.seed)
@@ -354,22 +356,15 @@ def run_verify(spec: ProblemSpec, convention: str) -> int:
     if sol.grid is None:
         add("SKIP", "curl/path audit", "1-D path integration is unique")
     elif 0 in branches:
-        zf = ScalarField(sol.grid, sol.roots[:, 0].reshape(sol.grid.shape))
-        tf = VectorField2(sol.grid, sol.tau.reshape(sol.grid.shape + (2,)))
-        gamma = strain_from_dual(zf, tf, spec.measure)
-        resid = float(np.max(np.abs(curl2(gamma).values)))
-        scale = float(np.max(np.abs(gamma.values)))
-        ctol = spec.curl_tol if spec.curl_tol is not None else fields.CURL_RTOL * scale
-        if resid > ctol:
-            add("SKIP", "curl/path audit",
-                f"curl residual {resid:.3e} > tol {ctol:.3e}: field not integrable, "
-                "reconstruction not applicable")
+        try:
+            u1 = reconstruct_branch(sol, 0)
+        except NonIntegrableFieldError as exc:
+            add("SKIP", "curl/path audit", f"{exc}; reconstruction not applicable")
         else:
-            u1 = fields.reconstruct_displacement(zf, tf, spec.measure, curl_tol=spec.curl_tol)
-            disc = fields.path_discrepancy(zf, tf, spec.measure)
+            disc = fields.path_discrepancy(*_branch_fields(sol, 0), spec.measure)
             lim = PATH_RTOL * max(1.0, float(np.max(np.abs(u1.values))))
             add("PASS" if disc <= lim else "FAIL", "curl/path audit",
-                f"curl residual {resid:.3e}, two-path discrepancy {disc:.3e} (tol {lim:.1e})")
+                f"curl-free strain, two-path discrepancy {disc:.3e} (tol {lim:.1e})")
     else:
         add("SKIP", "curl/path audit", "no full branch to reconstruct")
 
@@ -416,13 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("config", help="problem configuration file (key = value)")
         sp.add_argument("--out", default=None, help="output directory (default: <config stem>_out)")
-        sp.add_argument("--serial", action="store_true",
-                        help="force the serial reference path (already the default)")
         sp.add_argument("--residual-convention", choices=list(dualsolve.RESIDUAL_CONVENTIONS),
                         default="derived",
                         help="dual residual convention; paper-eq45 reproduces the "
                              "single-factor log-model curve and breaks the duality gap")
-        sp.add_argument("--tol", type=float, default=None, help="override dual-root residual tolerance")
 
     sp = sub.add_parser("solve", help="solve one instance and write roots/fields/energies")
     common(sp)
@@ -436,24 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_spec(args) -> ProblemSpec:
-    spec = parse_config(args.config)
-    if args.tol is not None:
-        spec = dataclasses.replace(spec, solver=dataclasses.replace(spec.solver, tol=args.tol))
-    env_seed = os.environ.get("CDT_SEED", "").strip()
-    if env_seed:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"CDT_SEED must be an integer, got {env_seed!r}") from None
-        spec = dataclasses.replace(spec, oracle=dataclasses.replace(spec.oracle, seed=seed))
-    return spec
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = _load_spec(args)
+        spec = parse_config(args.config)
         outdir = Path(args.out) if args.out else Path(Path(args.config).stem + "_out")
         if args.command == "solve":
             return run_solve(spec, outdir, args.residual_convention)

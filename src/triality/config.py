@@ -17,9 +17,9 @@ Schema (unknown keys are rejected):
     tau_x, tau_y   constant stress components (tau_y rectangle only)
     stream         linear | bilinear | quadratic (stream-function catalog)
     stream_scale   stream function scale (default 1.0)
-    tol, max_iter, scan_points   dual-root solver options
-    curl_tol       reconstruction curl tolerance (default 1e-6 * max|gamma|)
+    tol, max_iter  dual-root solver options (defaults: SolverOptions)
     oracle_starts, oracle_seed, oracle_span   multistart oracle controls
+                   (defaults: OracleOptions)
 """
 from __future__ import annotations
 
@@ -101,7 +101,6 @@ class ProblemSpec:
     loading: Loading
     solver: SolverOptions = SolverOptions()
     oracle: OracleOptions = OracleOptions()
-    curl_tol: float | None = None
 
     @property
     def dim(self) -> int:
@@ -112,7 +111,7 @@ _KEYS = {
     "model", "alpha", "c1", "c2", "measure_a", "measure_b",
     "geometry", "length", "n", "lx", "ly", "nx", "ny", "origin_x", "origin_y",
     "fixed_edges", "loading", "tau_x", "tau_y", "stream", "stream_scale",
-    "tol", "max_iter", "scan_points", "curl_tol",
+    "tol", "max_iter",
     "oracle_starts", "oracle_seed", "oracle_span",
 }
 
@@ -237,20 +236,16 @@ def parse_config(path) -> ProblemSpec:
         raise ConfigError(f"config key 'loading': expected constant_tau or stream_function, got {load_kind!r}")
 
     solver = SolverOptions(
-        tol=_get_float(kv, "tol", 1e-12),
-        max_iter=_get_int(kv, "max_iter", 200),
-        scan_points=_get_int(kv, "scan_points", 10_000),
+        tol=_get_float(kv, "tol", SolverOptions.tol),
+        max_iter=_get_int(kv, "max_iter", SolverOptions.max_iter),
     )
     oracle = OracleOptions(
-        n_starts=_get_int(kv, "oracle_starts", 50),
-        seed=_get_int(kv, "oracle_seed", 1234),
-        span=_get_float(kv, "oracle_span", 2.0),
+        n_starts=_get_int(kv, "oracle_starts", OracleOptions.n_starts),
+        seed=_get_int(kv, "oracle_seed", OracleOptions.seed),
+        span=_get_float(kv, "oracle_span", OracleOptions.span),
     )
-    curl_tol = _get_float(kv, "curl_tol", -1.0)
-    return ProblemSpec(
-        energy=energy, measure=measure, geometry=geometry, loading=loading,
-        solver=solver, oracle=oracle, curl_tol=None if curl_tol <= 0 else curl_tol,
-    )
+    return ProblemSpec(energy=energy, measure=measure, geometry=geometry, loading=loading,
+                       solver=solver, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

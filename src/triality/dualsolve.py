@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .canonical import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
-    d2V,
     dVstar,
 )
 from .errors import DomainError, RootSolveError, SingularDualError
@@ -63,12 +62,11 @@ class TrialityLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Root-refinement options: residual tolerance (relative to max(1, tau^2)),
-    iteration cap, and grid size for the generic critical-point scan."""
+    """Root-refinement options: residual tolerance (relative to max(1, tau^2))
+    and iteration cap."""
 
     tol: float = 1e-12
     max_iter: int = 200
-    scan_points: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,6 @@ class DualRootSet:
 
     def zetas(self) -> tuple[float, ...]:
         return tuple(r.zeta for r in self.roots)
-
-    def positive(self) -> Optional[DualRoot]:
-        for r in self.roots:
-            if r.zeta > 0.0:
-                return r
-        return None
 
 
 class FoldThreshold(NamedTuple):
@@ -144,9 +136,10 @@ def _closed_form_geometry(energy: CanonicalEnergy, m: QuadraticMeasure,
     return zc, eta_sq, z0neg
 
 
-def _scan_grid(scan_points: int) -> np.ndarray:
-    """Symmetric logarithmic zeta grid over [-1e3, 1e3], excluding zero."""
-    mags = np.logspace(-8.0, 3.0, max(scan_points // 2, 100))
+def _scan_grid() -> np.ndarray:
+    """Symmetric logarithmic zeta grid over [-1e3, 1e3], 5000 points a side,
+    excluding zero."""
+    mags = np.logspace(-8.0, 3.0, 5000)
     return np.concatenate([-mags[::-1], mags])
 
 
@@ -206,7 +199,7 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
     geom = _closed_form_geometry(energy, m, convention)
     if geom is None:
         f = residual_factor(m, convention)
-        neg = [c for c in _critical_points(energy, m, _scan_grid(10_000)) if c < 0.0]
+        neg = [c for c in _critical_points(energy, m, _scan_grid()) if c < 0.0]
         if len(neg) > 1:
             raise NotImplementedError(
                 "multiple negative critical points of the dual curve; "
@@ -224,11 +217,16 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
 
 
 def _hessian_eigs(energy, m, zeta, tau_sq):
-    """(along, perpendicular) Hessian eigenvalues at gamma = tau/(2a*zeta)."""
+    """(along, perpendicular) Hessian eigenvalues at gamma = tau/(2a*zeta).
+
+    d2V(xi) at xi = dV*(zeta) is taken as 1/d2V*(zeta), which stays defined
+    (+inf) where dV*(zeta) underflows to the edge of the xi domain.
+    """
     a = m.a
-    xi = dVstar(energy, zeta)
     gsq = tau_sq / (4.0 * a * a * zeta * zeta)
-    along = 2.0 * a * zeta + 4.0 * a * a * d2V(energy, xi) * gsq
+    with np.errstate(divide="ignore"):
+        d2v = 1.0 / energy.d2Vstar(zeta)
+    along = 2.0 * a * zeta + 4.0 * a * a * d2v * gsq
     return along, 2.0 * a * zeta
 
 
@@ -284,7 +282,7 @@ def _generic_roots_point(energy, m, factor, t2, opts):
     # dual term vanishes and D tends to -tau^2
     gap = energy.xi_min - m.b
     neg_sign = np.sign(gap) if gap != 0.0 else -np.sign(t2)
-    grid = _scan_grid(opts.scan_points)
+    grid = _scan_grid()
     grid = np.concatenate([_outer_scan_points(D, grid[0], neg_sign)[::-1], grid,
                            _outer_scan_points(D, grid[-1], 1.0)])
     vals = D(grid)

@@ -129,15 +129,6 @@ def _deriv(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def gradient(f: ScalarField) -> VectorField2:
-    """Nodal gradient (d/dx, d/dy) with second-order stencils."""
-    g = f.grid
-    out = np.empty(g.shape + (2,))
-    out[..., 0] = _deriv(f.values, g.hx, axis=1)
-    out[..., 1] = _deriv(f.values, g.hy, axis=0)
-    return VectorField2(g, out)
-
-
 def stress_from_stream(psi: ScalarField) -> VectorField2:
     """Divergence-free stress tau = (d psi/dy, -d psi/dx).
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from . import _kernels
 from .canonical import CanonicalEnergy, QuadraticMeasure
-from .config import (IntervalGeometry, ProblemSpec, build_grid, build_tau_grid,
-                     build_tau_interval, interval_nodes)
+from .config import (IntervalGeometry, OracleOptions, ProblemSpec, build_grid,
+                     build_tau_grid, build_tau_interval, interval_nodes)
 from .energies import trapezoid_weights_interval
 from .errors import OracleError
-from .fields import boundary_traction, edge_slice
+from .fields import boundary_traction, edge_slice, write_csv
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -152,29 +152,25 @@ class MinimizeResult:
 
 
 def minimize_multistart(problem: ProblemSpec | DiscreteProblem,
-                        n_starts: int | None = None,
-                        seed: int | None = None,
-                        span: float | None = None,
+                        options: OracleOptions | None = None,
                         max_iter: int = 20_000) -> MinimizeResult:
     """Multistart gradient descent on the nodal values.
 
-    Starts are uniform in [-span, span] per free node with a fixed seed, so
-    identical inputs reproduce bitwise-identical results in serial mode.  The
-    basin census clusters converged energies within 1e-5.
+    options defaults to the spec's oracle options (OracleOptions() for a
+    DiscreteProblem).  Starts are uniform in [-span, span] per free node with
+    a fixed seed, so identical inputs reproduce bitwise-identical results.
+    The basin census clusters converged energies within 1e-5.
     """
     if isinstance(problem, ProblemSpec):
-        n_starts = problem.oracle.n_starts if n_starts is None else n_starts
-        seed = problem.oracle.seed if seed is None else seed
-        span = problem.oracle.span if span is None else span
+        options = options or problem.oracle
         problem = discretize(problem)
-    n_starts = 50 if n_starts is None else n_starts
-    seed = 1234 if seed is None else seed
-    span = 2.0 if span is None else span
+    options = options or OracleOptions()
+    n_starts = options.n_starts
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(options.seed)
     results: list[DescentResult] = []
     for _ in range(n_starts):
-        u0 = rng.uniform(-span, span, size=problem.shape)
+        u0 = rng.uniform(-options.span, options.span, size=problem.shape)
         results.append(descend(problem, u0, max_iter=max_iter))
     converged = [r for r in results if r.converged and np.isfinite(r.energy)]
     if not converged:
@@ -329,10 +325,9 @@ def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: flo
 
 def violations_to_csv(violations, path) -> None:
     """CSV rows gx1,gy1,gx2,gy2,theta,excess (1-D probes write gy = 0)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gx1,gy1,gx2,gy2,theta,excess\n")
-        for v in violations:
-            g1 = tuple(v.gamma1) + (0.0,) * (2 - len(v.gamma1))
-            g2 = tuple(v.gamma2) + (0.0,) * (2 - len(v.gamma2))
-            row = (g1[0], g1[1], g2[0], g2[1], v.theta, v.excess)
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+    def pad(g):
+        return tuple(g) + (0.0,) * (2 - len(g))
+
+    rows = np.array([pad(v.gamma1) + pad(v.gamma2) + (v.theta, v.excess)
+                     for v in violations]).reshape(-1, 6)
+    write_csv(path, "gx1,gy1,gx2,gy2,theta,excess", rows.T)

@@ -78,7 +78,7 @@ def test_roots_csv_round_trip_revalidates(tmp_path):
 
 def test_solve_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["solve", CONFIGS / "doublewell_rect_stream.cfg", "--out", out1, "--serial"]) == 0
+    assert run(["solve", CONFIGS / "doublewell_rect_stream.cfg", "--out", out1]) == 0
     assert run(["solve", CONFIGS / "doublewell_rect_stream.cfg", "--out", out2]) == 0
     for name in ("roots.csv", "energy_report.csv", "report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -171,6 +171,18 @@ def test_verify_shipped_configs_pass(capsys):
     assert "SKIP oracle" in out and "SKIP curl/path" in out
 
 
+def test_verify_rect_constant_load_passes_curl_audit(tmp_path, capsys):
+    # a constant load on a rectangle gives a curl-free branch-1 strain, so the
+    # curl/path audit reconstructs the field and compares the two paths
+    cfg = tmp_path / "rect.cfg"
+    text = (CONFIGS / "log_rect_const.cfg").read_text()
+    cfg.write_text(text.replace("oracle_starts = 6", "oracle_starts = 1"))
+    assert run(["verify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "PASS curl/path audit" in out
+    assert "OK: 6/6" in out
+
+
 def test_verify_paper_eq45_fails_duality_gap(capsys):
     code = run(["verify", CONFIGS / "log_1d_sub.cfg", "--residual-convention", "paper-eq45"])
     out = capsys.readouterr().out
@@ -193,6 +205,11 @@ def test_unknown_key_and_corrupt_config(tmp_path, capsys):
     cfg.write_text("model = double_well\nwibble = 3\n")
     assert run(["verify", cfg]) == 2
     assert "wibble" in capsys.readouterr().err
+    # settings that no longer exist are unknown keys like any other
+    for key in ("scan_points = 10000", "curl_tol = 1e-6"):
+        cfg.write_text((CONFIGS / "log_rect_const.cfg").read_text() + key + "\n")
+        assert run(["verify", cfg]) == 2
+        assert "unknown config key" in capsys.readouterr().err
     cfg.write_text("model double_well\n")
     assert run(["verify", cfg]) == 2
     assert run(["solve", tmp_path / "missing.cfg"]) == 2
@@ -214,13 +231,3 @@ def test_config_validation_details(tmp_path):
     cfg.write_text(base.replace("tau_x = 1.0", "tau_x = 1.0\ntau_y = 1.0"))
     with pytest.raises(ConfigError, match="tau_y"):
         parse_config(cfg)
-
-
-def test_cdt_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CDT_SEED", "777")
-    from triality.cli import _load_spec
-    import argparse
-    args = argparse.Namespace(config=str(CONFIGS / "doublewell_1d.cfg"), tol=None)
-    assert _load_spec(args).oracle.seed == 777
-    monkeypatch.setenv("CDT_SEED", "not-a-number")
-    assert run(["verify", CONFIGS / "doublewell_1d.cfg"]) == 2

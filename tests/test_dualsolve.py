@@ -190,7 +190,7 @@ def test_dual_density_concavity_around_positive_root(dw, log11, rng):
 
 def test_solver_options_and_convention_validation(dw):
     opts = SolverOptions()
-    assert (opts.tol, opts.max_iter, opts.scan_points) == (1e-12, 200, 10_000)
+    assert (opts.tol, opts.max_iter) == (1e-12, 200)
     with pytest.raises(ValueError):
         dual_residual(dw, DW_MEASURE, 1.0, 1.0, convention="nonsense")
 
@@ -219,6 +219,10 @@ def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
         assert counts[0] == 2
         assert roots[0, 1] == pytest.approx(-math.sqrt(t2 / 2.0), rel=1e-9)
         assert abs(dual_residual(log11, m, roots[0, 1], t2)) <= 1e-10 * t2
+    # there dV*(zeta) underflows to 0.0, the edge of the xi domain: the label
+    # takes d2V(xi) as 1/d2V*(zeta) = +inf rather than evaluating d2V at 0
+    rs = solve_all_roots(log11, m, 9e6)
+    assert [str(r.label) for r in rs.roots] == ["global_min", "local_min"]
     # a root the capped outer scan cannot bracket is an error, not a drop
     from triality import _kernels
     monkeypatch.setattr(_kernels, "_EXPAND_LIMIT", 1)

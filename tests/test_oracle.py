@@ -206,6 +206,9 @@ def test_violations_csv(tmp_path, dw):
     lines = path.read_text().splitlines()
     assert lines[0] == "gx1,gy1,gx2,gy2,theta,excess"
     assert len(lines) == len(viols) + 1
+    v = viols[0]
+    fields = (*v.gamma1, *v.gamma2, v.theta, v.excess)
+    assert lines[1] == ",".join("%.17g" % x for x in fields)
 
 
 def test_log_model_probe_respects_domain(log11):
