@@ -12,19 +12,21 @@ Root solving: per material point the residual is
 with factor = 4a under the derived convention.  D has one sign change on
 zeta > 0 for any tau^2 > 0, and zero, one (fold) or two sign changes on
 zeta < 0 depending on tau^2 relative to the fold level eta^2 = D-max at the
-negative critical point zc.  Each bracket is refined by safeguarded Newton
-iteration (bisection fallback keeps iterates inside the bracket).  The batch
-solver serves the built-in closed-form geometries; nonstandard models go
-through the sign-scan fallback in the dual-solve module, which refines its
-brackets with the same ``newton_bracketed``.
-
-Flags per root slot: 0 = converged, 1 = degenerate fold root, 2 = failed.
+negative critical point zc.  ``expand`` pushes a bracket end out until D
+takes a given sign and ``refine`` solves every bracket by safeguarded Newton
+iteration (bisection fallback keeps iterates inside the bracket) under the
+one stop rule |D| <= tol*max(1, tau^2).  The batch solver serves the
+built-in closed-form geometries; nonstandard models go through the sign-scan
+fallback in the dual-solve module, which uses the same two stages.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
+
+from .errors import RootSolveError
 
 _DEGENERATE_RTOL = 1e-13  # |tau^2 - eta^2| window treated as the fold
 _EXPAND_LIMIT = 600       # bracket-expansion doublings before giving up
@@ -39,6 +41,27 @@ def residual(energy, b, factor, z, t2):
 def _residual_prime(energy, b, factor, z):
     with np.errstate(over="ignore", invalid="ignore"):
         return factor * (2.0 * z * (energy.dVstar(z) - b) + z * z * energy.d2Vstar(z))
+
+
+def expand(fn, base, width, sign):
+    """Ends base + width*2^k, per entry the fewest doublings k >= 0 at which
+    fn (an array function of zeta, usually D) takes the sign `sign`; raises
+    RootSolveError after _EXPAND_LIMIT doublings rather than leave a root
+    beyond the last end unbracketed."""
+    width = np.array(width, dtype=float)
+    for _ in range(_EXPAND_LIMIT + 1):
+        z = base + width
+        f = fn(z)
+        bad = np.sign(f) != sign
+        if not bad.any():
+            return z
+        width[bad] *= 2.0
+    z, r = float(z[bad][0]), float(f[bad][0])
+    raise RootSolveError(
+        f"dual curve has not reached its asymptotic sign at zeta={z!r}; "
+        "a root beyond the scan range cannot be bracketed",
+        best_zeta=z, best_residual=r,
+    )
 
 
 def newton_bracketed(energy, b, factor, lo, hi, t2, tol, max_iter):
@@ -63,7 +86,7 @@ def newton_bracketed(energy, b, factor, lo, hi, t2, tol, max_iter):
         fhi[upd_hi] = fx[upd_hi]
         lo[upd_lo] = x[upd_lo]
         fp = _residual_prime(energy, b, factor, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             xn = x - fx / fp
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
@@ -73,35 +96,44 @@ def newton_bracketed(energy, b, factor, lo, hi, t2, tol, max_iter):
     return x, fx, done
 
 
+def refine(energy, b, factor, lo, hi, t2, tol_rel, max_iter):
+    """Roots of D in per-point brackets [lo, hi] with a sign change.
+
+    Stops where |D| <= tol_rel*max(1, tau^2) and returns (zeta, D(zeta));
+    raises RootSolveError with the first iterate that did not get there.
+    """
+    x, fx, ok = newton_bracketed(energy, b, factor, lo, hi, t2,
+                                 tol_rel * np.maximum(1.0, t2), max_iter)
+    if not ok.all():
+        z, r = float(x[~ok][0]), float(fx[~ok][0])
+        raise RootSolveError(
+            f"dual root iteration did not converge: best zeta={z!r}, |D|={abs(r)!r}",
+            best_zeta=z, best_residual=r,
+        )
+    return x, fx
+
+
 def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, zc, eta_sq, z0neg):
     """Vectorized root enumeration over an array of tau^2 values.
 
-    Returns (roots, residuals, flags, counts); roots shape (n, 3), nan-padded,
-    slot 0 the positive root, slots 1-2 the negative roots in descending order.
+    Returns (roots, residuals, degenerate, counts); roots shape (n, 3),
+    nan-padded, slot 0 the positive root, slots 1-2 the negative roots in
+    descending order; degenerate marks fold roots reported once at zc.
     """
     tau_sq = np.ascontiguousarray(tau_sq, dtype=float)
-    n = tau_sq.size
-    roots = np.full((n, 3), np.nan)
-    resid = np.zeros((n, 3))
-    flags = np.zeros((n, 3), dtype=np.int64)
-    tol = tol_rel * np.maximum(1.0, tau_sq)
+    roots = np.full((tau_sq.size, 3), np.nan)
+    resid = np.zeros(roots.shape)
+    degenerate = np.zeros(roots.shape, dtype=bool)
+
+    def solve(slot, at, lo, hi):
+        roots[at, slot], resid[at, slot] = refine(energy, b, factor, lo, hi, tau_sq[at],
+                                                  tol_rel, max_iter)
 
     pos = tau_sq > 0.0
     if pos.any():
-        t2 = tau_sq[pos]
-        hi = np.ones(t2.size)
-        f = residual(energy, b, factor, hi, t2)
-        for _ in range(_EXPAND_LIMIT):
-            bad = f <= 0.0
-            if not bad.any():
-                break
-            hi[bad] *= 2.0
-            f[bad] = residual(energy, b, factor, hi[bad], t2[bad])
-        x, fx, ok = newton_bracketed(energy, b, factor, np.zeros(t2.size), hi, t2,
-                                     tol[pos], max_iter)
-        roots[pos, 0] = x
-        resid[pos, 0] = fx
-        flags[pos, 0] = np.where(ok, 0, 2)
+        k = np.count_nonzero(pos)
+        hi = expand(partial(residual, energy, b, factor, t2=tau_sq[pos]), 0.0, np.ones(k), 1.0)
+        solve(0, pos, np.zeros(k), hi)
 
     if np.isfinite(zc):
         degtol = _DEGENERATE_RTOL * max(1.0, eta_sq)
@@ -114,35 +146,17 @@ def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, zc, eta_sq, 
         if deg.any():
             roots[deg, 1] = zc
             resid[deg, 1] = residual(energy, b, factor, zc, tau_sq[deg])
-            flags[deg, 1] = 1
+            degenerate[deg, 1] = True
         if sub.any():
-            t2 = tau_sq[sub]
-            x, fx, ok = newton_bracketed(energy, b, factor, np.full(t2.size, zc),
-                                         np.zeros(t2.size), t2, tol[sub], max_iter)
-            roots[sub, 1] = x
-            resid[sub, 1] = fx
-            flags[sub, 1] = np.where(ok, 0, 2)
-            if np.isfinite(z0neg):
-                lo = np.full(t2.size, z0neg)
-            else:
-                w = np.full(t2.size, max(1.0, abs(zc)))
-                lo = zc - w
-                f = residual(energy, b, factor, lo, t2)
-                for _ in range(_EXPAND_LIMIT):
-                    bad = f >= 0.0
-                    if not bad.any():
-                        break
-                    w[bad] *= 2.0
-                    lo[bad] = zc - w[bad]
-                    f[bad] = residual(energy, b, factor, lo[bad], t2[bad])
-            x, fx, ok = newton_bracketed(energy, b, factor, lo, np.full(t2.size, zc),
-                                         t2, tol[sub], max_iter)
-            roots[sub, 2] = x
-            resid[sub, 2] = fx
-            flags[sub, 2] = np.where(ok, 0, 2)
+            k = np.count_nonzero(sub)
+            solve(1, sub, np.full(k, zc), np.zeros(k))
+            lo = (np.full(k, z0neg) if np.isfinite(z0neg) else
+                  expand(partial(residual, energy, b, factor, t2=tau_sq[sub]),
+                         zc, np.full(k, -max(1.0, abs(zc))), -1.0))
+            solve(2, sub, lo, np.full(k, zc))
 
     counts = np.sum(~np.isnan(roots), axis=1).astype(np.int64)
-    return roots, resid, flags, counts
+    return roots, resid, degenerate, counts
 
 
 def _outside_domain(energy, xi):

@@ -4,10 +4,11 @@
     triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR] [--residual-convention C]
     triality verify <config> [--residual-convention C]
 
-Exit codes: 0 success, 1 failed verification check, 2 configuration error,
-3 solver failure.  Every solver and oracle setting, the seed included, comes
-from the config file.  All CSV output uses 17 significant digits; runs are
-serial and deterministic for a fixed config.
+Exit codes: 0 success, 1 failed verification check, 2 configuration error
+(malformed, non-finite or out-of-range values, or a model outside the
+supported family), 3 solver failure.  Every solver and oracle setting, the
+seed included, comes from the config file.  All CSV output uses 17
+significant digits; runs are serial and deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dualsolve, energies, fields, oracle
-from .canonical import dVstar
+from . import _kernels, dualsolve, energies, fields, oracle
 from .config import (
+    MAX_NODES,
     ConstantTau,
     IntervalGeometry,
     ProblemSpec,
@@ -51,7 +52,6 @@ class InstanceSolution:
     """Per-node dual solution of one configured instance, flattened."""
 
     spec: ProblemSpec
-    convention: str
     coords: np.ndarray      # (n, 2), y = 0 for intervals
     tau: np.ndarray         # (n, d)
     tau_sq: np.ndarray      # (n,)
@@ -74,19 +74,25 @@ def solve_instance(spec: ProblemSpec, convention: str = "derived") -> InstanceSo
         grid = None
     else:
         grid = build_grid(spec)
-        tf = build_tau_grid(spec, grid)
-        tau = tf.values.reshape(-1, 2)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                tau = build_tau_grid(spec, grid).values.reshape(-1, 2)
+        except ValueError as exc:  # the grid fields refuse an overflowed stress
+            raise ConfigError(f"loading: {exc}") from exc
         X, Y = grid.coords()
         coords = np.column_stack([X.ravel(), Y.ravel()])
         weights = energies.trapezoid_weights_grid(grid).ravel()
         x = None
-    tau_sq = np.sum(tau * tau, axis=-1)
+    with np.errstate(over="ignore"):
+        tau_sq = np.sum(tau * tau, axis=-1)
+    if not np.all(np.isfinite(tau_sq)):
+        raise ConfigError("loading: the stress or tau^2 is not finite at every node")
     roots, resid, degenerate, counts = dualsolve.solve_roots_array(
         spec.energy, spec.measure, tau_sq, spec.solver, convention
     )
     labels = dualsolve.label_array(spec.energy, spec.measure, roots, tau_sq,
                                    degenerate, spec.dim)
-    return InstanceSolution(spec, convention, coords, tau, tau_sq, weights,
+    return InstanceSolution(spec, coords, tau, tau_sq, weights,
                             roots, resid, degenerate, counts, labels, grid, x)
 
 
@@ -234,10 +240,10 @@ def _instance_summary(spec: ProblemSpec) -> str:
 
 def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
               tau_min: float, tau_max: float, steps: int) -> int:
-    if steps < 2:
-        raise ConfigError("sweep needs steps >= 2")
-    if tau_min < 0 or tau_max < tau_min:
-        raise ConfigError("sweep needs 0 <= tau-min <= tau-max")
+    if not 2 <= steps <= MAX_NODES:
+        raise ConfigError(f"sweep needs 2 <= steps <= {MAX_NODES}")
+    if not (0.0 <= tau_min <= tau_max and np.isfinite(tau_max * tau_max)):
+        raise ConfigError("sweep needs 0 <= tau-min <= tau-max with tau-max^2 finite")
     outdir.mkdir(parents=True, exist_ok=True)
     taus = np.linspace(tau_min, tau_max, steps)
     roots, _, _, counts = dualsolve.solve_roots_array(
@@ -250,35 +256,30 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
                 [taus, counts, *roots.T, *pid.T], "%.17g,%d" + ",%.17g" * 6)
 
     # dual algebraic curve h(zeta) under both residual conventions
-    zc = None
     try:
-        zc = dualsolve.fold_threshold(spec.energy, spec.measure).zeta_c
+        fold = dualsolve.fold_threshold(spec.energy, spec.measure)
     except NotImplementedError:
-        pass
-    z_lo = 4.0 * zc - 1.0 if zc is not None else -3.0
+        fold = None
+    z_lo = 4.0 * fold.zeta_c - 1.0 if fold is not None else -3.0
     z_hi = max(1.5, 1.5 * float(roots[-1, 0])) if taus[-1] > 0 else 1.5
     zgrid = np.linspace(z_lo, z_hi, 1001)
     h = []
     for conv in ("derived", "paper-eq45"):
-        h2 = dualsolve.residual_factor(spec.measure, conv) * zgrid * zgrid * (
-            dVstar(spec.energy, zgrid) - spec.measure.b)
+        h2 = _kernels.residual(spec.energy, spec.measure.b,
+                               dualsolve.residual_factor(spec.measure, conv), zgrid, 0.0)
         h.append(np.sqrt(np.where(h2 >= 0, h2, np.nan)))
     _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", [zgrid, *h])
-    _write_figure_curves(spec, outdir, taus)
+    tau_mid = fold.eta if fold is not None else 0.5 * (taus[0] + taus[-1])
+    _write_figure_curves(spec, outdir, (float(taus[0]), float(tau_mid), float(taus[-1])))
     print(f"wrote {outdir}/sweep.csv ({steps} rows), hcurve.csv, wcurve.csv, "
           f"gcurve.csv, gdcurve.csv")
     return 0
 
 
-def _write_figure_curves(spec: ProblemSpec, outdir: Path, taus) -> None:
+def _write_figure_curves(spec: ProblemSpec, outdir: Path, tau_marks) -> None:
     """Composed energy W(gamma), total potential G(gamma) and dual density
-    G^d(zeta) sampled at the sweep ends and the fold load."""
+    G^d(zeta) sampled at the loads tau_marks (sweep ends and fold load)."""
     energy, m = spec.energy, spec.measure
-    try:
-        tau_mid = dualsolve.fold_threshold(energy, m).eta
-    except NotImplementedError:
-        tau_mid = 0.5 * (taus[0] + taus[-1])
-    tau_marks = (float(taus[0]), float(tau_mid), float(taus[-1]))
 
     gamma = np.linspace(-3.0, 3.0, 1200)  # even count: skips gamma = 0 exactly
     xi = m.a * gamma * gamma + m.b
@@ -408,23 +409,23 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Canonical-dual solver for nonconvex shear problems")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, summary, writes):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("config", help="problem configuration file (key = value)")
-        sp.add_argument("--out", default=None, help="output directory (default: <config stem>_out)")
+        if writes:
+            sp.add_argument("--out", default=None, help="output directory (default: <config stem>_out)")
         sp.add_argument("--residual-convention", choices=list(dualsolve.RESIDUAL_CONVENTIONS),
                         default="derived",
                         help="dual residual convention; paper-eq45 reproduces the "
                              "single-factor log-model curve and breaks the duality gap")
+        return sp
 
-    sp = sub.add_parser("solve", help="solve one instance and write roots/fields/energies")
-    common(sp)
-    sp = sub.add_parser("sweep", help="sweep the load magnitude and write sweep.csv/hcurve.csv")
-    common(sp)
+    command("solve", "solve one instance and write roots/fields/energies", True)
+    sp = command("sweep", "sweep the load magnitude and write sweep.csv/hcurve.csv", True)
     sp.add_argument("--tau-min", type=float, required=True)
     sp.add_argument("--tau-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp = sub.add_parser("verify", help="run the verification checks on one instance")
-    common(sp)
+    command("verify", "run the verification checks on one instance", False)
     return p
 
 
@@ -432,14 +433,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_config(args.config)
+        if args.command == "verify":
+            return run_verify(spec, args.residual_convention)
         outdir = Path(args.out) if args.out else Path(Path(args.config).stem + "_out")
         if args.command == "solve":
             return run_solve(spec, outdir, args.residual_convention)
-        if args.command == "sweep":
-            return run_sweep(spec, outdir, args.residual_convention,
-                             args.tau_min, args.tau_max, args.steps)
-        return run_verify(spec, args.residual_convention)
-    except ConfigError as exc:
+        return run_sweep(spec, outdir, args.residual_convention,
+                         args.tau_min, args.tau_max, args.steps)
+    except (ConfigError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RootSolveError, OracleError) as exc:

@@ -20,9 +20,12 @@ Schema (unknown keys are rejected):
     tol, max_iter  dual-root solver options (defaults: SolverOptions)
     oracle_starts, oracle_seed, oracle_span   multistart oracle controls
                    (defaults: OracleOptions)
+
+Every number must be finite; a geometry has at most MAX_NODES nodes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
@@ -38,6 +41,9 @@ from .canonical import (
 from .dualsolve import SolverOptions
 from .errors import ConfigError, DomainError
 from .fields import EDGES, Grid2, VectorField2
+
+#: node cap of one instance (and of a sweep's steps)
+MAX_NODES = 10**6
 
 DEFAULT_MEASURES = {
     "double_well": (0.5, -1.0),
@@ -139,9 +145,12 @@ def _get_float(kv, key, default=None):
             raise ConfigError(f"missing required config key '{key}'")
         return default
     try:
-        return float(kv[key])
+        v = float(kv[key])
     except ValueError:
         raise ConfigError(f"config key '{key}': not a number: {kv[key]!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"config key '{key}': must be finite, got {kv[key]!r}")
+    return v
 
 
 def _get_int(kv, key, default=None):
@@ -175,10 +184,10 @@ def parse_config(path) -> ProblemSpec:
     if geom_kind == "interval":
         length = _get_float(kv, "length", 1.0)
         n = _get_int(kv, "n", 65)
-        if length <= 0:
-            raise ConfigError("config key 'length': must be positive")
-        if n < 2:
-            raise ConfigError("config key 'n': need at least 2 nodes")
+        if not 2 <= n <= MAX_NODES:
+            raise ConfigError(f"config key 'n': need 2 to {MAX_NODES} nodes")
+        if not length / (n - 1) > 0.0:
+            raise ConfigError("config key 'length': must be positive, with a nonzero node spacing")
         fixed = kv.get("fixed_edges", "left")
         if fixed not in ("left", "right"):
             raise ConfigError(
@@ -189,10 +198,13 @@ def parse_config(path) -> ProblemSpec:
     elif geom_kind == "rectangle":
         lx, ly = _get_float(kv, "lx", 1.0), _get_float(kv, "ly", 1.0)
         nx, ny = _get_int(kv, "nx", 33), _get_int(kv, "ny", 33)
-        if lx <= 0 or ly <= 0:
-            raise ConfigError("config keys 'lx'/'ly': extents must be positive")
         if nx < 3 or ny < 3:
             raise ConfigError("config keys 'nx'/'ny': need at least 3 nodes per direction")
+        if nx * ny > MAX_NODES:
+            raise ConfigError(f"config keys 'nx'/'ny': more than {MAX_NODES} nodes")
+        if not (lx / (nx - 1) > 0.0 and ly / (ny - 1) > 0.0):
+            raise ConfigError("config keys 'lx'/'ly': extents must be positive, "
+                              "with nonzero node spacings")
         fixed = frozenset(s.strip() for s in kv.get("fixed_edges", "left").split(",") if s.strip())
         if not fixed:
             raise ConfigError(
@@ -244,6 +256,15 @@ def parse_config(path) -> ProblemSpec:
         seed=_get_int(kv, "oracle_seed", OracleOptions.seed),
         span=_get_float(kv, "oracle_span", OracleOptions.span),
     )
+    for ok, rule in ((0.0 < solver.tol < 1.0, "'tol' must be in (0, 1)"),
+                     # bisection alone narrows any bracket to adjacent floats in
+                     # about 2100 steps, so a larger cap only lets a stuck run spin
+                     (1 <= solver.max_iter <= 10**4, "'max_iter' must be in 1..10000"),
+                     (oracle.n_starts >= 1, "'oracle_starts' must be >= 1"),
+                     (oracle.seed >= 0, "'oracle_seed' must be >= 0"),
+                     (oracle.span > 0.0, "'oracle_span' must be > 0")):
+        if not ok:
+            raise ConfigError(f"config key {rule}")
     return ProblemSpec(energy=energy, measure=measure, geometry=geometry, loading=loading,
                        solver=solver, oracle=oracle)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +40,8 @@ from .canonical import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
-    dVstar,
 )
-from .errors import DomainError, RootSolveError, SingularDualError
+from .errors import DomainError, SingularDualError
 
 RESIDUAL_CONVENTIONS = ("derived", "paper-eq45")
 
@@ -114,62 +114,66 @@ def dual_residual(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq,
     return float(out) if out.ndim == 0 else out
 
 
-def _closed_form_geometry(energy: CanonicalEnergy, m: QuadraticMeasure,
-                          convention: str):
-    """(zeta_c, eta^2, z0neg) of the negative branch for the built-in cases.
+class _Curve(NamedTuple):
+    """Unloaded dual curve h = D + tau^2: fold zc (nan: none, or several) and
+    eta_sq = h(zc); negative zero z0neg of h (nan: none, or only a decay to 0
+    at -inf); ascending critical points crit and the scan grid holding them
+    (both None for the built-in closed forms, which the batch kernel solves)."""
 
-    Returns None when no closed form exists (the generic scan path is used
-    instead); nan entries mean the feature is absent: zc = nan is "no
-    negative roots at all", z0neg = nan is "the curve only decays to zero at
-    -inf" (log model) rather than crossing it.
-    """
+    zc: float
+    eta_sq: float
+    z0neg: float
+    crit: np.ndarray | None
+    grid: np.ndarray | None
+
+
+def _curve(energy: CanonicalEnergy, m: QuadraticMeasure, convention: str) -> _Curve:
+    """Closed form for the built-in models: zeta_c = 2*b*alpha/3 for the
+    quadratic energy (b < 0, else no negative branch) and -2*c2 for the log
+    model with b = 0; other combinations take one critical-point scan."""
+    crit = grid = None
     if isinstance(energy, QuadraticEnergy):
-        if m.b >= 0.0:
-            return math.nan, math.nan, math.nan
-        zc, z0neg = 2.0 * m.b * energy.alpha / 3.0, energy.alpha * m.b
+        zc, z0neg = ((2.0 * m.b * energy.alpha / 3.0, energy.alpha * m.b) if m.b < 0.0
+                     else (math.nan, math.nan))
     elif isinstance(energy, LogNeoHookeanEnergy) and m.b == 0.0:
         zc, z0neg = -2.0 * energy.c2, math.nan
     else:
-        return None
+        crit, grid = _critical_points(energy, m)
+        neg = crit[crit < 0.0]
+        zc, z0neg = (float(neg[0]) if neg.size == 1 else math.nan), math.nan
     # the fold level eta^2 is the height of the unloaded dual curve at zc
     eta_sq = float(_kernels.residual(energy, m.b, residual_factor(m, convention), zc, 0.0))
-    return zc, eta_sq, z0neg
+    return _Curve(zc, eta_sq, z0neg, crit, grid)
 
 
-def _scan_grid() -> np.ndarray:
-    """Symmetric logarithmic zeta grid over [-1e3, 1e3], 5000 points a side,
-    excluding zero."""
-    mags = np.logspace(-8.0, 3.0, 5000)
-    return np.concatenate([-mags[::-1], mags])
+def _extend(grid, fn, neg_sign) -> np.ndarray:
+    """grid with every doubling of its ends added, up to the first at which fn
+    has its asymptotic sign: + towards +inf, neg_sign towards -inf (0: that
+    end stays)."""
+    def doublings(end, sign):
+        if sign == 0.0:
+            return np.empty(0)
+        z = _kernels.expand(fn, 0.0, [end], sign)[0]
+        return np.ldexp(end, np.arange(1, round(math.log2(z / end)) + 1))
+
+    return np.concatenate([doublings(grid[0], neg_sign)[::-1], grid, doublings(grid[-1], 1.0)])
 
 
-def _outer_scan_points(D, end: float, sign: float) -> list[float]:
-    """Doublings of a scan-grid end until D takes its asymptotic sign there.
+def _critical_points(energy, m) -> tuple[np.ndarray, np.ndarray]:
+    """(interior critical points, scan grid) of the dual curve.
 
-    Beyond such a point the dual curve keeps that sign, so no root lies
-    outside the extended grid.  Gives up after _kernels._EXPAND_LIMIT
-    doublings with RootSolveError rather than drop a root silently.
+    The slope 2*(dV* - b) + zeta*d2V* (D' over factor*zeta) is scanned on a
+    logarithmic grid, 5000 points a side over 1e-8 <= |zeta| <= 1e3, whose
+    ends double until the slope has its asymptotic sign, + at +inf and that
+    of xi_min - b at -inf, so no critical point lies beyond; each sign
+    change is bisected down to adjacent floats.
     """
-    out = []
-    z = end
-    while sign != 0.0 and np.sign(D(z)) != sign:
-        if len(out) == _kernels._EXPAND_LIMIT:
-            raise RootSolveError(
-                f"dual curve has not reached its asymptotic sign at zeta={z!r}; "
-                "a root beyond the scan range cannot be bracketed",
-                best_zeta=z, best_residual=float(D(z)),
-            )
-        z = 2.0 * z
-        out.append(z)
-    return out
-
-
-def _critical_points(energy, m, grid) -> list[float]:
-    """Interior critical points of the dual curve by derivative sign scan."""
     def slope(z):
         with np.errstate(over="ignore", invalid="ignore"):
             return 2.0 * (energy.dVstar(z) - m.b) + z * energy.d2Vstar(z)
 
+    mags = np.logspace(-8.0, 3.0, 5000)
+    grid = _extend(np.concatenate([-mags[::-1], mags]), slope, np.sign(energy.xi_min - m.b))
     g = slope(grid)
     out = []
     for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
@@ -184,7 +188,7 @@ def _critical_points(energy, m, grid) -> list[float]:
             else:
                 hi = mid
         out.append(0.5 * (lo + hi))
-    return out
+    return np.array(out), grid
 
 
 def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
@@ -194,26 +198,16 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
     The root count of the dual equation drops from three to one as tau crosses
     eta.  Closed form for the built-in models: zeta_c = -2*c2 for the log
     model, zeta_c = 2*b*alpha/3 for the quadratic one (b < 0 required); other
-    combinations fall back to the derivative sign scan.
+    combinations fall back to the critical-point scan, which follows the
+    curve as far out as its features go.
     """
-    geom = _closed_form_geometry(energy, m, convention)
-    if geom is None:
-        f = residual_factor(m, convention)
-        neg = [c for c in _critical_points(energy, m, _scan_grid()) if c < 0.0]
-        if len(neg) > 1:
-            raise NotImplementedError(
-                "multiple negative critical points of the dual curve; "
-                "model outside the supported family"
-            )
-        geom = ((neg[0], f * neg[0] ** 2 * (dVstar(energy, neg[0]) - m.b), math.nan)
-                if neg else (math.nan, math.nan, math.nan))
-    zc, eta_sq, _ = geom
-    if not math.isfinite(zc):
+    curve = _curve(energy, m, convention)
+    if not math.isfinite(curve.zc):
         raise NotImplementedError(
-            "no negative-branch fold for this energy/measure combination "
-            "(quadratic energy requires b < 0)"
+            "no single negative-branch fold for this energy/measure combination "
+            "(quadratic energy requires b < 0; several are outside the supported family)"
         )
-    return FoldThreshold(zc, math.sqrt(eta_sq))
+    return FoldThreshold(curve.zc, math.sqrt(curve.eta_sq))
 
 
 def _hessian_eigs(energy, m, zeta, tau_sq):
@@ -247,32 +241,23 @@ def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
     return label_array(energy, m, [[float(zeta)]], [float(t @ t)], [[False]], t.size)[0, 0]
 
 
-def _generic_roots_point(energy, m, factor, t2, opts):
+def _generic_roots_point(energy, m, factor, t2, opts, crit, grid):
     """All roots at one point by the sign-scan fallback.
 
-    Scans the dual curve on a logarithmic grid, refines every sign-change
-    bracket with the kernel's bracketed Newton, and adds tangent (fold) roots
-    at critical points whose level matches tau^2.  Returns (zeta, residual,
-    degenerate) triples.
+    Scans the dual curve on the curve's scan grid (see _critical_points),
+    extended until D has its asymptotic sign at both ends, refines every
+    sign-change bracket with the kernel's refiner, and at the critical points
+    crit adds tangent (fold) roots where the level matches tau^2.  Returns
+    (zeta, residual, degenerate) triples.
     """
-    def D(z):
-        return _kernels.residual(energy, m.b, factor, z, t2)
-
+    D = partial(_kernels.residual, energy, m.b, factor, t2=t2)
     found: list[tuple[float, float, bool]] = []
 
     def is_new(z):
         return all(abs(z - p[0]) > 1e-9 * (1.0 + abs(z)) for p in found)
 
     def refine(lo, hi):
-        x, fx, ok = _kernels.newton_bracketed(
-            energy, m.b, factor, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-            t2, opts.tol * max(1.0, t2), opts.max_iter)
-        if not ok.all():
-            z, r = float(x[~ok][0]), float(fx[~ok][0])
-            raise RootSolveError(
-                f"dual root iteration did not converge: best zeta={z!r}, |D|={abs(r)!r}",
-                best_zeta=z, best_residual=r,
-            )
+        x, fx = _kernels.refine(energy, m.b, factor, lo, hi, t2, opts.tol, opts.max_iter)
         for r, res in zip(x.tolist(), fx.tolist()):
             if is_new(r):
                 found.append((r, res, False))
@@ -281,10 +266,7 @@ def _generic_roots_point(energy, m, factor, t2, opts):
     # lim dV* - b, and where dV* decays to b itself (log model, b = 0) the
     # dual term vanishes and D tends to -tau^2
     gap = energy.xi_min - m.b
-    neg_sign = np.sign(gap) if gap != 0.0 else -np.sign(t2)
-    grid = _scan_grid()
-    grid = np.concatenate([_outer_scan_points(D, grid[0], neg_sign)[::-1], grid,
-                           _outer_scan_points(D, grid[-1], 1.0)])
+    grid = _extend(grid, D, np.sign(gap) if gap != 0.0 else -np.sign(t2))
     vals = D(grid)
     # sign changes between nonzero values (exact zeros are handled below, and
     # this skips underflow plateaus) that do not straddle the excluded zeta = 0
@@ -300,7 +282,7 @@ def _generic_roots_point(energy, m, factor, t2, opts):
             found.append((float(grid[i]), 0.0, False))
     # critical points: a level match is a tangent (fold) root; otherwise split
     # the enclosing cell there, which resolves root pairs closer than the grid
-    for c in _critical_points(energy, m, grid):
+    for c in crit:
         dc = D(c)
         if abs(dc) <= _kernels._DEGENERATE_RTOL * max(1.0, t2):
             if is_new(c):
@@ -310,7 +292,7 @@ def _generic_roots_point(energy, m, factor, t2, opts):
         for lo, hi, flo, fhi in ((grid[j], c, vals[j], dc),
                                  (c, grid[j + 1], dc, vals[j + 1])):
             if flo != 0.0 and fhi != 0.0 and (flo > 0.0) != (fhi > 0.0):
-                refine([lo], [hi])
+                refine(np.array([lo]), np.array([hi]))
     return found
 
 
@@ -323,28 +305,17 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
     with slot 0 the positive root and slots 1-2 the negative roots descending;
     degenerate marks fold roots reported once at zeta_c.  Built-in models go
     through the batch kernels; other energy/measure combinations use the
-    generic scan fallback point by point.
+    generic scan fallback point by point, sharing one critical-point scan.
     """
     opts = opts or SolverOptions()
     t2 = np.ascontiguousarray(tau_sq, dtype=float)
     if np.any(~np.isfinite(t2)) or np.any(t2 < 0.0):
         raise DomainError("tau^2 values must be finite and nonnegative")
     factor = residual_factor(m, convention)
-    geom = _closed_form_geometry(energy, m, convention)
-    if geom is not None:
-        zc, eta_sq, z0neg = geom
-        roots, resid, flags, counts = _kernels.solve_roots_batch(
-            energy, m.b, factor, t2, opts.tol, opts.max_iter, zc, eta_sq, z0neg
-        )
-        if np.any(flags == 2):
-            i, k = np.argwhere(flags == 2)[0]
-            raise RootSolveError(
-                f"dual root iteration did not converge at point {i} (slot {k}): "
-                f"best zeta={roots[i, k]!r}, |D|={abs(resid[i, k])!r}",
-                best_zeta=float(roots[i, k]),
-                best_residual=float(resid[i, k]),
-            )
-        return roots, resid, flags == 1, counts
+    curve = _curve(energy, m, convention)
+    if curve.grid is None:
+        return _kernels.solve_roots_batch(energy, m.b, factor, t2, opts.tol, opts.max_iter,
+                                          curve.zc, curve.eta_sq, curve.z0neg)
 
     n = t2.size
     roots = np.full((n, 3), np.nan)
@@ -352,19 +323,17 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
     deg = np.zeros((n, 3), dtype=bool)
     counts = np.zeros(n, dtype=np.int64)
     for i in range(n):
-        found = _generic_roots_point(energy, m, factor, float(t2[i]), opts)
-        pos = [f for f in found if f[0] > 0.0]
-        neg = sorted((f for f in found if f[0] < 0.0), key=lambda f: -f[0])
-        if len(pos) > 1 or len(neg) > 2:
+        found = sorted(_generic_roots_point(energy, m, factor, float(t2[i]), opts,
+                                            curve.crit, curve.grid), key=lambda f: -f[0])
+        npos = sum(f[0] > 0.0 for f in found)
+        if npos > 1 or len(found) - npos > 2:
             raise NotImplementedError(
                 f"{len(found)} real dual roots at tau^2={t2[i]}; "
                 "more than three is outside the supported model family"
             )
-        slotted = [(0, f) for f in pos] + [(j + 1, f) for j, f in enumerate(neg)]
-        for k, (z, r, d) in slotted:
-            roots[i, k] = z
-            resid[i, k] = r
-            deg[i, k] = d
+        # descending: the positive root (if any) in slot 0, negatives from slot 1
+        for k, (z, r, d) in enumerate(found, start=1 - npos):
+            roots[i, k], resid[i, k], deg[i, k] = z, r, d
         counts[i] = len(found)
     return roots, resid, deg, counts
 

@@ -160,7 +160,8 @@ def tensor_reconstruct(energy: CanonicalEnergy, T, m: QuadraticMeasure = TENSOR_
     """All stationary deformation gradients for a constant 3x3 stress T.
 
     Solves the dual equation at tau^2 = tr(T^T T) and reconstructs
-    F_k = T/(2*zeta_k) with sigma_k = 2*zeta_k*F_k = T for each root.
+    F_k = T/(2a*zeta_k), where dW/dF = 2a*V'(Lambda(F))*F = T with
+    V'(Lambda(F_k)) = zeta_k, and sigma_k = 2a*zeta_k*F_k = T for each root.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3):
@@ -169,8 +170,9 @@ def tensor_reconstruct(energy: CanonicalEnergy, T, m: QuadraticMeasure = TENSOR_
     rs = solve_all_roots(energy, m, tau_sq, opts, dim=9)
     out = []
     for r in rs.roots:
-        F = T / (2.0 * r.zeta)
-        out.append(TensorBranch(zeta=r.zeta, F=F, sigma=2.0 * r.zeta * F, label=r.label))
+        s = 2.0 * m.a * r.zeta
+        F = T / s
+        out.append(TensorBranch(zeta=r.zeta, F=F, sigma=s * F, label=r.label))
     return out
 
 

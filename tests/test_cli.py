@@ -1,9 +1,13 @@
 """End-to-end CLI pipelines: solve, sweep, verify, exit codes, determinism."""
+import contextlib
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triality import dual_residual
 from triality.cli import main
@@ -213,6 +217,41 @@ def test_unknown_key_and_corrupt_config(tmp_path, capsys):
     cfg.write_text("model double_well\n")
     assert run(["verify", cfg]) == 2
     assert run(["solve", tmp_path / "missing.cfg"]) == 2
+    # malformed numbers and flags: exit 2 with a message, never a traceback
+    base = (CONFIGS / "log_1d_sub.cfg").read_text()
+    rect = (CONFIGS / "doublewell_rect_stream.cfg").read_text()
+    for text, line, want in (
+            (rect, "stream_scale = nan", "stream_scale"), (rect, "stream_scale = inf", "stream_scale"),
+            (rect, "stream_scale = 1e308", "loading"), (base, "tau_x = nan", "tau_x"),
+            (base, "tau_x = inf", "tau_x"), (base, "tau_x = 1e200", "loading"),
+            (base, "length = inf", "length"), (base, "tol = nan", "tol"),
+            (base, "tol = -1", "tol"), (base, "tol = 2.5", "tol"),
+            (base, "max_iter = -5", "max_iter"), (base, "max_iter = 1e308", "max_iter"),
+            (base, "oracle_starts = 0", "oracle_starts"), (base, "oracle_span = nan", "oracle_span"),
+            (base, "oracle_span = -1", "oracle_span"), (rect, "lx = 5e-324", "lx"),
+            (base, "n = 1e12", "'n'"),
+            # four real roots: a model outside the supported family
+            (base, "measure_b = -0.001", "more than three")):
+        key = line.split("=")[0].strip()
+        cfg.write_text("".join(ln + "\n" for ln in text.splitlines()
+                               if ln.split("=")[0].strip() != key) + line + "\n")
+        assert run(["solve", cfg, "--out", tmp_path / "o"]) == 2, line
+        assert want in capsys.readouterr().err, line
+    for flags in (("--tau-max", "inf"), ("--tau-max", "nan"), ("--tau-min", "nan"),
+                  ("--tau-max", "1e200"), ("--steps", str(10**12))):
+        args = dict((("--tau-min", "0"), ("--tau-max", "1.1"), ("--steps", "50"), flags))
+        assert run(["sweep", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "s",
+                    *[v for kv in args.items() for v in kv]]) == 2, flags
+        assert "sweep needs" in capsys.readouterr().err, flags
+
+
+def test_verify_takes_no_out_flag(tmp_path, capsys):
+    # verify writes no file, so --out is an argparse error there
+    with pytest.raises(SystemExit) as info:
+        run(["verify", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "d"])
+    assert info.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_config_validation_details(tmp_path):
@@ -231,3 +270,24 @@ def test_config_validation_details(tmp_path):
     cfg.write_text(base.replace("tau_x = 1.0", "tau_x = 1.0\ntau_y = 1.0"))
     with pytest.raises(ConfigError, match="tau_y"):
         parse_config(cfg)
+
+
+#: a small solve config and the edge-case strings fed to its numeric keys
+FUZZ_BASE = {"model": "log_neohookean", "geometry": "interval", "length": "1", "n": "5",
+             "loading": "constant_tau", "tau_x": "0.5"}
+FUZZ_KEYS = ("c1", "c2", "measure_a", "measure_b", "length", "n", "tau_x", "tol", "max_iter",
+             "oracle_starts", "oracle_seed", "oracle_span")
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "5e-324", "2.5", "", "abc")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))
+def test_config_fuzzing_exits_cleanly(tmp_path_factory, key, value):
+    d = tmp_path_factory.mktemp("fuzz")
+    cfg = d / "f.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, key: value}.items()))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["solve", cfg, "--out", d / "o"])
+    assert code in (0, 1, 2, 3), (key, value)
+    if value in ("nan", "inf", "-inf"):
+        assert code == 2, (key, value)

@@ -230,27 +230,45 @@ def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
         solve_roots_array(log11, m, np.array([1e7]))
 
 
+def test_fold_beyond_the_base_scan_grid():
+    # log model, c2 = 1000, b = 0.001: the fold sits at zeta_c = -1961.3,
+    # outside |zeta| <= 1e3; the critical-point scan follows the curve out
+    energy, m = LogNeoHookeanEnergy(1.0, 1000.0), QuadraticMeasure(1.0, 0.001)
+    zc, eta = fold_threshold(energy, m)
+    assert zc == pytest.approx(-1961.31, abs=0.01)
+    assert eta == pytest.approx(883.24, abs=0.01)
+    # three roots below eta^2 = 7.80e5 (7e5 included: the curve there stays
+    # below the load out to |zeta| = 1e3 and rises above it beyond), one above
+    for t2, want in ((5e5, 3), (7e5, 3), (8e5, 1)):
+        roots, _, _, counts = solve_roots_array(energy, m, np.array([t2]))
+        assert counts[0] == want and roots[0, 0] > 0.0, t2
+        found = roots[0][~np.isnan(roots[0])]
+        assert np.all(np.abs(dual_residual(energy, m, found, t2)) <= 1e-10 * t2)
+
+
 def test_generic_path_agrees_with_kernel_on_builtins(dw, log11, rng):
     # the sign-scan fallback and the closed-form kernel are independent
     # routes to the same roots
-    from triality.dualsolve import _generic_roots_point
+    # (the critical points come from the scan, not from the closed form)
+    from triality.dualsolve import _critical_points, _generic_roots_point
     opts = SolverOptions()
-    for energy, m in ((dw, DW_MEASURE), (log11, SHEAR_MEASURE)):
+    dw_scan, log_scan = _critical_points(dw, DW_MEASURE), _critical_points(log11, SHEAR_MEASURE)
+    for energy, m, scan in ((dw, DW_MEASURE, dw_scan), (log11, SHEAR_MEASURE, log_scan)):
         for t2 in [0.0, 8.0 / 27.0, *rng.uniform(0.0, 1.5, size=25)]:
             rs = solve_all_roots(energy, m, t2)
             generic = sorted((z for z, _, _ in
-                              _generic_roots_point(energy, m, 4.0 * m.a, float(t2), opts)),
+                              _generic_roots_point(energy, m, 4.0 * m.a, float(t2), opts, *scan)),
                              reverse=True)
             assert np.allclose(rs.zetas(), generic, atol=1e-8), (energy, t2)
     # the tangent fold root is detected as degenerate by both routes
-    found = _generic_roots_point(dw, DW_MEASURE, 2.0, 8.0 / 27.0, opts)
+    found = _generic_roots_point(dw, DW_MEASURE, 2.0, 8.0 / 27.0, opts, *dw_scan)
     degs = [z for z, _, d in found if d]
     assert len(degs) == 1 and degs[0] == pytest.approx(-2.0 / 3.0, abs=1e-9)
     # near-fold pairs tighter than the scan grid are still resolved
     eta_sq = 16.0 * math.exp(-4.0)
     for gap in (1e-9, 1e-7, 1e-5):
         t2 = eta_sq * (1.0 - gap)
-        found = _generic_roots_point(log11, SHEAR_MEASURE, 4.0, t2, opts)
+        found = _generic_roots_point(log11, SHEAR_MEASURE, 4.0, t2, opts, *log_scan)
         ref = solve_all_roots(log11, SHEAR_MEASURE, t2)
         assert len(found) == len(ref) == 3
         assert np.allclose(sorted(z for z, _, _ in found), sorted(ref.zetas()), atol=1e-7)

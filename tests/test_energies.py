@@ -167,15 +167,21 @@ def test_tensor_reconstruct_identity_case(log11):
     assert match[0].label is TrialityLabel.GLOBAL_MIN
 
 
-def test_tensor_reconstruct_contracts(log11, rng):
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_tensor_reconstruct_contracts(log11, rng, a):
+    m = QuadraticMeasure(a, 0.0)
     T = rng.standard_normal((3, 3))
     tau_sq = float(np.sum(T * T))
-    branches = tensor_reconstruct(log11, T)
+    scale = max(1.0, float(np.max(np.abs(T))))
+    branches = tensor_reconstruct(log11, T, m)
     assert branches
     for b in branches:
-        assert np.max(np.abs(b.sigma - T)) <= 1e-14 * max(1.0, float(np.max(np.abs(T))))
-        assert float(np.sum(b.F * b.F)) == pytest.approx(dVstar(log11, b.zeta), rel=1e-9)
-        assert b.zeta ** 2 * 4.0 * dVstar(log11, b.zeta) == pytest.approx(tau_sq, rel=1e-9)
+        assert np.max(np.abs(b.sigma - T)) <= 1e-14 * scale
+        lam = a * float(np.sum(b.F * b.F))
+        assert lam == pytest.approx(dVstar(log11, b.zeta), rel=1e-9)
+        assert b.zeta ** 2 * 4.0 * a * dVstar(log11, b.zeta) == pytest.approx(tau_sq, rel=1e-9)
+        # stationarity of V(a|F|^2) - tr(F^T T): dW/dF = 2a*V'(Lambda(F))*F = T
+        assert np.max(np.abs(2.0 * a * dV(log11, lam) * b.F - T)) <= 1e-9 * scale
 
 
 def test_tensor_reconstruct_unloaded(log11):
