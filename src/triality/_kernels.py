@@ -2,8 +2,15 @@
 
 One numpy implementation, vectorised over material points.  Every kernel
 takes the energy object and evaluates its unchecked array methods
-(``energy.V``, ``energy.dVstar``, ...); the domain policy here is that a
-discrete energy with any xi outside the energy's domain is +inf.
+(``energy.V``, ``energy.dVstar``, ...).
+
+Discrete energy: the ``stored_energy*`` kernels take nodal fields with a
+leading start axis, u of shape (starts, n) or (starts, ny, nx), and return
+one stored energy per start (the gradient kernels also fill grad, shaped
+like u).  A start with any xi outside the energy's domain gets +inf (and a
+zero gradient) without affecting the other starts; the domain test is
+skipped for a domain unbounded below.  In 2-D the four corner quadrature
+points are stacked, so each call evaluates energy.V (and energy.dV) once.
 
 Root solving: per material point the residual is
 
@@ -160,73 +167,100 @@ def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, zc, eta_sq, 
 
 
 def _outside_domain(energy, xi):
-    # a domain unbounded below (the quadratic energy's) needs no array test
-    return energy.xi_min > -math.inf and bool(np.any(xi <= energy.xi_min))
+    """Per start (leading axis of xi), whether any xi lies on or below the
+    domain floor; such xi are moved to xi_min + 1 in place so V and dV stay
+    finite and quiet.  Returns None when every start is inside."""
+    if energy.xi_min == -math.inf:  # an unbounded domain (the quadratic energy's) needs no test
+        return None
+    bad = xi <= energy.xi_min
+    if not bad.any():
+        return None
+    xi[bad] = energy.xi_min + 1.0
+    return bad.reshape(len(xi), -1).any(axis=1)
 
 
 def stored_energy_1d(u, h, energy, m):
-    g = np.diff(u) / h
+    g = (u[..., 1:] - u[..., :-1]) / h
     xi = m.a * g * g + m.b
-    if _outside_domain(energy, xi):
-        return np.inf
-    return h * float(np.sum(energy.V(xi)))
+    out = _outside_domain(energy, xi)
+    e = h * energy.V(xi).sum(axis=-1)
+    if out is not None:
+        e[out] = np.inf
+    return e
 
 
 def stored_energy_grad_1d(u, h, energy, m, grad):
     grad[:] = 0.0
-    g = np.diff(u) / h
+    g = (u[..., 1:] - u[..., :-1]) / h
     xi = m.a * g * g + m.b
-    if _outside_domain(energy, xi):
-        return np.inf
+    out = _outside_domain(energy, xi)
     s = 2.0 * m.a * g * energy.dV(xi)
-    grad[:-1] -= s
-    grad[1:] += s
-    return h * float(np.sum(energy.V(xi)))
+    grad[..., :-1] -= s
+    grad[..., 1:] += s
+    e = h * energy.V(xi).sum(axis=-1)
+    if out is not None:
+        e[out] = np.inf
+        grad[out] = 0.0
+    return e
 
 
-def _cell_differences(u, hx, hy):
-    """One-sided differences per cell: x on the bottom/top edge, y on the left/right."""
-    return {"bot": (u[:-1, 1:] - u[:-1, :-1]) / hx,
-            "top": (u[1:, 1:] - u[1:, :-1]) / hx,
-            "lft": (u[1:, :-1] - u[:-1, :-1]) / hy,
-            "rgt": (u[1:, 1:] - u[:-1, 1:]) / hy}
+#: the four corner quadrature points of a cell, as (cx, cy): cx = 0/1 takes the
+#: x-difference on its bottom/top edge, cy = 0/1 the y-difference on its left/right
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_EDGE = (np.s_[:-1], np.s_[1:])  # the lower/upper of two adjacent node lines
 
 
-#: the four corner quadrature points of a cell, as (x-difference, y-difference)
-_QP_2D = (("bot", "lft"), ("bot", "rgt"), ("top", "lft"), ("top", "rgt"))
-# node slices receiving the -/+ ends of each one-sided difference
-_ENDS_2D = {"bot": (np.s_[:-1, :-1], np.s_[:-1, 1:]), "top": (np.s_[1:, :-1], np.s_[1:, 1:]),
-            "lft": (np.s_[:-1, :-1], np.s_[1:, :-1]), "rgt": (np.s_[:-1, 1:], np.s_[1:, 1:])}
+def _measure_2d(u, hx, hy, m):
+    """Node differences dx (S, ny, nx-1) and dy (S, ny-1, nx), and xi at the
+    corner points, xi[:, cx, cy] of shape (S, ny-1, nx-1)."""
+    dx = (u[:, :, 1:] - u[:, :, :-1]) / hx
+    dy = (u[:, 1:, :] - u[:, :-1, :]) / hy
+    sx, sy = dx * dx, dy * dy
+    xi = np.empty((len(u), 2, 2, u.shape[1] - 1, u.shape[2] - 1))
+    for cx, cy in _CORNERS:
+        np.add(sx[:, _EDGE[cx]], sy[:, :, _EDGE[cy]], out=xi[:, cx, cy])
+    xi *= m.a
+    xi += m.b
+    return dx, dy, xi
+
+
+def _corner_sum(w, v):
+    # the corner points are added one after another, each summed over its cells
+    s = v.reshape(len(v), len(_CORNERS), -1).sum(axis=-1)
+    total = w * s[:, 0]
+    for q in range(1, len(_CORNERS)):
+        total += w * s[:, q]
+    return total
 
 
 def stored_energy_2d(u, hx, hy, energy, m):
-    diffs = _cell_differences(u, hx, hy)
-    w = 0.25 * hx * hy
-    total = 0.0
-    for qx, qy in _QP_2D:
-        gx, gy = diffs[qx], diffs[qy]
-        xi = m.a * (gx * gx + gy * gy) + m.b
-        if _outside_domain(energy, xi):
-            return np.inf
-        total += w * float(np.sum(energy.V(xi)))
-    return total
+    _, _, xi = _measure_2d(u, hx, hy, m)
+    out = _outside_domain(energy, xi)
+    e = _corner_sum(0.25 * hx * hy, energy.V(xi))
+    if out is not None:
+        e[out] = np.inf
+    return e
 
 
 def stored_energy_grad_2d(u, hx, hy, energy, m, grad):
-    grad[:, :] = 0.0
-    diffs = _cell_differences(u, hx, hy)
+    grad[:] = 0.0
+    dx, dy, xi = _measure_2d(u, hx, hy, m)
+    out = _outside_domain(energy, xi)
     w = 0.25 * hx * hy
-    total = 0.0
-    for qx, qy in _QP_2D:
-        gx, gy = diffs[qx], diffs[qy]
-        xi = m.a * (gx * gx + gy * gy) + m.b
-        if _outside_domain(energy, xi):
-            return np.inf
-        total += w * float(np.sum(energy.V(xi)))
-        coef = energy.dV(xi)
-        for q, s in ((qx, 2.0 * m.a * gx * coef * (w / hx)),
-                     (qy, 2.0 * m.a * gy * coef * (w / hy))):
-            neg, pos = _ENDS_2D[q]
-            grad[neg] -= s
-            grad[pos] += s
-    return total
+    coef = energy.dV(xi)
+    ax, ay = 2.0 * m.a * dx, 2.0 * m.a * dy
+    lo, hi = _EDGE
+    for cx, cy in _CORNERS:
+        c = coef[:, cx, cy]
+        rows, cols = _EDGE[cx], _EDGE[cy]
+        s = ax[:, rows] * c * (w / hx)   # x-difference: nodes (rows, lo) -> (rows, hi)
+        grad[:, rows, lo] -= s
+        grad[:, rows, hi] += s
+        s = ay[:, :, cols] * c * (w / hy)  # y-difference: nodes (lo, cols) -> (hi, cols)
+        grad[:, lo, cols] -= s
+        grad[:, hi, cols] += s
+    e = _corner_sum(w, energy.V(xi))
+    if out is not None:
+        e[out] = np.inf
+        grad[out] = 0.0
+    return e

@@ -24,6 +24,13 @@ import numpy as np
 from .errors import DomainError
 
 
+def _as_floats(obj, *names):
+    """Store the named fields of a frozen dataclass as floats: an int constant
+    would make int arrays (and truncated brackets) downstream."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class QuadraticEnergy:
     """V(xi) = alpha*xi^2/2, defined on all of R.
@@ -37,6 +44,7 @@ class QuadraticEnergy:
     xi_min = -math.inf  # the xi domain is the open interval (xi_min, inf)
 
     def __post_init__(self):
+        _as_floats(self, "alpha")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError(f"alpha must be a positive finite number, got {self.alpha}")
 
@@ -72,6 +80,7 @@ class LogNeoHookeanEnergy:
     xi_min = 0.0
 
     def __post_init__(self):
+        _as_floats(self, "c1", "c2")
         for name in ("c1", "c2"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
@@ -107,6 +116,7 @@ class QuadraticMeasure:
     b: float = 0.0
 
     def __post_init__(self):
+        _as_floats(self, "a", "b")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise DomainError(f"measure scale a must be positive and finite, got {self.a}")
         if not math.isfinite(self.b):

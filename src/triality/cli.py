@@ -332,8 +332,11 @@ def run_verify(spec: ProblemSpec, convention: str) -> int:
         try:
             res = oracle.minimize_multistart(prob, spec.oracle)
             weak_ok = res.energy >= pd1 - ORACLE_TOL
+            iters = res.starts.iterations
             detail = (f"best = {res.energy:.9g}, Pi_d(zeta_1) = {pd1:.9g}, "
-                      f"basins = {res.distinct_basins}")
+                      f"basins = {res.distinct_basins}, converged = {res.converged_starts}/"
+                      f"{res.starts_used} starts, iterations p50/max = "
+                      f"{np.median(iters):g}/{iters.max()}")
             if single_basin:
                 match_ok = abs(res.energy - pd1) <= ORACLE_TOL
                 add("PASS" if (weak_ok and match_ok) else "FAIL", "oracle agreement", detail)

@@ -4,10 +4,13 @@ functional, finite-difference gradient checks, and quasiconvexity probes.
 The discrete functional places strain quadrature points at the cell corners
 (one-sided differences per cell), so constant-strain states are exactly
 representable and on constant-stress instances the discrete minimum
-coincides with the dual prediction.  Minimization is plain
-gradient descent with Armijo backtracking (c = 1e-4, shrink 1/2) from
-uniform random starts, which is the simplest method with guaranteed monotone
-decrease; speed is irrelevant at desk scale.
+coincides with the dual prediction.  Minimization is plain gradient descent
+with Armijo backtracking (c = 1e-4, shrink 1/2) from uniform random starts,
+the simplest method with guaranteed monotone decrease.  All starts descend
+together in one loop over fields with a leading start axis: each start keeps
+its own step, stall count, iteration count and converged flag and leaves the
+loop by its own stop rule, and its arithmetic is that of a lone start, so a
+start's result is independent of the batch it runs in.
 """
 from __future__ import annotations
 
@@ -27,6 +30,12 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_STEP = 64.0
 MIN_STEP = 1e-18
+#: nodal values per batch of starts (bounds the descent's working memory)
+_CHUNK_ELEMENTS = 1 << 16
+#: Armijo halvings tried together per start, as many as keep one pass under
+#: _TRY_NODES nodal values (the result does not depend on it)
+_HALVINGS = ARMIJO_SHRINK ** np.arange(4)
+_TRY_NODES = 4096
 
 #: energy clustering tolerance for the basin census
 CLUSTER_TOL = 1e-5
@@ -34,7 +43,12 @@ CLUSTER_TOL = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class DiscreteProblem:
-    """Nodal discretization of one primal instance."""
+    """Nodal discretization of one primal instance.
+
+    ``energy_value`` and ``energy_gradient`` take one nodal field of
+    ``shape`` or a batch of them with a leading start axis, and return a
+    float or one energy per start accordingly.
+    """
 
     energy: CanonicalEnergy
     measure: QuadraticMeasure
@@ -44,26 +58,32 @@ class DiscreteProblem:
     fixed: np.ndarray          # boolean mask of Dirichlet nodes
     load: np.ndarray           # linear functional weights: Pi(u) = E_W(u) - sum(load*u)
 
-    def energy_value(self, u: np.ndarray) -> float:
-        if self.ndim == 1:
-            ew = _kernels.stored_energy_1d(u, self.spacings[0], self.energy, self.measure)
-        else:
-            ew = _kernels.stored_energy_2d(u, *self.spacings, self.energy, self.measure)
-        if not np.isfinite(ew):
-            return np.inf
-        return ew - float(np.sum(self.load * u))
+    def _total(self, ew, u):
+        """Pi per start from the stored energies; +inf where ew is not finite."""
+        work = (self.load * u).reshape(len(u), -1).sum(axis=1)
+        return np.where(np.isfinite(ew), ew - work, np.inf)
 
-    def energy_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        grad = np.empty_like(u)
+    def energy_value(self, u: np.ndarray):
+        ub = u if u.ndim > self.ndim else u[None]
         if self.ndim == 1:
-            ew = _kernels.stored_energy_grad_1d(u, self.spacings[0], self.energy, self.measure, grad)
+            ew = _kernels.stored_energy_1d(ub, self.spacings[0], self.energy, self.measure)
         else:
-            ew = _kernels.stored_energy_grad_2d(u, *self.spacings, self.energy, self.measure, grad)
-        if not np.isfinite(ew):
-            return np.inf, grad
+            ew = _kernels.stored_energy_2d(ub, *self.spacings, self.energy, self.measure)
+        e = self._total(ew, ub)
+        return e if u.ndim > self.ndim else float(e[0])
+
+    def energy_gradient(self, u: np.ndarray):
+        ub = u if u.ndim > self.ndim else u[None]
+        grad = np.empty_like(ub, dtype=float)
+        if self.ndim == 1:
+            ew = _kernels.stored_energy_grad_1d(ub, self.spacings[0], self.energy, self.measure, grad)
+        else:
+            ew = _kernels.stored_energy_grad_2d(ub, *self.spacings, self.energy, self.measure, grad)
+        e = self._total(ew, ub)
         grad -= self.load
-        grad[self.fixed] = 0.0
-        return ew - float(np.sum(self.load * u)), grad
+        grad[:, self.fixed] = 0.0
+        grad[np.isinf(e)] = 0.0  # no gradient outside the domain
+        return (e, grad) if u.ndim > self.ndim else (float(e[0]), grad[0])
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
@@ -97,64 +117,149 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
 
 @dataclass(frozen=True, eq=False)
 class DescentResult:
+    """Outcome of a descent; from ``descend_batch`` every field carries a
+    leading start axis."""
+
     u: np.ndarray
-    energy: float
-    iterations: int
-    converged: bool
+    energy: float | np.ndarray
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
+
+
+def _chunks(n: int, shape: tuple[int, ...]):
+    """Slices of at most _CHUNK_ELEMENTS nodal values (one field at least)."""
+    per = max(1, _CHUNK_ELEMENTS // int(np.prod(shape)))
+    return [slice(i, min(i + per, n)) for i in range(0, n, per)]
 
 
 def descend(problem: DiscreteProblem, u0: np.ndarray, max_iter: int = 20_000,
             gtol: float = 1e-9, stall_limit: int = 20) -> DescentResult:
-    """Armijo-backtracking gradient descent from one start.
+    """Armijo-backtracking gradient descent from one start (see descend_batch)."""
+    r = descend_batch(problem, np.asarray(u0, dtype=float)[None], max_iter, gtol, stall_limit)
+    return DescentResult(r.u[0], float(r.energy[0]), int(r.iterations[0]), bool(r.converged[0]))
 
-    Converges on a small gradient norm or when the energy improvement stays
-    below float resolution for ``stall_limit`` consecutive accepted steps.
+
+def descend_batch(problem: DiscreteProblem, u0: np.ndarray, max_iter: int = 20_000,
+                  gtol: float = 1e-9, stall_limit: int = 20) -> DescentResult:
+    """Armijo-backtracking gradient descent from every start of u0, shape
+    (starts, *problem.shape), run in chunks of at most _CHUNK_ELEMENTS values.
+
+    Each start has its own step, stall count, iteration count and converged
+    flag, and stops on a small gradient norm, when no step down to MIN_STEP
+    decreases the energy enough, or when the energy improvement stays below
+    float resolution for ``stall_limit`` consecutive accepted steps (all
+    three count as converged), after ``max_iter`` iterations, or at once
+    when it starts outside the domain (+inf energy; neither counts).  Every
+    start sees the arithmetic of a lone start, so its result does not depend
+    on the other starts or on the chunking.
     """
     u = np.array(u0, dtype=float)
-    u[problem.fixed] = 0.0
-    e, g = problem.energy_gradient(u)
-    if not np.isfinite(e):
-        return DescentResult(u, np.inf, 0, False)
-    step = 1.0
-    stalled = 0
+    u[:, problem.fixed] = 0.0
+    n = len(u)
+    energy = np.full(n, np.inf)
+    iterations = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
+    for sl in _chunks(n, problem.shape):
+        _descend_chunk(problem, u[sl], energy[sl], iterations[sl], converged[sl],
+                       max_iter, gtol, stall_limit)
+    return DescentResult(u, energy, iterations, converged)
+
+
+def _descend_chunk(problem, u_out, e_out, it_out, conv_out, max_iter, gtol, stall_limit):
+    """Descend the starts u_out in place; results go into the *_out views.
+
+    The loop works on compacted arrays of the active starts and writes a
+    start's state out when it leaves.
+    """
+    e, g = problem.energy_gradient(u_out)
+    idx = np.flatnonzero(np.isfinite(e))  # starts outside the domain never move
+    u, e, g = u_out[idx], e[idx], g[idx]
+    step = np.ones(idx.size)
+    stalled = np.zeros(idx.size, dtype=np.int64)
+
+    def leave(mask, it, conv):
+        nonlocal idx, u, e, g, step, stalled
+        if not mask.any():
+            return
+        at = idx[mask]
+        u_out[at], e_out[at], it_out[at], conv_out[at] = u[mask], e[mask], it, conv
+        keep = ~mask
+        idx, u, e, g, step, stalled = idx[keep], u[keep], e[keep], g[keep], step[keep], stalled[keep]
+
     for it in range(1, max_iter + 1):
-        gsq = float(np.sum(g * g))
-        if np.sqrt(gsq) <= gtol:
-            return DescentResult(u, e, it - 1, True)
-        accepted = False
-        while step >= MIN_STEP:
-            trial = u - step * g
-            et = problem.energy_value(trial)
-            if et <= e - ARMIJO_C * step * gsq:
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted:
-            # no further decrease representable at any step size
-            return DescentResult(u, e, it, True)
-        stalled = stalled + 1 if e - et <= 1e-15 * (1.0 + abs(e)) else 0
+        if not idx.size:
+            return
+        gsq = (g * g).reshape(idx.size, -1).sum(axis=1)
+        small = np.sqrt(gsq) <= gtol
+        if small.any():
+            leave(small, it - 1, True)
+            gsq = gsq[~small]
+            if not idx.size:
+                return
+        trial, et, step = _armijo(problem, u, e, g, gsq, step)
+        # no further decrease representable at any step size: stay and leave
+        failed = step < MIN_STEP
+        if failed.any():
+            trial[failed], et[failed] = u[failed], e[failed]
+        stalled = np.where(e - et <= 1e-15 * (1.0 + np.abs(e)), stalled + 1, 0)
         u = trial
         e, g = problem.energy_gradient(u)
-        if stalled >= stall_limit:
-            return DescentResult(u, e, it, True)
-        step = min(step / ARMIJO_SHRINK, MAX_STEP)
-    return DescentResult(u, e, max_iter, False)
+        leave(failed | (stalled >= stall_limit), it, True)
+        step = np.minimum(step / ARMIJO_SHRINK, MAX_STEP)
+    leave(np.ones(idx.size, dtype=bool), max_iter, False)
+
+
+def _armijo(problem, u, e, g, gsq, step):
+    """Backtracking line search per start: the first of step, step/2, step/4,
+    ... not below MIN_STEP that satisfies Armijo, several tried per pass.
+
+    Returns (trial fields, their energies, accepted steps); a start without
+    such a step gets a step below MIN_STEP.
+    """
+    tries = min(max(_TRY_NODES // u.size, 1), len(_HALVINGS))
+    s = step[:, None] * _HALVINGS[:tries]                       # (starts, tries)
+    t = u[:, None] - s.reshape(s.shape + (1,) * problem.ndim) * g[:, None]
+    ev = problem.energy_value(t.reshape(-1, *problem.shape)).reshape(s.shape)
+    ok = (ev <= e[:, None] - ARMIJO_C * s * gsq[:, None]) & (s >= MIN_STEP)
+    r, j = np.arange(len(u)), ok.argmax(axis=1)
+    trial, et, step, hit = t[r, j], ev[r, j], s[r, j], ok[r, j]
+    if not hit.all():
+        miss = np.flatnonzero(~hit)
+        step[miss] = s[miss, -1] * ARMIJO_SHRINK
+        more = miss[step[miss] >= MIN_STEP]
+        if more.size:
+            trial[more], et[more], step[more] = _armijo(problem, u[more], e[more], g[more],
+                                                        gsq[more], step[more])
+    return trial, et, step
 
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
     u: np.ndarray
     energy: float
-    starts_used: int
-    converged_fraction: float
+    starts: DescentResult        # every start's descent, leading start axis
     distinct_basins: int
     basin_energies: tuple[float, ...]
+
+    @property
+    def starts_used(self) -> int:
+        return len(self.starts.energy)
+
+    @property
+    def converged_starts(self) -> int:
+        """Starts that converged to a finite energy (the oracle's evidence)."""
+        return int(np.count_nonzero(self.starts.converged & np.isfinite(self.starts.energy)))
+
+    @property
+    def converged_fraction(self) -> float:
+        return self.converged_starts / self.starts_used
 
 
 def minimize_multistart(problem: ProblemSpec | DiscreteProblem,
                         options: OracleOptions | None = None,
                         max_iter: int = 20_000) -> MinimizeResult:
-    """Multistart gradient descent on the nodal values.
+    """Multistart gradient descent on the nodal values, all starts in one
+    batched descent.
 
     options defaults to the spec's oracle options (OracleOptions() for a
     DiscreteProblem).  Starts are uniform in [-span, span] per free node with
@@ -168,24 +273,21 @@ def minimize_multistart(problem: ProblemSpec | DiscreteProblem,
     n_starts = options.n_starts
 
     rng = np.random.default_rng(options.seed)
-    results: list[DescentResult] = []
-    for _ in range(n_starts):
-        u0 = rng.uniform(-options.span, options.span, size=problem.shape)
-        results.append(descend(problem, u0, max_iter=max_iter))
-    converged = [r for r in results if r.converged and np.isfinite(r.energy)]
-    if not converged:
+    u0 = rng.uniform(-options.span, options.span, size=(n_starts, *problem.shape))
+    starts = descend_batch(problem, u0, max_iter=max_iter)
+    conv = np.flatnonzero(starts.converged & np.isfinite(starts.energy))
+    if not conv.size:
         raise OracleError(f"no descent start converged out of {n_starts}")
-    best = min(converged, key=lambda r: r.energy)
-    energies = sorted(r.energy for r in converged)
+    best = conv[np.argmin(starts.energy[conv])]
+    energies = np.sort(starts.energy[conv]).tolist()
     basins = [energies[0]]
     for e in energies[1:]:
         if e - basins[-1] > CLUSTER_TOL:
             basins.append(e)
     return MinimizeResult(
-        u=best.u,
-        energy=problem.energy_value(best.u),  # re-evaluated, not cached
-        starts_used=n_starts,
-        converged_fraction=len(converged) / n_starts,
+        u=starts.u[best],
+        energy=problem.energy_value(starts.u[best]),  # re-evaluated, not cached
+        starts=starts,
         distinct_basins=len(basins),
         basin_energies=tuple(basins),
     )
@@ -204,17 +306,20 @@ def gradient_check(problem: ProblemSpec | DiscreteProblem, u: np.ndarray,
     _, g = problem.energy_gradient(u)
     free = np.argwhere(~problem.fixed)
     rng = np.random.default_rng(seed)
-    pick = rng.permutation(len(free))[: min(n_nodes, len(free))]
-    worst = 0.0
-    for row in free[pick]:
-        idx = tuple(int(v) for v in row)
-        up, um = u.copy(), u.copy()
-        up[idx] += h
-        um[idx] -= h
-        fd = (problem.energy_value(up) - problem.energy_value(um)) / (2.0 * h)
-        err = abs(fd - g[idx]) / max(1.0, abs(g[idx]))
-        worst = max(worst, err)
-    return worst
+    pick = free[rng.permutation(len(free))[: min(n_nodes, len(free))]]
+    # copies k < len(pick) move node pick[k] by +h, the rest node pick[k - len(pick)] by -h
+    nodes = np.concatenate([pick, pick])
+    shift = np.repeat([h, -h], len(pick))
+    e = np.empty(len(nodes))
+    for sl in _chunks(len(nodes), problem.shape):
+        block = np.repeat(u[None], sl.stop - sl.start, axis=0)
+        block[(np.arange(len(block)), *nodes[sl].T)] += shift[sl]
+        e[sl] = problem.energy_value(block)
+    at = tuple(pick.T)
+    with np.errstate(invalid="ignore"):  # inf - inf where u is outside the domain
+        fd = (e[:len(pick)] - e[len(pick):]) / (2.0 * h)
+        err = np.abs(fd - g[at]) / np.maximum(1.0, np.abs(g[at]))
+    return float(np.max(err, where=~np.isnan(err), initial=0.0))  # nan: no comparison made
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,17 @@ def test_newton_nonconvergence_raises_with_best_iterate(energy, m):
     err = info.value
     assert math.isfinite(err.best_zeta) and math.isfinite(err.best_residual)
     assert abs(err.best_residual) > 1e-12
+
+
+def test_integer_model_constants_give_the_float_roots():
+    # int constants used to make int brackets on the batch path (RootSolveError)
+    for energy, fenergy, m, fm in (
+            (QuadraticEnergy(2), QuadraticEnergy(2.0), QuadraticMeasure(1, -1), QuadraticMeasure(1.0, -1.0)),
+            (LogNeoHookeanEnergy(1, 2), LogNeoHookeanEnergy(1.0, 2.0), QuadraticMeasure(1, 0),
+             QuadraticMeasure(1.0, 0.0))):
+        for t2 in (0.0, 0.2, 5.0):
+            got = [(r.zeta, r.label) for r in solve_all_roots(energy, m, t2).roots]
+            want = [(r.zeta, r.label) for r in solve_all_roots(fenergy, fm, t2).roots]
+            assert got == want
+    assert type(QuadraticEnergy(2).alpha) is float
+    assert type(QuadraticMeasure(1, -1).b) is float

@@ -1,5 +1,6 @@
 """Direct-minimization oracle, gradient checks, and convexity probes."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from triality import (
     solve_all_roots,
     sublevel_probe,
 )
-from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, RectangleGeometry
-from triality.oracle import descend, discretize, violations_to_csv
+from triality import oracle
+from triality.config import (ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec,
+                             RectangleGeometry, parse_config)
+from triality.oracle import descend, descend_batch, discretize, violations_to_csv
 
 from conftest import DW_MEASURE, SHEAR_MEASURE
 
@@ -118,6 +121,133 @@ def test_descent_stays_in_local_basin(log11):
         assert abs(r.energy - branch_energy) <= 1e-8
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def lone_starts(problem, options):
+    """The multistart starts as documented, drawn one start at a time."""
+    rng = np.random.default_rng(options.seed)
+    return [rng.uniform(-options.span, options.span, size=problem.shape)
+            for _ in range(options.n_starts)]
+
+
+# doublewell_1d runs most starts to max_iter at the fold; a lower cap keeps
+# converged and unconverged starts while bounding the lone-start reruns
+@pytest.mark.parametrize("name, max_iter", [("doublewell_1d", 3000), ("doublewell_1d_sub", 20000),
+                                            ("log_1d_sub", 20000), ("log_1d_super", 20000)])
+def test_batched_descent_matches_lone_starts_1d(name, max_iter):
+    spec = parse_config(CONFIGS / f"{name}.cfg")
+    prob = discretize(spec)
+    res = minimize_multistart(spec, max_iter=max_iter)
+    runs = res.starts
+    assert runs.u.shape == (spec.oracle.n_starts, *prob.shape)
+    picks = range(spec.oracle.n_starts)
+    if name == "doublewell_1d":
+        assert runs.converged.any() and not runs.converged.all()
+        picks = [*np.flatnonzero(runs.converged)[:2], *np.flatnonzero(~runs.converged)[:2]]
+    starts = lone_starts(prob, spec.oracle)
+    for i in picks:
+        r = descend(prob, starts[i], max_iter=max_iter)
+        assert np.array_equal(r.u, runs.u[i]), i
+        assert r.energy == runs.energy[i], i
+        assert (r.iterations, r.converged) == (runs.iterations[i], runs.converged[i]), i
+
+
+def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
+    """Reference: the one-start Armijo loop in scalar arithmetic, the
+    algorithm the batched descent runs per start."""
+    u = np.array(u0, dtype=float)
+    u[prob.fixed] = 0.0
+    e, g = prob.energy_gradient(u)
+    if not np.isfinite(e):
+        return u, np.inf, 0, False
+    step, stalled = 1.0, 0
+    for it in range(1, max_iter + 1):
+        gsq = float(np.sum(g * g))
+        if np.sqrt(gsq) <= gtol:
+            return u, e, it - 1, True
+        while step >= oracle.MIN_STEP:
+            trial = u - step * g
+            et = prob.energy_value(trial)
+            if et <= e - oracle.ARMIJO_C * step * gsq:
+                break
+            step *= oracle.ARMIJO_SHRINK
+        else:
+            return u, e, it, True
+        stalled = stalled + 1 if e - et <= 1e-15 * (1.0 + abs(e)) else 0
+        u = trial
+        e, g = prob.energy_gradient(u)
+        if stalled >= stall_limit:
+            return u, e, it, True
+        step = min(step / oracle.ARMIJO_SHRINK, oracle.MAX_STEP)
+    return u, e, max_iter, False
+
+
+@pytest.mark.parametrize("name", ["doublewell_1d_sub", "log_1d_sub"])
+def test_batched_descent_matches_the_scalar_loop(name):
+    spec = parse_config(CONFIGS / f"{name}.cfg")
+    prob = discretize(spec)
+    starts = lone_starts(prob, spec.oracle)[:8]
+    runs = descend_batch(prob, np.array(starts))
+    for i, u0 in enumerate(starts):
+        u, e, its, conv = scalar_descent(prob, u0)
+        assert np.array_equal(u, runs.u[i]) and e == runs.energy[i], i
+        assert (its, conv) == (runs.iterations[i], runs.converged[i]), i
+
+
+def test_batched_descent_matches_lone_starts_2d(log11):
+    spec = ProblemSpec(
+        energy=log11, measure=SHEAR_MEASURE,
+        geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=9),
+        loading=ConstantTau((0.8, 0.0)),
+        oracle=OracleOptions(n_starts=3, seed=20240811, span=2.0),
+    )
+    prob = discretize(spec)
+    runs = minimize_multistart(spec).starts
+    for i, u0 in enumerate(lone_starts(prob, spec.oracle)):
+        r = descend(prob, u0)
+        assert r.converged == runs.converged[i]
+        assert abs(r.energy - runs.energy[i]) <= 1e-12 * abs(r.energy)
+
+
+def test_start_outside_domain_leaves_the_others_alone(log11):
+    spec = interval_spec(log11, SHEAR_MEASURE, 0.5, n=5, starts=4)
+    prob = discretize(spec)
+    inside = np.array(lone_starts(prob, spec.oracle))
+    outside = np.array([0.0, 0.0, 0.3, 0.6, 0.9])  # zero strain in the first cell: xi = 0
+    alone = descend_batch(prob, inside)
+    mixed = descend_batch(prob, np.insert(inside, 2, outside, axis=0))
+    assert mixed.energy[2] == np.inf
+    assert mixed.iterations[2] == 0 and not mixed.converged[2]
+    keep = [0, 1, 3, 4]
+    assert np.array_equal(mixed.u[keep], alone.u)
+    assert np.array_equal(mixed.energy[keep], alone.energy)
+    assert np.array_equal(mixed.iterations[keep], alone.iterations)
+    assert np.array_equal(mixed.converged[keep], alone.converged)
+
+
+def test_results_do_not_depend_on_chunking(dw, monkeypatch):
+    spec = interval_spec(dw, DW_MEASURE, math.sqrt(0.1), n=5, starts=7)
+    prob = discretize(spec)
+    u0 = np.array(lone_starts(prob, spec.oracle))
+    whole = descend_batch(prob, u0)
+    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 10)  # two starts per chunk
+    assert len(oracle._chunks(7, prob.shape)) == 4
+    split = descend_batch(prob, u0)
+    for field in ("u", "energy", "iterations", "converged"):
+        assert np.array_equal(getattr(whole, field), getattr(split, field)), field
+
+
+def test_multistart_reports_per_start_iterations(dw):
+    spec = interval_spec(dw, DW_MEASURE, math.sqrt(0.1), n=5, starts=6)
+    res = minimize_multistart(spec, max_iter=260)  # the starts need 231 to 332 iterations
+    its, conv = res.starts.iterations, res.starts.converged
+    assert its.shape == (6,) and conv.any() and not conv.all()
+    assert np.all(its[conv] < 260) and np.all(its[~conv] == 260)
+    assert res.converged_starts == np.count_nonzero(res.starts.converged)
+    assert res.converged_fraction == res.converged_starts / 6
+
+
 def test_oracle_failure_when_nothing_converges(dw):
     # zero iterations cannot converge from random starts
     spec = interval_spec(dw, DW_MEASURE, math.sqrt(0.1), n=5, starts=3)
@@ -149,6 +279,30 @@ def test_gradient_check_zero_state(dw):
     assert gradient_check(prob, np.zeros(5), h=1e-6) <= 1e-9
     with pytest.raises(ValueError):
         gradient_check(prob, np.zeros(5), h=0.0)
+
+
+def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
+    spec = ProblemSpec(
+        energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
+        geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=7),
+        loading=ConstantTau((0.4, 0.1)),
+    )
+    prob = discretize(spec)
+    u = 0.05 * rng.standard_normal(prob.shape)
+    u[prob.fixed] = 0.0
+    _, g = prob.energy_gradient(u)
+    free = np.argwhere(~prob.fixed)
+    pick = free[np.random.default_rng(3).permutation(len(free))[:20]]
+    want = 0.0
+    for idx in map(tuple, pick):
+        up, um = u.copy(), u.copy()
+        up[idx] += 1e-6
+        um[idx] -= 1e-6
+        fd = (prob.energy_value(up) - prob.energy_value(um)) / 2e-6
+        want = max(want, abs(fd - g[idx]) / max(1.0, abs(g[idx])))
+    assert gradient_check(prob, u, h=1e-6, n_nodes=20, seed=3) == want
+    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 200)  # three copies per chunk
+    assert gradient_check(prob, u, h=1e-6, n_nodes=20, seed=3) == want
 
 
 def test_gradient_check_2d(rng):
