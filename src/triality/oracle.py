@@ -32,10 +32,6 @@ MAX_STEP = 64.0
 MIN_STEP = 1e-18
 #: nodal values per batch of starts (bounds the descent's working memory)
 _CHUNK_ELEMENTS = 1 << 16
-#: Armijo halvings tried together per start, as many as keep one pass under
-#: _TRY_NODES nodal values (the result does not depend on it)
-_HALVINGS = ARMIJO_SHRINK ** np.arange(4)
-_TRY_NODES = 4096
 
 #: energy clustering tolerance for the basin census
 CLUSTER_TOL = 1e-5
@@ -45,9 +41,8 @@ CLUSTER_TOL = 1e-5
 class DiscreteProblem:
     """Nodal discretization of one primal instance.
 
-    ``energy_value`` and ``energy_gradient`` take one nodal field of
-    ``shape`` or a batch of them with a leading start axis, and return a
-    float or one energy per start accordingly.
+    ``energy_value`` and ``energy_gradient`` take a batch of nodal fields,
+    shape ``(starts, *shape)``, and return one energy per start.
     """
 
     energy: CanonicalEnergy
@@ -63,27 +58,24 @@ class DiscreteProblem:
         work = (self.load * u).reshape(len(u), -1).sum(axis=1)
         return np.where(np.isfinite(ew), ew - work, np.inf)
 
-    def energy_value(self, u: np.ndarray):
-        ub = u if u.ndim > self.ndim else u[None]
+    def energy_value(self, u: np.ndarray) -> np.ndarray:
         if self.ndim == 1:
-            ew = _kernels.stored_energy_1d(ub, self.spacings[0], self.energy, self.measure)
+            ew = _kernels.stored_energy_1d(u, self.spacings[0], self.energy, self.measure)
         else:
-            ew = _kernels.stored_energy_2d(ub, *self.spacings, self.energy, self.measure)
-        e = self._total(ew, ub)
-        return e if u.ndim > self.ndim else float(e[0])
+            ew = _kernels.stored_energy_2d(u, *self.spacings, self.energy, self.measure)
+        return self._total(ew, u)
 
-    def energy_gradient(self, u: np.ndarray):
-        ub = u if u.ndim > self.ndim else u[None]
-        grad = np.empty_like(ub, dtype=float)
+    def energy_gradient(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad = np.empty_like(u, dtype=float)
         if self.ndim == 1:
-            ew = _kernels.stored_energy_grad_1d(ub, self.spacings[0], self.energy, self.measure, grad)
+            ew = _kernels.stored_energy_grad_1d(u, self.spacings[0], self.energy, self.measure, grad)
         else:
-            ew = _kernels.stored_energy_grad_2d(ub, *self.spacings, self.energy, self.measure, grad)
-        e = self._total(ew, ub)
+            ew = _kernels.stored_energy_grad_2d(u, *self.spacings, self.energy, self.measure, grad)
+        e = self._total(ew, u)
         grad -= self.load
         grad[:, self.fixed] = 0.0
         grad[np.isinf(e)] = 0.0  # no gradient outside the domain
-        return (e, grad) if u.ndim > self.ndim else (float(e[0]), grad[0])
+        return e, grad
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
@@ -117,8 +109,8 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
 
 @dataclass(frozen=True, eq=False)
 class DescentResult:
-    """Outcome of a descent; from ``descend_batch`` every field carries a
-    leading start axis."""
+    """Outcome of a descent: scalars from ``descend`` (one start), arrays
+    with a leading start axis from ``descend_batch``."""
 
     u: np.ndarray
     energy: float | np.ndarray
@@ -211,25 +203,22 @@ def _descend_chunk(problem, u_out, e_out, it_out, conv_out, max_iter, gtol, stal
 
 def _armijo(problem, u, e, g, gsq, step):
     """Backtracking line search per start: the first of step, step/2, step/4,
-    ... not below MIN_STEP that satisfies Armijo, several tried per pass.
+    ... not below MIN_STEP that satisfies Armijo, one halving per pass.
 
     Returns (trial fields, their energies, accepted steps); a start without
-    such a step gets a step below MIN_STEP.
+    such a step gets a step below MIN_STEP and an unset trial.
     """
-    tries = min(max(_TRY_NODES // u.size, 1), len(_HALVINGS))
-    s = step[:, None] * _HALVINGS[:tries]                       # (starts, tries)
-    t = u[:, None] - s.reshape(s.shape + (1,) * problem.ndim) * g[:, None]
-    ev = problem.energy_value(t.reshape(-1, *problem.shape)).reshape(s.shape)
-    ok = (ev <= e[:, None] - ARMIJO_C * s * gsq[:, None]) & (s >= MIN_STEP)
-    r, j = np.arange(len(u)), ok.argmax(axis=1)
-    trial, et, step, hit = t[r, j], ev[r, j], s[r, j], ok[r, j]
-    if not hit.all():
-        miss = np.flatnonzero(~hit)
-        step[miss] = s[miss, -1] * ARMIJO_SHRINK
-        more = miss[step[miss] >= MIN_STEP]
-        if more.size:
-            trial[more], et[more], step[more] = _armijo(problem, u[more], e[more], g[more],
-                                                        gsq[more], step[more])
+    trial, et, step = np.empty_like(u), np.empty_like(e), step.copy()
+    todo = np.arange(len(u))
+    while todo.size:
+        s = step[todo]
+        t = u[todo] - s.reshape(-1, *(1,) * problem.ndim) * g[todo]
+        ev = problem.energy_value(t)
+        ok = ev <= e[todo] - ARMIJO_C * s * gsq[todo]
+        trial[todo[ok]], et[todo[ok]] = t[ok], ev[ok]
+        miss = todo[~ok]
+        step[miss] *= ARMIJO_SHRINK
+        todo = miss[step[miss] >= MIN_STEP]
     return trial, et, step
 
 
@@ -286,7 +275,7 @@ def minimize_multistart(problem: ProblemSpec | DiscreteProblem,
             basins.append(e)
     return MinimizeResult(
         u=starts.u[best],
-        energy=problem.energy_value(starts.u[best]),  # re-evaluated, not cached
+        energy=float(problem.energy_value(starts.u[best:best + 1])[0]),  # re-evaluated, not cached
         starts=starts,
         distinct_basins=len(basins),
         basin_energies=tuple(basins),
@@ -303,7 +292,7 @@ def gradient_check(problem: ProblemSpec | DiscreteProblem, u: np.ndarray,
         raise ValueError("finite-difference step h must be positive")
     u = np.array(u, dtype=float)
     u[problem.fixed] = 0.0
-    _, g = problem.energy_gradient(u)
+    g = problem.energy_gradient(u[None])[1][0]
     free = np.argwhere(~problem.fixed)
     rng = np.random.default_rng(seed)
     pick = free[rng.permutation(len(free))[: min(n_nodes, len(free))]]

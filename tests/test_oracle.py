@@ -93,7 +93,7 @@ def test_weak_duality_and_energy_recomputed(dw):
         res = minimize_multistart(spec)
         assert res.energy >= dual_global_energy(dw, DW_MEASURE, t2) - 1e-6
         prob = discretize(spec)
-        assert res.energy == pytest.approx(prob.energy_value(res.u), abs=1e-12)
+        assert res.energy == pytest.approx(prob.energy_value(res.u[None])[0], abs=1e-12)
 
 
 def test_multistart_reproducible(log11):
@@ -156,9 +156,13 @@ def test_batched_descent_matches_lone_starts_1d(name, max_iter):
 def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
     """Reference: the one-start Armijo loop in scalar arithmetic, the
     algorithm the batched descent runs per start."""
+    def value_grad(v):
+        e, g = prob.energy_gradient(v[None])
+        return float(e[0]), g[0]
+
     u = np.array(u0, dtype=float)
     u[prob.fixed] = 0.0
-    e, g = prob.energy_gradient(u)
+    e, g = value_grad(u)
     if not np.isfinite(e):
         return u, np.inf, 0, False
     step, stalled = 1.0, 0
@@ -168,7 +172,7 @@ def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
             return u, e, it - 1, True
         while step >= oracle.MIN_STEP:
             trial = u - step * g
-            et = prob.energy_value(trial)
+            et = float(prob.energy_value(trial[None])[0])
             if et <= e - oracle.ARMIJO_C * step * gsq:
                 break
             step *= oracle.ARMIJO_SHRINK
@@ -176,7 +180,7 @@ def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
             return u, e, it, True
         stalled = stalled + 1 if e - et <= 1e-15 * (1.0 + abs(e)) else 0
         u = trial
-        e, g = prob.energy_gradient(u)
+        e, g = value_grad(u)
         if stalled >= stall_limit:
             return u, e, it, True
         step = min(step / oracle.ARMIJO_SHRINK, oracle.MAX_STEP)
@@ -274,7 +278,7 @@ def test_gradient_check_double_well_and_log(rng):
 def test_gradient_check_zero_state(dw):
     spec = interval_spec(dw, DW_MEASURE, 0.0, n=5)
     prob = discretize(spec)
-    _, g = prob.energy_gradient(np.zeros(5))
+    _, g = prob.energy_gradient(np.zeros((1, 5)))
     assert np.all(g == 0.0)
     assert gradient_check(prob, np.zeros(5), h=1e-6) <= 1e-9
     with pytest.raises(ValueError):
@@ -290,7 +294,7 @@ def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
     prob = discretize(spec)
     u = 0.05 * rng.standard_normal(prob.shape)
     u[prob.fixed] = 0.0
-    _, g = prob.energy_gradient(u)
+    g = prob.energy_gradient(u[None])[1][0]
     free = np.argwhere(~prob.fixed)
     pick = free[np.random.default_rng(3).permutation(len(free))[:20]]
     want = 0.0
@@ -298,7 +302,7 @@ def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
         up, um = u.copy(), u.copy()
         up[idx] += 1e-6
         um[idx] -= 1e-6
-        fd = (prob.energy_value(up) - prob.energy_value(um)) / 2e-6
+        fd = (prob.energy_value(up[None])[0] - prob.energy_value(um[None])[0]) / 2e-6
         want = max(want, abs(fd - g[idx]) / max(1.0, abs(g[idx])))
     assert gradient_check(prob, u, h=1e-6, n_nodes=20, seed=3) == want
     monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 200)  # three copies per chunk
