@@ -127,7 +127,7 @@ def test_sweep_transition_and_rows(tmp_path):
     assert not np.any(gd[:, 0] == 0.0)
 
 
-def test_generic_measure_override_end_to_end(tmp_path):
+def test_generic_measure_override_end_to_end(tmp_path, capsys):
     # log model with a shifted measure has no closed-form dual geometry:
     # the scan fallback must still carry solve and verify to exit 0
     cfg = tmp_path / "g.cfg"
@@ -139,7 +139,10 @@ def test_generic_measure_override_end_to_end(tmp_path):
     assert run(["solve", cfg, "--out", out]) == 0
     report = (out / "report.txt").read_text()
     assert "duality-gap check: OK" in report
+    capsys.readouterr()
     assert run(["verify", cfg]) == 0
+    # the random check point has xi <= 0 in every cell: nothing to compare
+    assert "SKIP gradient check: no node compared" in capsys.readouterr().out
 
 
 def test_interval_fixed_right_end(tmp_path):
