@@ -16,15 +16,15 @@ Root solving: per material point the residual is
 
     D(zeta) = factor * zeta^2 * (dVstar(zeta) - b) - tau^2
 
-with factor = 4a under the derived convention.  D has one sign change on
-zeta > 0 for any tau^2 > 0, and zero, one (fold) or two sign changes on
-zeta < 0 depending on tau^2 relative to the fold level eta^2 = D-max at the
-negative critical point zc.  ``expand`` pushes a bracket end out until D
-takes a given sign and ``refine`` solves every bracket by safeguarded Newton
+with factor = 4a under the derived convention.  The caller splits the zeta
+axis at the critical points of the unloaded curve h = D + tau^2 (and at
+zero), so h is monotone on every piece and a piece holds at most one root.
+``solve_roots_batch`` loops over the pieces, not the points: ``expand``
+pushes an infinite piece end out until D takes its asymptotic sign and
+``refine`` solves all brackets of a piece at once by safeguarded Newton
 iteration (bisection fallback keeps iterates inside the bracket) under the
-one stop rule |D| <= tol*max(1, tau^2).  The batch solver serves the
-built-in closed-form geometries; nonstandard models go through the sign-scan
-fallback in the dual-solve module, which uses the same two stages.
+one stop rule |D| <= tol*max(1, tau^2).  Loads at a critical level give one
+fold root at that critical point.
 """
 from __future__ import annotations
 
@@ -120,47 +120,72 @@ def refine(energy, b, factor, lo, hi, t2, tol_rel, max_iter):
     return x, fx
 
 
-def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, zc, eta_sq, z0neg):
-    """Vectorized root enumeration over an array of tau^2 values.
+def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, ends, levels, critical):
+    """Every real root of D for an array of tau^2 values, one piece at a time.
+
+    ends are the ascending finite ends (zero among them) of the pieces on
+    which the unloaded curve h = D + tau^2 is monotone, levels the values of
+    h at -inf, at each end and at +inf, and critical marks the ends that are
+    critical points of h.  A piece holds one root exactly where tau^2 lies
+    strictly between its end levels; those points go to one refine call, an
+    infinite end first pushed out by expand from the finite one.  A load
+    tau^2 > 0 within _DEGENERATE_RTOL of a critical level gives one fold root
+    at that critical point instead, and tau^2 exactly at the level of a
+    nonzero non-critical end gives a root at that end.
 
     Returns (roots, residuals, degenerate, counts); roots shape (n, 3),
     nan-padded, slot 0 the positive root, slots 1-2 the negative roots in
-    descending order; degenerate marks fold roots reported once at zc.
+    descending order; degenerate marks the fold roots.
     """
     tau_sq = np.ascontiguousarray(tau_sq, dtype=float)
     roots = np.full((tau_sq.size, 3), np.nan)
     resid = np.zeros(roots.shape)
     degenerate = np.zeros(roots.shape, dtype=bool)
+    free = np.ones(tau_sq.size, dtype=np.int64)  # next empty negative slot per point
 
-    def solve(slot, at, lo, hi):
-        roots[at, slot], resid[at, slot] = refine(energy, b, factor, lo, hi, tau_sq[at],
-                                                  tol_rel, max_iter)
+    def put(at, positive, z, r, deg=False):
+        slot = 0 if positive else free[at]
+        full = ~np.isnan(roots[at, 0]) if positive else slot > 2
+        if full.any():
+            raise NotImplementedError(
+                f"more than three real dual roots, or two positive ones, at "
+                f"tau^2={float(tau_sq[at[full][0]])!r}: outside the supported model family")
+        flat = 3 * at + slot  # np.put indexes the flattened (n, 3) arrays
+        np.put(roots, flat, z)
+        np.put(resid, flat, r)
+        if deg:
+            np.put(degenerate, flat, True)
+        if not positive:
+            free[at] += 1
 
-    pos = tau_sq > 0.0
-    if pos.any():
-        k = np.count_nonzero(pos)
-        hi = expand(partial(residual, energy, b, factor, t2=tau_sq[pos]), 0.0, np.ones(k), 1.0)
-        solve(0, pos, np.zeros(k), hi)
-
-    if np.isfinite(zc):
-        degtol = _DEGENERATE_RTOL * max(1.0, eta_sq)
-        zero = tau_sq == 0.0
-        deg = ~zero & (np.abs(tau_sq - eta_sq) <= degtol)
-        sub = ~zero & ~deg & (tau_sq < eta_sq)
-        if zero.any() and np.isfinite(z0neg):
-            roots[zero, 1] = z0neg
-            resid[zero, 1] = residual(energy, b, factor, z0neg, 0.0)
-        if deg.any():
-            roots[deg, 1] = zc
-            resid[deg, 1] = residual(energy, b, factor, zc, tau_sq[deg])
-            degenerate[deg, 1] = True
-        if sub.any():
-            k = np.count_nonzero(sub)
-            solve(1, sub, np.full(k, zc), np.zeros(k))
-            lo = (np.full(k, z0neg) if np.isfinite(z0neg) else
-                  expand(partial(residual, energy, b, factor, t2=tau_sq[sub]),
-                         zc, np.full(k, -max(1.0, abs(zc))), -1.0))
-            solve(2, sub, lo, np.full(k, zc))
+    # fold[k]: the loaded points within the fold window of the critical end bounds[k]
+    bounds = [-math.inf, *ends, math.inf]
+    fold = [np.zeros(tau_sq.shape, dtype=bool)] * len(bounds)
+    for k in np.flatnonzero(critical) + 1:
+        window = _DEGENERATE_RTOL * max(1.0, levels[k])
+        fold[k] = (tau_sq > 0.0) & (np.abs(tau_sq - levels[k]) <= window)
+    for k in range(len(bounds) - 2, -1, -1):  # descending zeta: piece k, then its left end
+        end, llo, lhi = bounds[k], levels[k], levels[k + 1]
+        inside = (tau_sq > min(llo, lhi)) & (tau_sq < max(llo, lhi))
+        at = np.flatnonzero(inside & ~fold[k] & ~fold[k + 1])
+        if at.size:
+            t2 = tau_sq[at]
+            D = partial(residual, energy, b, factor, t2=t2)
+            if k == 0:
+                width = np.full(at.size, -max(1.0, abs(bounds[1])))
+                lo = expand(D, bounds[1], width, np.sign(llo - lhi))
+            else:
+                lo = np.full(at.size, end)
+            if k == len(bounds) - 2:
+                hi = expand(D, end, np.full(at.size, max(1.0, abs(end))), np.sign(lhi - llo))
+            else:
+                hi = np.full(at.size, bounds[k + 1])
+            put(at, end >= 0.0, *refine(energy, b, factor, lo, hi, t2, tol_rel, max_iter))
+        if k > 0 and end != 0.0:
+            at = np.flatnonzero(fold[k] if critical[k - 1] else tau_sq == llo)
+            if at.size:
+                r = residual(energy, b, factor, end, tau_sq[at])
+                put(at, end > 0.0, end, r, critical[k - 1])
 
     counts = np.sum(~np.isnan(roots), axis=1).astype(np.int64)
     return roots, resid, degenerate, counts

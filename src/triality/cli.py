@@ -1,8 +1,8 @@
 """Command-line pipelines: solve one instance, sweep the load, or verify.
 
-    triality solve  <config> [--out DIR] [--residual-convention C]
+    triality solve  <config> [--out DIR]
     triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR] [--residual-convention C]
-    triality verify <config> [--residual-convention C]
+    triality verify <config>
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration error
 (malformed, non-finite or out-of-range values, or a model outside the
@@ -65,7 +65,7 @@ class InstanceSolution:
     x: np.ndarray | None
 
 
-def solve_instance(spec: ProblemSpec, convention: str = "derived") -> InstanceSolution:
+def solve_instance(spec: ProblemSpec) -> InstanceSolution:
     if isinstance(spec.geometry, IntervalGeometry):
         x = interval_nodes(spec)
         tau = build_tau_interval(spec, x)[:, None]
@@ -88,7 +88,7 @@ def solve_instance(spec: ProblemSpec, convention: str = "derived") -> InstanceSo
     if not np.all(np.isfinite(tau_sq)):
         raise ConfigError("loading: the stress or tau^2 is not finite at every node")
     roots, resid, degenerate, counts = dualsolve.solve_roots_array(
-        spec.energy, spec.measure, tau_sq, spec.solver, convention
+        spec.energy, spec.measure, tau_sq, spec.solver
     )
     labels = dualsolve.label_array(spec.energy, spec.measure, roots, tau_sq,
                                    degenerate, spec.dim)
@@ -174,10 +174,10 @@ def write_branch_field(sol: InstanceSolution, k: int, u, path: Path) -> None:
 # solve
 # ---------------------------------------------------------------------------
 
-def run_solve(spec: ProblemSpec, outdir: Path, convention: str) -> int:
+def run_solve(spec: ProblemSpec, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    sol = solve_instance(spec, convention)
-    lines = [f"residual convention: {convention}"]
+    sol = solve_instance(spec)
+    lines = ["residual convention: derived"]
     lines.append(_instance_summary(spec))
     try:
         fold = dualsolve.fold_threshold(spec.energy, spec.measure, "derived")
@@ -300,14 +300,14 @@ def _write_figure_curves(spec: ProblemSpec, outdir: Path, tau_marks) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def run_verify(spec: ProblemSpec, convention: str) -> int:
+def run_verify(spec: ProblemSpec) -> int:
     checks: list[tuple[str, str, str]] = []  # (status, name, detail)
 
     def add(status, name, detail):
         checks.append((status, name, detail))
         print(f"[verify] {status:4s} {name}: {detail}")
 
-    sol = solve_instance(spec, convention)
+    sol = solve_instance(spec)
     branches = full_branches(sol)
     reports = {k: branch_energy_report(sol, k) for k in branches}
     prob = oracle.discretize(spec)  # shared by the descent and the gradient check
@@ -420,14 +420,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("config", help="problem configuration file (key = value)")
         if writes:
             sp.add_argument("--out", default=None, help="output directory (default: <config stem>_out)")
-        sp.add_argument("--residual-convention", choices=list(dualsolve.RESIDUAL_CONVENTIONS),
-                        default="derived",
-                        help="dual residual convention; paper-eq45 reproduces the "
-                             "single-factor log-model curve and breaks the duality gap")
         return sp
 
     command("solve", "solve one instance and write roots/fields/energies", True)
     sp = command("sweep", "sweep the load magnitude and write sweep.csv/hcurve.csv", True)
+    sp.add_argument("--residual-convention", choices=list(dualsolve.RESIDUAL_CONVENTIONS),
+                    default="derived",
+                    help="dual residual convention of sweep.csv; paper-eq45 reproduces the "
+                         "single-factor log-model curve (figure data only)")
     sp.add_argument("--tau-min", type=float, required=True)
     sp.add_argument("--tau-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
@@ -440,10 +440,10 @@ def main(argv=None) -> int:
     try:
         spec = parse_config(args.config)
         if args.command == "verify":
-            return run_verify(spec, args.residual_convention)
+            return run_verify(spec)
         outdir = Path(args.out) if args.out else Path(Path(args.config).stem + "_out")
         if args.command == "solve":
-            return run_solve(spec, outdir, args.residual_convention)
+            return run_solve(spec, outdir)
         return run_sweep(spec, outdir, args.residual_convention,
                          args.tau_min, args.tau_max, args.steps)
     except (ConfigError, NotImplementedError) as exc:

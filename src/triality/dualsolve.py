@@ -10,10 +10,11 @@ The left-hand side vanishes at zeta = 0 and grows monotonically to +inf on
 zeta > 0, so exactly one positive root exists for any tau^2 > 0.  For the
 built-in models the negative side carries at most one interior maximum (the
 fold at zeta_c with level eta^2) giving zero, one (tau = eta) or two
-negative roots; other energy/measure combinations go through a sign-scan
-fallback that brackets every monotone piece.  Each root is classified from
-the sign of zeta and the eigenvalues of the Hessian of the composed stored
-energy W(gamma) = V(Lambda(gamma)):
+negative roots.  Every model is solved the same way: its critical points
+(closed forms for the built-in models, one scan otherwise) cut the zeta axis
+into monotone pieces, and the batch kernel refines each piece's roots at
+once.  Each root is classified from the sign of zeta and the eigenvalues of
+the Hessian of the composed stored energy W(gamma) = V(Lambda(gamma)):
 
     H = 2a*zeta*I + 4a^2*d2V(xi) * gamma x gamma,   gamma = tau / (2a*zeta),
 
@@ -21,15 +22,15 @@ whose spectrum is {2a*zeta (dim-1 times), 2a*zeta + 4a^2*d2V(xi)*|gamma|^2}.
 
 The residual convention is configurable: "derived" keeps the 4a factor that
 makes the primal and dual energies agree at every root; "paper-eq45" drops it
-and reproduces the single-factor form of the published log-model curve (woven
-through the CLI for figure data; it does not satisfy the duality identity).
+and reproduces the single-factor form of the published log-model curve (the
+CLI uses it only for sweep's figure data; it does not satisfy the duality
+identity).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -115,66 +116,67 @@ def dual_residual(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq,
 
 
 class _Curve(NamedTuple):
-    """Unloaded dual curve h = D + tau^2: fold zc (nan: none, or several) and
-    eta_sq = h(zc); negative zero z0neg of h (nan: none, or only a decay to 0
-    at -inf); ascending critical points crit and the scan grid holding them
-    (both None for the built-in closed forms, which the batch kernel solves)."""
+    """Unloaded dual curve h = D + tau^2, cut into monotone pieces: the
+    ascending finite piece ends (the critical points, 0 and, for the
+    quadratic model, its negative zero), the level of h at -inf, at each end
+    and at +inf, and which ends are critical points."""
 
-    zc: float
-    eta_sq: float
-    z0neg: float
-    crit: np.ndarray | None
-    grid: np.ndarray | None
+    ends: np.ndarray
+    levels: np.ndarray
+    critical: np.ndarray
 
 
 def _curve(energy: CanonicalEnergy, m: QuadraticMeasure, convention: str) -> _Curve:
-    """Closed form for the built-in models: zeta_c = 2*b*alpha/3 for the
-    quadratic energy (b < 0, else no negative branch) and -2*c2 for the log
-    model with b = 0; other combinations take one critical-point scan."""
-    crit = grid = None
+    """Closed form for the built-in models: zeta_c = 2*b*alpha/3 and the zero
+    alpha*b for the quadratic energy (b < 0, else no negative branch) and
+    zeta_c = -2*c2 for the log model with b = 0; other combinations take
+    their critical points from one scan."""
+    zeros = crit = ()
     if isinstance(energy, QuadraticEnergy):
-        zc, z0neg = ((2.0 * m.b * energy.alpha / 3.0, energy.alpha * m.b) if m.b < 0.0
-                     else (math.nan, math.nan))
+        if m.b < 0.0:
+            crit, zeros = (2.0 * m.b * energy.alpha / 3.0,), (energy.alpha * m.b,)
     elif isinstance(energy, LogNeoHookeanEnergy) and m.b == 0.0:
-        zc, z0neg = -2.0 * energy.c2, math.nan
+        crit = (-2.0 * energy.c2,)
     else:
-        crit, grid = _critical_points(energy, m)
-        neg = crit[crit < 0.0]
-        zc, z0neg = (float(neg[0]) if neg.size == 1 else math.nan), math.nan
-    # the fold level eta^2 is the height of the unloaded dual curve at zc
-    eta_sq = float(_kernels.residual(energy, m.b, residual_factor(m, convention), zc, 0.0))
-    return _Curve(zc, eta_sq, z0neg, crit, grid)
+        crit = tuple(_critical_points(energy, m))
+    ends = np.array([*zeros, *crit, 0.0])
+    critical = np.array([False] * len(zeros) + [True] * len(crit) + [False])
+    order = np.argsort(ends)
+    ends, critical = ends[order], critical[order]
+    # h is exactly 0 at the non-critical ends 0 and alpha*b, where the residual
+    # could round; towards -inf dV* tends to xi_min, so h takes the sign of
+    # xi_min - b there (and decays to 0 where they agree)
+    gap = energy.xi_min - m.b
+    h = _kernels.residual(energy, m.b, residual_factor(m, convention), ends, 0.0)
+    levels = np.array([math.copysign(math.inf, gap) if gap else 0.0,
+                       *np.where(critical, h, 0.0), math.inf])
+    return _Curve(ends, levels, critical)
 
 
-def _extend(grid, fn, neg_sign) -> np.ndarray:
-    """grid with every doubling of its ends added, up to the first at which fn
-    has its asymptotic sign: + towards +inf, neg_sign towards -inf (0: that
-    end stays)."""
-    def doublings(end, sign):
-        if sign == 0.0:
-            return np.empty(0)
-        z = _kernels.expand(fn, 0.0, [end], sign)[0]
-        return np.ldexp(end, np.arange(1, round(math.log2(z / end)) + 1))
-
-    return np.concatenate([doublings(grid[0], neg_sign)[::-1], grid, doublings(grid[-1], 1.0)])
-
-
-def _critical_points(energy, m) -> tuple[np.ndarray, np.ndarray]:
-    """(interior critical points, scan grid) of the dual curve.
+def _critical_points(energy, m) -> np.ndarray:
+    """Interior critical points of the dual curve, ascending.
 
     The slope 2*(dV* - b) + zeta*d2V* (D' over factor*zeta) is scanned on a
     logarithmic grid, 5000 points a side over 1e-8 <= |zeta| <= 1e3, whose
     ends double until the slope has its asymptotic sign, + at +inf and that
     of xi_min - b at -inf, so no critical point lies beyond; each sign
-    change is bisected down to adjacent floats.
+    change between nonzero slope values is bisected down to adjacent floats.
     """
     def slope(z):
         with np.errstate(over="ignore", invalid="ignore"):
             return 2.0 * (energy.dVstar(z) - m.b) + z * energy.d2Vstar(z)
 
+    def doublings(end, sign):
+        if sign == 0.0:  # the slope decays to 0: that end stays
+            return np.empty(0)
+        z = _kernels.expand(slope, 0.0, [end], sign)[0]
+        return np.ldexp(end, np.arange(1, round(math.log2(z / end)) + 1))
+
     mags = np.logspace(-8.0, 3.0, 5000)
-    grid = _extend(np.concatenate([-mags[::-1], mags]), slope, np.sign(energy.xi_min - m.b))
+    grid = np.concatenate([doublings(-mags[-1], np.sign(energy.xi_min - m.b))[::-1],
+                           -mags[::-1], mags, doublings(mags[-1], 1.0)])
     g = slope(grid)
+    grid, g = grid[g != 0.0], g[g != 0.0]  # an underflowed slope of 0.0 holds no sign
     out = []
     for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
         lo, hi = grid[i], grid[i + 1]
@@ -188,7 +190,7 @@ def _critical_points(energy, m) -> tuple[np.ndarray, np.ndarray]:
             else:
                 hi = mid
         out.append(0.5 * (lo + hi))
-    return np.array(out), grid
+    return np.array(out)
 
 
 def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
@@ -202,26 +204,28 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
     curve as far out as its features go.
     """
     curve = _curve(energy, m, convention)
-    if not math.isfinite(curve.zc):
+    neg = np.flatnonzero(curve.critical & (curve.ends < 0.0))
+    if neg.size != 1:
         raise NotImplementedError(
             "no single negative-branch fold for this energy/measure combination "
             "(quadratic energy requires b < 0; several are outside the supported family)"
         )
-    return FoldThreshold(curve.zc, math.sqrt(curve.eta_sq))
+    return FoldThreshold(float(curve.ends[neg[0]]), math.sqrt(curve.levels[neg[0] + 1]))
 
 
 def _hessian_eigs(energy, m, zeta, tau_sq):
     """(along, perpendicular) Hessian eigenvalues at gamma = tau/(2a*zeta).
 
     d2V(xi) at xi = dV*(zeta) is taken as 1/d2V*(zeta), which stays defined
-    (+inf) where dV*(zeta) underflows to the edge of the xi domain.
+    (+inf) where d2V*(zeta) underflows; at gamma = 0 the term it scales is 0
+    however large d2V gets, and the Hessian is 2a*zeta*I.
     """
     a = m.a
     gsq = tau_sq / (4.0 * a * a * zeta * zeta)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         d2v = 1.0 / energy.d2Vstar(zeta)
-    along = 2.0 * a * zeta + 4.0 * a * a * d2v * gsq
-    return along, 2.0 * a * zeta
+        bend = np.multiply(4.0 * a * a * d2v, gsq, out=np.zeros(np.shape(gsq)), where=gsq != 0.0)
+    return 2.0 * a * zeta + bend, 2.0 * a * zeta
 
 
 #: label codes, 1-5 in TrialityLabel order; _LABELS[code] is the label (None: no root)
@@ -241,61 +245,6 @@ def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
     return label_array(energy, m, [[float(zeta)]], [float(t @ t)], [[False]], t.size)[0, 0]
 
 
-def _generic_roots_point(energy, m, factor, t2, opts, crit, grid):
-    """All roots at one point by the sign-scan fallback.
-
-    Scans the dual curve on the curve's scan grid (see _critical_points),
-    extended until D has its asymptotic sign at both ends, refines every
-    sign-change bracket with the kernel's refiner, and at the critical points
-    crit adds tangent (fold) roots where the level matches tau^2.  Returns
-    (zeta, residual, degenerate) triples.
-    """
-    D = partial(_kernels.residual, energy, m.b, factor, t2=t2)
-    found: list[tuple[float, float, bool]] = []
-
-    def is_new(z):
-        return all(abs(z - p[0]) > 1e-9 * (1.0 + abs(z)) for p in found)
-
-    def refine(lo, hi):
-        x, fx = _kernels.refine(energy, m.b, factor, lo, hi, t2, opts.tol, opts.max_iter)
-        for r, res in zip(x.tolist(), fx.tolist()):
-            if is_new(r):
-                found.append((r, res, False))
-
-    # D -> +inf as zeta -> +inf; as zeta -> -inf its sign is that of
-    # lim dV* - b, and where dV* decays to b itself (log model, b = 0) the
-    # dual term vanishes and D tends to -tau^2
-    gap = energy.xi_min - m.b
-    grid = _extend(grid, D, np.sign(gap) if gap != 0.0 else -np.sign(t2))
-    vals = D(grid)
-    # sign changes between nonzero values (exact zeros are handled below, and
-    # this skips underflow plateaus) that do not straddle the excluded zeta = 0
-    cells = np.nonzero((np.diff(np.sign(vals)) != 0) & (vals[:-1] != 0.0) & (vals[1:] != 0.0)
-                       & ~((grid[:-1] < 0.0) & (grid[1:] > 0.0)))[0]
-    refine(grid[cells], grid[cells + 1])
-    # isolated exact zeros are genuine roots that landed on a grid point; a
-    # run of zeros is the underflow floor of a strictly positive curve
-    for i in np.nonzero(vals == 0.0)[0]:
-        left = vals[i - 1] if i > 0 else 0.0
-        right = vals[i + 1] if i + 1 < vals.size else 0.0
-        if left != 0.0 and right != 0.0 and is_new(grid[i]):
-            found.append((float(grid[i]), 0.0, False))
-    # critical points: a level match is a tangent (fold) root; otherwise split
-    # the enclosing cell there, which resolves root pairs closer than the grid
-    for c in crit:
-        dc = D(c)
-        if abs(dc) <= _kernels._DEGENERATE_RTOL * max(1.0, t2):
-            if is_new(c):
-                found.append((c, dc, True))
-            continue
-        j = int(np.searchsorted(grid, c)) - 1
-        for lo, hi, flo, fhi in ((grid[j], c, vals[j], dc),
-                                 (c, grid[j + 1], dc, vals[j + 1])):
-            if flo != 0.0 and fhi != 0.0 and (flo > 0.0) != (fhi > 0.0):
-                refine(np.array([lo]), np.array([hi]))
-    return found
-
-
 def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
                       opts: SolverOptions | None = None,
                       convention: str = "derived"):
@@ -303,39 +252,15 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
 
     Returns (roots, residuals, degenerate, counts): roots is (n, 3) nan-padded
     with slot 0 the positive root and slots 1-2 the negative roots descending;
-    degenerate marks fold roots reported once at zeta_c.  Built-in models go
-    through the batch kernels; other energy/measure combinations use the
-    generic scan fallback point by point, sharing one critical-point scan.
+    degenerate marks fold roots reported once at zeta_c.  Every model goes
+    through the one piece loop of the batch kernel, on the pieces of _curve.
     """
     opts = opts or SolverOptions()
     t2 = np.ascontiguousarray(tau_sq, dtype=float)
     if np.any(~np.isfinite(t2)) or np.any(t2 < 0.0):
         raise DomainError("tau^2 values must be finite and nonnegative")
-    factor = residual_factor(m, convention)
-    curve = _curve(energy, m, convention)
-    if curve.grid is None:
-        return _kernels.solve_roots_batch(energy, m.b, factor, t2, opts.tol, opts.max_iter,
-                                          curve.zc, curve.eta_sq, curve.z0neg)
-
-    n = t2.size
-    roots = np.full((n, 3), np.nan)
-    resid = np.zeros((n, 3))
-    deg = np.zeros((n, 3), dtype=bool)
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        found = sorted(_generic_roots_point(energy, m, factor, float(t2[i]), opts,
-                                            curve.crit, curve.grid), key=lambda f: -f[0])
-        npos = sum(f[0] > 0.0 for f in found)
-        if npos > 1 or len(found) - npos > 2:
-            raise NotImplementedError(
-                f"{len(found)} real dual roots at tau^2={t2[i]}; "
-                "more than three is outside the supported model family"
-            )
-        # descending: the positive root (if any) in slot 0, negatives from slot 1
-        for k, (z, r, d) in enumerate(found, start=1 - npos):
-            roots[i, k], resid[i, k], deg[i, k] = z, r, d
-        counts[i] = len(found)
-    return roots, resid, deg, counts
+    return _kernels.solve_roots_batch(energy, m.b, residual_factor(m, convention), t2, opts.tol,
+                                      opts.max_iter, *_curve(energy, m, convention))
 
 
 def solve_all_roots(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq: float,

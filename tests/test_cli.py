@@ -129,7 +129,7 @@ def test_sweep_transition_and_rows(tmp_path):
 
 def test_generic_measure_override_end_to_end(tmp_path, capsys):
     # log model with a shifted measure has no closed-form dual geometry:
-    # the scan fallback must still carry solve and verify to exit 0
+    # with critical points from the scan, solve and verify must still exit 0
     cfg = tmp_path / "g.cfg"
     cfg.write_text(
         "model = log_neohookean\nmeasure_b = -0.5\ngeometry = interval\n"
@@ -190,11 +190,18 @@ def test_verify_rect_constant_load_passes_curl_audit(tmp_path, capsys):
     assert "OK: 6/6" in out
 
 
-def test_verify_paper_eq45_fails_duality_gap(capsys):
-    code = run(["verify", CONFIGS / "log_1d_sub.cfg", "--residual-convention", "paper-eq45"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAIL duality-gap" in out
+def test_residual_convention_is_a_sweep_flag_only(tmp_path, capsys):
+    # solve and verify always take the derived convention, the one that
+    # satisfies the duality identity; only sweep's figure data has a choice
+    for command in (["solve", "--out", tmp_path / "o"], ["verify"]):
+        with pytest.raises(SystemExit) as info:
+            run([command[0], CONFIGS / "log_1d_sub.cfg", *command[1:],
+                 "--residual-convention", "derived"])
+        assert info.value.code == 2
+        assert "--residual-convention" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run(["sweep", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "s", "--tau-min", "0",
+                "--tau-max", "1", "--steps", "5", "--residual-convention", "paper-eq45"]) == 0
 
 
 def test_missing_fixed_edge_rejected(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triality import (
     LogNeoHookeanEnergy,
@@ -196,9 +198,10 @@ def test_solver_options_and_convention_validation(dw):
 
 
 def test_generic_scan_geometry_log_nonzero_shift(log11):
-    # no closed form for the log model with b != 0: the sign-scan fallback
-    # must still enumerate correctly.  b < 0 turns the negative branch into
-    # a monotone descent from +inf (one extra root); b > 0 kills it.
+    # no closed form for the log model with b != 0: with critical points
+    # from the scan the piece loop must still enumerate correctly.  b < 0
+    # turns the negative branch into a monotone descent from +inf (one extra
+    # root); b > 0 kills it.
     for b, want in ((-0.5, 2), (0.5, 1)):
         m = QuadraticMeasure(1.0, b)
         for t2 in (0.3, 2.0):
@@ -211,8 +214,8 @@ def test_generic_scan_geometry_log_nonzero_shift(log11):
 
 
 def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
-    # log model, b = -0.5: the negative root sits near -sqrt(tau^2/2), outside
-    # the base scan grid |zeta| <= 1e3 once tau^2 > 2e6
+    # log model, b = -0.5: the negative root sits near -sqrt(tau^2/2), beyond
+    # |zeta| = 1e3 once tau^2 > 2e6, where expand has to find it
     m = QuadraticMeasure(1.0, -0.5)
     for t2 in (1e6, 1e7, 1e12):
         roots, _, _, counts = solve_roots_array(log11, m, np.array([t2]))
@@ -223,7 +226,7 @@ def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
     # takes d2V(xi) as 1/d2V*(zeta) = +inf rather than evaluating d2V at 0
     rs = solve_all_roots(log11, m, 9e6)
     assert [str(r.label) for r in rs.roots] == ["global_min", "local_min"]
-    # a root the capped outer scan cannot bracket is an error, not a drop
+    # a root the capped expansion cannot bracket is an error, not a drop
     from triality import _kernels
     monkeypatch.setattr(_kernels, "_EXPAND_LIMIT", 1)
     with pytest.raises(RootSolveError):
@@ -246,32 +249,82 @@ def test_fold_beyond_the_base_scan_grid():
         assert np.all(np.abs(dual_residual(energy, m, found, t2)) <= 1e-10 * t2)
 
 
+class _Scanned:
+    """A built-in energy's formulas behind another class: no closed form
+    applies, so the piece ends come from the critical-point scan."""
+
+    def __init__(self, energy):
+        self.energy = energy
+
+    def __getattr__(self, name):
+        return getattr(self.energy, name)
+
+
 def test_generic_path_agrees_with_kernel_on_builtins(dw, log11, rng):
-    # the sign-scan fallback and the closed-form kernel are independent
-    # routes to the same roots
-    # (the critical points come from the scan, not from the closed form)
-    from triality.dualsolve import _critical_points, _generic_roots_point
-    opts = SolverOptions()
-    dw_scan, log_scan = _critical_points(dw, DW_MEASURE), _critical_points(log11, SHEAR_MEASURE)
-    for energy, m, scan in ((dw, DW_MEASURE, dw_scan), (log11, SHEAR_MEASURE, log_scan)):
-        for t2 in [0.0, 8.0 / 27.0, *rng.uniform(0.0, 1.5, size=25)]:
-            rs = solve_all_roots(energy, m, t2)
-            generic = sorted((z for z, _, _ in
-                              _generic_roots_point(energy, m, 4.0 * m.a, float(t2), opts, *scan)),
-                             reverse=True)
-            assert np.allclose(rs.zetas(), generic, atol=1e-8), (energy, t2)
-    # the tangent fold root is detected as degenerate by both routes
-    found = _generic_roots_point(dw, DW_MEASURE, 2.0, 8.0 / 27.0, opts, *dw_scan)
-    degs = [z for z, _, d in found if d]
-    assert len(degs) == 1 and degs[0] == pytest.approx(-2.0 / 3.0, abs=1e-9)
-    # near-fold pairs tighter than the scan grid are still resolved
+    # one piece loop, on ends from the critical-point scan and from the
+    # closed forms, gives the same roots
+    for energy, m in ((dw, DW_MEASURE), (log11, SHEAR_MEASURE)):
+        assert fold_threshold(_Scanned(energy), m).zeta_c == pytest.approx(
+            fold_threshold(energy, m).zeta_c, abs=1e-12)
+        t2 = np.array([0.0, *rng.uniform(0.0, 1.5, size=25)])
+        want, _, _, want_counts = solve_roots_array(energy, m, t2)
+        got, _, _, counts = solve_roots_array(_Scanned(energy), m, t2)
+        assert np.array_equal(counts, want_counts)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12, equal_nan=True)
+    # the tangent fold root is reported once, as degenerate, by both
+    for energy in (dw, _Scanned(dw)):
+        rs = solve_all_roots(energy, DW_MEASURE, 8.0 / 27.0)
+        assert [str(r.label) for r in rs.roots] == ["global_min", "degenerate"]
+        assert rs.roots[1].zeta == pytest.approx(-2.0 / 3.0, abs=1e-9)
+    # near-fold root pairs are resolved however close they lie
     eta_sq = 16.0 * math.exp(-4.0)
     for gap in (1e-9, 1e-7, 1e-5):
         t2 = eta_sq * (1.0 - gap)
-        found = _generic_roots_point(log11, SHEAR_MEASURE, 4.0, t2, opts, *log_scan)
+        got = solve_all_roots(_Scanned(log11), SHEAR_MEASURE, t2)
         ref = solve_all_roots(log11, SHEAR_MEASURE, t2)
-        assert len(found) == len(ref) == 3
-        assert np.allclose(sorted(z for z, _, _ in found), sorted(ref.zetas()), atol=1e-7)
+        assert len(got) == len(ref) == 3
+        assert np.allclose(got.zetas(), ref.zetas(), atol=1e-7)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c1=st.floats(0.5, 2.0), c2=st.floats(0.5, 2.0), a=st.floats(0.5, 2.0),
+       b=st.floats(0.05, 1.0), b_sign=st.sampled_from((-1.0, 1.0)), tau_sq=st.floats(0.01, 5.0))
+def test_log_model_shifted_measure_matches_scan_oracle(c1, c2, a, b, b_sign, tau_sq):
+    # b != 0: the piece ends come from the critical-point scan; every root
+    # lies well inside the oracle's scan window [-50, 50]
+    energy, m = LogNeoHookeanEnergy(c1, c2), QuadraticMeasure(a, b_sign * b)
+    rs = solve_all_roots(energy, m, tau_sq)
+    oracle = scan_roots(energy, m, tau_sq)
+    assert len(rs) == len(oracle)
+    assert np.allclose(rs.zetas(), oracle, rtol=1e-8, atol=1e-10)
+
+
+def test_one_refine_call_per_piece(log11, monkeypatch):
+    # every model is solved piece by piece: the refine calls are bounded by
+    # the number of pieces, not by the number of loads
+    from triality import _kernels
+    from triality.dualsolve import _curve
+    calls = []
+    refine = _kernels.refine
+    monkeypatch.setattr(_kernels, "refine", lambda *args: calls.append(1) or refine(*args))
+    m = QuadraticMeasure(1.0, 0.01)  # no closed form, a fold near zeta = -2
+    _, _, _, counts = solve_roots_array(log11, m, np.linspace(0.0, 1.0, 2000))
+    assert set(counts.tolist()) >= {1, 3}
+    assert 0 < len(calls) <= len(_curve(log11, m, "derived").ends) + 1
+
+
+def test_labels_at_zero_strain_and_extreme_constants():
+    # |gamma| = 0 leaves H = 2a*zeta*I however large d2V(xi) is: the
+    # unloaded root of the log model with b = 5e-324 is a local maximum
+    energy, m = LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, 5e-324)
+    rs = solve_all_roots(energy, m, 0.0)
+    assert len(rs) == 1 and rs.roots[0].zeta < -2.0
+    assert rs.roots[0].label is TrialityLabel.LOCAL_MAX
+    # also where d2V*(zeta) underflows to 0, so 1/d2V* is +inf
+    assert classify_root(energy, m, -743.49, [0.0]) is TrialityLabel.LOCAL_MAX
+    # c2 = 1e308: 1/d2V*(zeta) overflows to +inf, without a warning
+    rs = solve_all_roots(LogNeoHookeanEnergy(1.0, 1e308), QuadraticMeasure(1.0, -1.0), 0.25)
+    assert [r.label for r in rs.roots] == [TrialityLabel.GLOBAL_MIN, TrialityLabel.LOCAL_MIN]
 
 
 def test_paper_eq45_convention_log_roots(log11):
