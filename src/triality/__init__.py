@@ -20,7 +20,6 @@ from .dualsolve import (
     DualRoot,
     DualRootSet,
     FoldThreshold,
-    SolverOptions,
     TrialityLabel,
     classify_root,
     dual_residual,

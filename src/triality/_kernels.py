@@ -23,7 +23,7 @@ zero), so h is monotone on every piece and a piece holds at most one root.
 pushes an infinite piece end out until D takes its asymptotic sign and
 ``refine`` solves all brackets of a piece at once by safeguarded Newton
 iteration (bisection fallback keeps iterates inside the bracket) under the
-one stop rule |D| <= tol*max(1, tau^2).  Loads at a critical level give one
+one stop rule |D| <= TOL*max(1, tau^2).  Loads at a critical level give one
 fold root at that critical point.
 """
 from __future__ import annotations
@@ -35,6 +35,8 @@ import numpy as np
 
 from .errors import RootSolveError
 
+TOL = 1e-12              # root stop rule |D| <= TOL*max(1, tau^2)
+MAX_ITER = 200           # Newton/bisection steps per bracket
 _DEGENERATE_RTOL = 1e-13  # |tau^2 - eta^2| window treated as the fold
 _EXPAND_LIMIT = 600       # bracket-expansion doublings before giving up
 
@@ -71,18 +73,22 @@ def expand(fn, base, width, sign):
     )
 
 
-def newton_bracketed(energy, b, factor, lo, hi, t2, tol, max_iter):
-    """Safeguarded Newton on per-point brackets [lo, hi] with a sign change.
+def refine(energy, b, factor, lo, hi, t2):
+    """Roots of D in per-point brackets [lo, hi] with a sign change.
 
-    Returns (x, D(x), converged) arrays; converged means |D(x)| <= tol.
+    Safeguarded Newton: a step that leaves the bracket or is not finite is
+    replaced by the bisection midpoint.  Stops where |D| <= TOL*max(1, tau^2)
+    and returns (zeta, D(zeta)); raises RootSolveError with the first iterate
+    that did not get there within MAX_ITER steps.
     """
+    tol = TOL * np.maximum(1.0, t2)
     lo = lo.copy()
     hi = hi.copy()
     fhi = residual(energy, b, factor, hi, t2)
     x = 0.5 * (lo + hi)
     fx = residual(energy, b, factor, x, t2)
     done = np.abs(fx) <= tol
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if done.all():
             break
         act = ~done
@@ -100,19 +106,8 @@ def newton_bracketed(energy, b, factor, lo, hi, t2, tol, max_iter):
         x = np.where(act, xn, x)
         fx = np.where(act, residual(energy, b, factor, x, t2), fx)
         done = done | (np.abs(fx) <= tol)
-    return x, fx, done
-
-
-def refine(energy, b, factor, lo, hi, t2, tol_rel, max_iter):
-    """Roots of D in per-point brackets [lo, hi] with a sign change.
-
-    Stops where |D| <= tol_rel*max(1, tau^2) and returns (zeta, D(zeta));
-    raises RootSolveError with the first iterate that did not get there.
-    """
-    x, fx, ok = newton_bracketed(energy, b, factor, lo, hi, t2,
-                                 tol_rel * np.maximum(1.0, t2), max_iter)
-    if not ok.all():
-        z, r = float(x[~ok][0]), float(fx[~ok][0])
+    if not done.all():
+        z, r = float(x[~done][0]), float(fx[~done][0])
         raise RootSolveError(
             f"dual root iteration did not converge: best zeta={z!r}, |D|={abs(r)!r}",
             best_zeta=z, best_residual=r,
@@ -120,7 +115,7 @@ def refine(energy, b, factor, lo, hi, t2, tol_rel, max_iter):
     return x, fx
 
 
-def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, ends, levels, critical):
+def solve_roots_batch(energy, b, factor, tau_sq, ends, levels, critical):
     """Every real root of D for an array of tau^2 values, one piece at a time.
 
     ends are the ascending finite ends (zero among them) of the pieces on
@@ -180,7 +175,7 @@ def solve_roots_batch(energy, b, factor, tau_sq, tol_rel, max_iter, ends, levels
                 hi = expand(D, end, np.full(at.size, max(1.0, abs(end))), np.sign(lhi - llo))
             else:
                 hi = np.full(at.size, bounds[k + 1])
-            put(at, end >= 0.0, *refine(energy, b, factor, lo, hi, t2, tol_rel, max_iter))
+            put(at, end >= 0.0, *refine(energy, b, factor, lo, hi, t2))
         if k > 0 and end != 0.0:
             at = np.flatnonzero(fold[k] if critical[k - 1] else tau_sq == llo)
             if at.size:

@@ -6,9 +6,10 @@
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration error
 (malformed, non-finite or out-of-range values, or a model outside the
-supported family), 3 solver failure.  Every solver and oracle setting, the
-seed included, comes from the config file.  All CSV output uses 17
-significant digits; runs are serial and deterministic for a fixed config.
+supported family), 3 solver failure.  The oracle's start count and seed
+come from the config file; every other solver, oracle and check setting is
+a module constant.  All CSV output uses 17 significant digits; runs are
+serial and deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .fields import ScalarField, VectorField2, format_float
 
-GAP_RTOL = 1e-8
 ORACLE_TOL = 1e-6
 GRAD_TOL = 1e-6
 PATH_RTOL = 1e-8
@@ -87,9 +87,7 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
         tau_sq = np.sum(tau * tau, axis=-1)
     if not np.all(np.isfinite(tau_sq)):
         raise ConfigError("loading: the stress or tau^2 is not finite at every node")
-    roots, resid, degenerate, counts = dualsolve.solve_roots_array(
-        spec.energy, spec.measure, tau_sq, spec.solver
-    )
+    roots, resid, degenerate, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, tau_sq)
     labels = dualsolve.label_array(spec.energy, spec.measure, roots, tau_sq,
                                    degenerate, spec.dim)
     return InstanceSolution(spec, coords, tau, tau_sq, weights,
@@ -195,7 +193,7 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
     write_energy_csv(sol, reports, outdir / "energy_report.csv")
     gap_bad = False
     for k, rep in sorted(reports.items()):
-        ok = rep.gap_ok(GAP_RTOL)
+        ok = rep.gap_ok()
         gap_bad |= not ok
         lines.append(
             f"branch {k + 1}: label={branch_label_name(sol, k)} "
@@ -217,7 +215,7 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
     if gap_bad:
         lines.append("duality-gap check: RED FLAG (see branches above)")
     else:
-        lines.append(f"duality-gap check: OK (tol {GAP_RTOL:g} relative)")
+        lines.append(f"duality-gap check: OK (tol {energies.GAP_RTOL:g} relative)")
     (outdir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     print(f"wrote {outdir}/roots.csv, energy_report.csv, report.txt")
@@ -247,7 +245,7 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     outdir.mkdir(parents=True, exist_ok=True)
     taus = np.linspace(tau_min, tau_max, steps)
     roots, _, _, counts = dualsolve.solve_roots_array(
-        spec.energy, spec.measure, taus ** 2, spec.solver, convention)
+        spec.energy, spec.measure, taus ** 2, convention)
     found = ~np.isnan(roots)
     t2 = np.broadcast_to((taus * taus)[:, None], roots.shape)
     pid = np.full(roots.shape, np.nan)
@@ -315,9 +313,9 @@ def run_verify(spec: ProblemSpec) -> int:
     # 1 duality gap on every full branch
     for k in branches:
         rep = reports[k]
-        status = "PASS" if rep.gap_ok(GAP_RTOL) else "FAIL"
+        status = "PASS" if rep.gap_ok() else "FAIL"
         add(status, f"duality-gap branch {k + 1}",
-            f"|Pi - Pi_d| = {abs(rep.gap):.3e}, Pi_d = {rep.dual:.9g} (rtol {GAP_RTOL:g})")
+            f"|Pi - Pi_d| = {abs(rep.gap):.3e}, Pi_d = {rep.dual:.9g} (rtol {energies.GAP_RTOL:g})")
 
     # residual re-validation comes free with the gap check data
     worst = float(np.nanmax(np.abs(sol.residuals[~np.isnan(sol.roots)])))
@@ -352,7 +350,7 @@ def run_verify(spec: ProblemSpec) -> int:
     # 3 gradient check (displacement scaled to order-one strains)
     rng = np.random.default_rng(spec.oracle.seed)
     u = 0.5 * min(prob.spacings) * rng.standard_normal(prob.shape)
-    err = oracle.gradient_check(prob, u, h=1e-6, seed=spec.oracle.seed)
+    err = oracle.gradient_check(prob, u, seed=spec.oracle.seed)
     if np.isnan(err):
         add("SKIP", "gradient check", "no node compared: the check point lies outside the domain")
     else:

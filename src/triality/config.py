@@ -10,18 +10,19 @@ Schema (unknown keys are rejected):
                    double_well -> (0.5, -1.0), log_neohookean -> (1.0, 0.0)
     geometry       interval | rectangle
     length, n      interval extent and node count
-    lx, ly, nx, ny rectangle extent and node counts (nx, ny >= 3)
+    lx, ly, nx, ny  rectangle extent and node counts (nx, ny >= 3)
     origin_x/_y    rectangle origin (default 0)
     fixed_edges    interval: left | right; rectangle: comma list of edges
     loading        constant_tau | stream_function
     tau_x, tau_y   constant stress components (tau_y rectangle only)
     stream         linear | bilinear | quadratic (stream-function catalog)
     stream_scale   stream function scale (default 1.0)
-    tol, max_iter  dual-root solver options (defaults: SolverOptions)
-    oracle_starts, oracle_seed, oracle_span   multistart oracle controls
+    oracle_starts, oracle_seed   multistart oracle controls
                    (defaults: OracleOptions)
 
-Every number must be finite; a geometry has at most MAX_NODES nodes.
+Every number must be finite; a geometry has at most MAX_NODES nodes.  The
+solver's and the oracle's single-valued settings are module constants
+(``_kernels.TOL``, ``oracle.START_SPAN``, ...), not keys.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .canonical import (
     QuadraticEnergy,
     QuadraticMeasure,
 )
-from .dualsolve import SolverOptions
 from .errors import ConfigError, DomainError
 from .fields import EDGES, Grid2, VectorField2
 
@@ -96,7 +96,6 @@ Loading = Union[ConstantTau, StreamLoading]
 class OracleOptions:
     n_starts: int = 50
     seed: int = 1234
-    span: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class ProblemSpec:
     measure: QuadraticMeasure
     geometry: Geometry
     loading: Loading
-    solver: SolverOptions = SolverOptions()
     oracle: OracleOptions = OracleOptions()
 
     @property
@@ -117,8 +115,7 @@ _KEYS = {
     "model", "alpha", "c1", "c2", "measure_a", "measure_b",
     "geometry", "length", "n", "lx", "ly", "nx", "ny", "origin_x", "origin_y",
     "fixed_edges", "loading", "tau_x", "tau_y", "stream", "stream_scale",
-    "tol", "max_iter",
-    "oracle_starts", "oracle_seed", "oracle_span",
+    "oracle_starts", "oracle_seed",
 }
 
 
@@ -247,26 +244,16 @@ def parse_config(path) -> ProblemSpec:
     else:
         raise ConfigError(f"config key 'loading': expected constant_tau or stream_function, got {load_kind!r}")
 
-    solver = SolverOptions(
-        tol=_get_float(kv, "tol", SolverOptions.tol),
-        max_iter=_get_int(kv, "max_iter", SolverOptions.max_iter),
-    )
     oracle = OracleOptions(
         n_starts=_get_int(kv, "oracle_starts", OracleOptions.n_starts),
         seed=_get_int(kv, "oracle_seed", OracleOptions.seed),
-        span=_get_float(kv, "oracle_span", OracleOptions.span),
     )
-    for ok, rule in ((0.0 < solver.tol < 1.0, "'tol' must be in (0, 1)"),
-                     # bisection alone narrows any bracket to adjacent floats in
-                     # about 2100 steps, so a larger cap only lets a stuck run spin
-                     (1 <= solver.max_iter <= 10**4, "'max_iter' must be in 1..10000"),
-                     (oracle.n_starts >= 1, "'oracle_starts' must be >= 1"),
-                     (oracle.seed >= 0, "'oracle_seed' must be >= 0"),
-                     (oracle.span > 0.0, "'oracle_span' must be > 0")):
+    for ok, rule in ((oracle.n_starts >= 1, "'oracle_starts' must be >= 1"),
+                     (oracle.seed >= 0, "'oracle_seed' must be >= 0")):
         if not ok:
             raise ConfigError(f"config key {rule}")
     return ProblemSpec(energy=energy, measure=measure, geometry=geometry, loading=loading,
-                       solver=solver, oracle=oracle)
+                       oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

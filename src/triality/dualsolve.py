@@ -62,15 +62,6 @@ class TrialityLabel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Root-refinement options: residual tolerance (relative to max(1, tau^2))
-    and iteration cap."""
-
-    tol: float = 1e-12
-    max_iter: int = 200
-
-
-@dataclass(frozen=True)
 class DualRoot:
     zeta: float
     residual: float
@@ -116,10 +107,11 @@ def dual_residual(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq,
 
 
 class _Curve(NamedTuple):
-    """Unloaded dual curve h = D + tau^2, cut into monotone pieces: the
-    ascending finite piece ends (the critical points, 0 and, for the
-    quadratic model, its negative zero), the level of h at -inf, at each end
-    and at +inf, and which ends are critical points."""
+    """Unloaded dual curve h = D + tau^2, cut into monotone pieces (and, for
+    the quadratic model with b > 0, the piece 0 < zeta < alpha*b, where h < 0
+    holds no root): the ascending finite piece ends (the critical points, 0
+    and, for the quadratic model, its zero alpha*b), the level of h at -inf,
+    at each end and at +inf, and which ends are critical points."""
 
     ends: np.ndarray
     levels: np.ndarray
@@ -127,14 +119,16 @@ class _Curve(NamedTuple):
 
 
 def _curve(energy: CanonicalEnergy, m: QuadraticMeasure, convention: str) -> _Curve:
-    """Closed form for the built-in models: zeta_c = 2*b*alpha/3 and the zero
-    alpha*b for the quadratic energy (b < 0, else no negative branch) and
-    zeta_c = -2*c2 for the log model with b = 0; other combinations take
-    their critical points from one scan."""
+    """Closed form for the built-in models: the zero alpha*b for the quadratic
+    energy with b != 0, and zeta_c = 2*b*alpha/3 for b < 0 (else no negative
+    branch), and zeta_c = -2*c2 for the log model with b = 0; other
+    combinations take their critical points from one scan."""
     zeros = crit = ()
     if isinstance(energy, QuadraticEnergy):
+        if m.b != 0.0:
+            zeros = (energy.alpha * m.b,)
         if m.b < 0.0:
-            crit, zeros = (2.0 * m.b * energy.alpha / 3.0,), (energy.alpha * m.b,)
+            crit = (2.0 * m.b * energy.alpha / 3.0,)
     elif isinstance(energy, LogNeoHookeanEnergy) and m.b == 0.0:
         crit = (-2.0 * energy.c2,)
     else:
@@ -246,7 +240,6 @@ def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
 
 
 def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
-                      opts: SolverOptions | None = None,
                       convention: str = "derived"):
     """Enumerate dual roots for an array of tau^2 values.
 
@@ -255,17 +248,15 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
     degenerate marks fold roots reported once at zeta_c.  Every model goes
     through the one piece loop of the batch kernel, on the pieces of _curve.
     """
-    opts = opts or SolverOptions()
     t2 = np.ascontiguousarray(tau_sq, dtype=float)
     if np.any(~np.isfinite(t2)) or np.any(t2 < 0.0):
         raise DomainError("tau^2 values must be finite and nonnegative")
-    return _kernels.solve_roots_batch(energy, m.b, residual_factor(m, convention), t2, opts.tol,
-                                      opts.max_iter, *_curve(energy, m, convention))
+    return _kernels.solve_roots_batch(energy, m.b, residual_factor(m, convention), t2,
+                                      *_curve(energy, m, convention))
 
 
 def solve_all_roots(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq: float,
-                    opts: SolverOptions | None = None, dim: int = 1,
-                    convention: str = "derived") -> DualRootSet:
+                    dim: int = 1, convention: str = "derived") -> DualRootSet:
     """All real dual roots at one material point, labeled and ordered.
 
     Parameters
@@ -275,7 +266,7 @@ def solve_all_roots(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq: float,
         the labels (1 for bars, 2 for anti-plane sections, 9 for 3x3 tensors).
     """
     roots, resid, degenerate, _ = solve_roots_array(
-        energy, m, np.asarray([tau_sq], dtype=float), opts, convention
+        energy, m, np.asarray([tau_sq], dtype=float), convention
     )
     labels = label_array(energy, m, roots, [tau_sq], degenerate, dim)
     out = [DualRoot(float(z), float(r), lab)

@@ -25,12 +25,18 @@ from .canonical import (
     Vstar,
     measure_eval,
 )
-from .dualsolve import SolverOptions, TrialityLabel, solve_all_roots
+from .dualsolve import TrialityLabel, solve_all_roots
 from .errors import InvalidRotationError, SingularDualError
 from .fields import Grid2
 
 #: measure used for 3x3 tensor-level checks: xi = tr(F^T F)
 TENSOR_MEASURE = QuadraticMeasure(a=1.0, b=0.0)
+
+#: duality-gap bound |Pi - Pi_d| <= GAP_RTOL*max(1, |Pi_d|)
+GAP_RTOL = 1e-8
+
+#: orthonormality and det = 1 tolerance of a rotation matrix
+ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,8 @@ class EnergyReport:
     gap: float
     point_mismatch: float  # max over nodes of |primal density - dual density|
 
-    def gap_ok(self, rtol: float = 1e-8) -> bool:
-        return abs(self.gap) <= rtol * max(1.0, abs(self.dual))
+    def gap_ok(self) -> bool:
+        return abs(self.gap) <= GAP_RTOL * max(1.0, abs(self.dual))
 
 
 def _lam(m: QuadraticMeasure, gamma) -> np.ndarray:
@@ -155,8 +161,8 @@ class TensorBranch:
     label: TrialityLabel
 
 
-def tensor_reconstruct(energy: CanonicalEnergy, T, m: QuadraticMeasure = TENSOR_MEASURE,
-                       opts: SolverOptions | None = None) -> list[TensorBranch]:
+def tensor_reconstruct(energy: CanonicalEnergy, T,
+                       m: QuadraticMeasure = TENSOR_MEASURE) -> list[TensorBranch]:
     """All stationary deformation gradients for a constant 3x3 stress T.
 
     Solves the dual equation at tau^2 = tr(T^T T) and reconstructs
@@ -167,7 +173,7 @@ def tensor_reconstruct(energy: CanonicalEnergy, T, m: QuadraticMeasure = TENSOR_
     if T.shape != (3, 3):
         raise ValueError(f"T must be a 3x3 matrix, got shape {T.shape}")
     tau_sq = float(np.sum(T * T))
-    rs = solve_all_roots(energy, m, tau_sq, opts, dim=9)
+    rs = solve_all_roots(energy, m, tau_sq, dim=9)
     out = []
     for r in rs.roots:
         s = 2.0 * m.a * r.zeta
@@ -176,12 +182,12 @@ def tensor_reconstruct(energy: CanonicalEnergy, T, m: QuadraticMeasure = TENSOR_
     return out
 
 
-def check_rotation(R, tol: float = 1e-12) -> None:
+def check_rotation(R) -> None:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise InvalidRotationError(f"rotation must be 3x3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol or abs(np.linalg.det(R) - 1.0) > tol:
-        raise InvalidRotationError("matrix fails orthonormality / det = 1 check (tol 1e-12)")
+    if np.max(np.abs(R.T @ R - np.eye(3))) > ROTATION_TOL or abs(np.linalg.det(R) - 1.0) > ROTATION_TOL:
+        raise InvalidRotationError(f"matrix fails orthonormality / det = 1 check (tol {ROTATION_TOL:g})")
 
 
 def rotation_invariance_check(m: QuadraticMeasure, F, T, R) -> tuple[float, float]:

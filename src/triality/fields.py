@@ -23,7 +23,7 @@ EDGES = ("left", "right", "bottom", "top")
 #: outward unit normals of the rectangle edges
 _NORMALS = {"left": (-1.0, 0.0), "right": (1.0, 0.0), "bottom": (0.0, -1.0), "top": (0.0, 1.0)}
 
-#: default curl tolerance as a multiple of max|gamma|
+#: curl-audit tolerance as a multiple of max|gamma|
 CURL_RTOL = 1e-6
 
 _FMT = "%.17g"
@@ -197,26 +197,19 @@ def _two_path_integrals(gamma: VectorField2, anchor: tuple[int, int]):
     return u_right_up, u_up_right
 
 
-def reconstruct_displacement(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure,
-                             anchor: tuple[int, int] | None = None,
-                             curl_tol: float | None = None) -> ScalarField:
+def reconstruct_displacement(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) -> ScalarField:
     """Displacement from the dual pair by lattice path integration.
 
     Integrates gamma = tau/(2a*zeta) along the right-then-up path from the
-    anchor (a fixed node; defaults to the first one).  The curl of gamma is
-    audited first: a residual above curl_tol (default 1e-6 * max|gamma|)
-    means the field is not a gradient and reconstruction is refused.
+    first fixed node.  The curl of gamma is audited first: a residual above
+    CURL_RTOL * max|gamma| means the field is not a gradient and
+    reconstruction is refused.
     """
     g = zeta.grid
     gamma = strain_from_dual(zeta, tau, m)
-    if anchor is None:
-        anchor = g.first_fixed_node()
-    i0, j0 = anchor
-    if not g.fixed_mask()[j0, i0]:
-        raise ValueError(f"anchor node {anchor} is not on a fixed edge")
     resid = np.abs(curl2(gamma).values)
     scale = float(np.max(np.abs(gamma.values)))
-    tol = curl_tol if curl_tol is not None else CURL_RTOL * max(scale, 1e-300)
+    tol = CURL_RTOL * max(scale, 1e-300)
     worst = float(resid.max())
     if worst > tol:
         j, i = np.unravel_index(int(np.argmax(resid)), resid.shape)
@@ -225,18 +218,14 @@ def reconstruct_displacement(zeta: ScalarField, tau: VectorField2, m: QuadraticM
             "the dual strain field is not a gradient",
             max_residual=worst, node=(int(i), int(j)),
         )
-    u, _ = _two_path_integrals(gamma, anchor)
+    u, _ = _two_path_integrals(gamma, g.first_fixed_node())
     return ScalarField(g, u)
 
 
-def path_discrepancy(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure,
-                     anchor: tuple[int, int] | None = None) -> float:
+def path_discrepancy(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) -> float:
     """max |u_right-up - u_up-right|: the path-independence audit."""
-    g = zeta.grid
     gamma = strain_from_dual(zeta, tau, m)
-    if anchor is None:
-        anchor = g.first_fixed_node()
-    u1, u2 = _two_path_integrals(gamma, anchor)
+    u1, u2 = _two_path_integrals(gamma, zeta.grid.first_fixed_node())
     return float(np.max(np.abs(u1 - u2)))
 
 

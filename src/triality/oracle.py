@@ -32,11 +32,20 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_STEP = 64.0
 MIN_STEP = 1e-18
+MAX_ITER = 20_000    # descent iterations per start
+GTOL = 1e-9          # gradient-norm stop
+STALL_LIMIT = 20     # accepted steps without a representable decrease
+#: multistart starts are uniform in [-START_SPAN, START_SPAN] per free node
+START_SPAN = 2.0
 #: nodal values per batch of starts (bounds the descent's working memory)
 _CHUNK_ELEMENTS = 1 << 16
 
 #: energy clustering tolerance for the basin census
 CLUSTER_TOL = 1e-5
+
+#: gradient check: central-difference step and number of sampled free nodes
+FD_STEP = 1e-6
+FD_NODES = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +135,13 @@ def _chunks(n: int, shape: tuple[int, ...]):
     return [slice(i, min(i + per, n)) for i in range(0, n, per)]
 
 
-def descend(problem: DiscreteProblem, u0: np.ndarray, max_iter: int = 20_000,
-            gtol: float = 1e-9, stall_limit: int = 20) -> DescentResult:
+def descend(problem: DiscreteProblem, u0: np.ndarray) -> DescentResult:
     """Armijo-backtracking gradient descent from one start (see descend_batch)."""
-    r = descend_batch(problem, np.asarray(u0, dtype=float)[None], max_iter, gtol, stall_limit)
+    r = descend_batch(problem, np.asarray(u0, dtype=float)[None])
     return DescentResult(r.u[0], float(r.energy[0]), int(r.iterations[0]), bool(r.converged[0]))
 
 
-def descend_batch(problem: DiscreteProblem, u0: np.ndarray, max_iter: int = 20_000,
-                  gtol: float = 1e-9, stall_limit: int = 20) -> DescentResult:
+def descend_batch(problem: DiscreteProblem, u0: np.ndarray) -> DescentResult:
     """Armijo-backtracking gradient descent from every start of u0, shape
     (starts, *problem.shape), run in chunks of at most _CHUNK_ELEMENTS values.
 
@@ -145,10 +152,10 @@ def descend_batch(problem: DiscreteProblem, u0: np.ndarray, max_iter: int = 20_0
     at most MAX_STEP.  Backtracking halves it until Armijo holds.
 
     Each start has its own step, stall count, iteration count and converged
-    flag, and stops on a small gradient norm, when no step down to MIN_STEP
-    decreases the energy enough, or when the energy improvement stays below
-    float resolution for ``stall_limit`` consecutive accepted steps (all
-    three count as converged), after ``max_iter`` iterations, or at once
+    flag, and stops on a gradient norm below GTOL, when no step down to
+    MIN_STEP decreases the energy enough, or when the energy improvement stays
+    below float resolution for STALL_LIMIT consecutive accepted steps (all
+    three count as converged), after MAX_ITER iterations, or at once
     when it starts outside the domain (+inf energy; neither counts).  Every
     start sees the arithmetic of a lone start, so its result does not depend
     on the other starts or on the chunking.
@@ -160,12 +167,11 @@ def descend_batch(problem: DiscreteProblem, u0: np.ndarray, max_iter: int = 20_0
     iterations = np.zeros(n, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
     for sl in _chunks(n, problem.shape):
-        _descend_chunk(problem, u[sl], energy[sl], iterations[sl], converged[sl],
-                       max_iter, gtol, stall_limit)
+        _descend_chunk(problem, u[sl], energy[sl], iterations[sl], converged[sl])
     return DescentResult(u, energy, iterations, converged)
 
 
-def _descend_chunk(problem, u_out, e_out, it_out, conv_out, max_iter, gtol, stall_limit):
+def _descend_chunk(problem, u_out, e_out, it_out, conv_out):
     """Descend the starts u_out in place; results go into the *_out views.
 
     The loop works on compacted arrays of the active starts and writes a
@@ -186,11 +192,11 @@ def _descend_chunk(problem, u_out, e_out, it_out, conv_out, max_iter, gtol, stal
         keep = ~mask
         idx, u, e, g, step, stalled = idx[keep], u[keep], e[keep], g[keep], step[keep], stalled[keep]
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not idx.size:
             return
         gsq = (g * g).reshape(idx.size, -1).sum(axis=1)
-        small = np.sqrt(gsq) <= gtol
+        small = np.sqrt(gsq) <= GTOL
         if small.any():
             leave(small, it - 1, True)
             gsq = gsq[~small]
@@ -212,8 +218,8 @@ def _descend_chunk(problem, u_out, e_out, it_out, conv_out, max_iter, gtol, stal
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # used where sy > 0
             bb = np.clip(ss / sy, MIN_STEP, cap)
         step = np.where(sy > 0, bb, np.minimum(accepted / ARMIJO_SHRINK, MAX_STEP))
-        leave(failed | (stalled >= stall_limit), it, True)
-    leave(np.ones(idx.size, dtype=bool), max_iter, False)
+        leave(failed | (stalled >= STALL_LIMIT), it, True)
+    leave(np.ones(idx.size, dtype=bool), MAX_ITER, False)
 
 
 def _armijo(problem, u, e, g, gsq, step):
@@ -259,26 +265,18 @@ class MinimizeResult:
         return self.converged_starts / self.starts_used
 
 
-def minimize_multistart(problem: ProblemSpec | DiscreteProblem,
-                        options: OracleOptions | None = None,
-                        max_iter: int = 20_000) -> MinimizeResult:
+def minimize_multistart(problem: DiscreteProblem, options: OracleOptions) -> MinimizeResult:
     """Multistart gradient descent on the nodal values, all starts in one
     batched descent.
 
-    options defaults to the spec's oracle options (OracleOptions() for a
-    DiscreteProblem).  Starts are uniform in [-span, span] per free node with
-    a fixed seed, so identical inputs reproduce bitwise-identical results.
-    The basin census clusters converged energies within 1e-5.
+    Starts are uniform in [-START_SPAN, START_SPAN] per free node with the
+    options' seed, so identical inputs reproduce bitwise-identical results.
+    The basin census clusters converged energies within CLUSTER_TOL.
     """
-    if isinstance(problem, ProblemSpec):
-        options = options or problem.oracle
-        problem = discretize(problem)
-    options = options or OracleOptions()
     n_starts = options.n_starts
-
     rng = np.random.default_rng(options.seed)
-    u0 = rng.uniform(-options.span, options.span, size=(n_starts, *problem.shape))
-    starts = descend_batch(problem, u0, max_iter=max_iter)
+    u0 = rng.uniform(-START_SPAN, START_SPAN, size=(n_starts, *problem.shape))
+    starts = descend_batch(problem, u0)
     conv = np.flatnonzero(starts.converged & np.isfinite(starts.energy))
     if not conv.size:
         raise OracleError(f"no descent start converged out of {n_starts}")
@@ -297,24 +295,20 @@ def minimize_multistart(problem: ProblemSpec | DiscreteProblem,
     )
 
 
-def gradient_check(problem: ProblemSpec | DiscreteProblem, u: np.ndarray,
-                   h: float = 1e-6, n_nodes: int = 50, seed: int = 0) -> float:
+def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> float:
     """Max relative error between the analytic gradient and central differences
-    over up to ``n_nodes`` randomly chosen free nodes; nan when no node could
-    be compared (every perturbed energy is +inf: u lies outside the domain)."""
-    if isinstance(problem, ProblemSpec):
-        problem = discretize(problem)
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+    of step FD_STEP over up to FD_NODES randomly chosen free nodes; nan when
+    no node could be compared (every perturbed energy is +inf: u lies outside
+    the domain)."""
     u = np.array(u, dtype=float)
     u[problem.fixed] = 0.0
     g = problem.energy_gradient(u[None])[1][0]
     free = np.argwhere(~problem.fixed)
     rng = np.random.default_rng(seed)
-    pick = free[rng.permutation(len(free))[: min(n_nodes, len(free))]]
-    # copies k < len(pick) move node pick[k] by +h, the rest node pick[k - len(pick)] by -h
+    pick = free[rng.permutation(len(free))[: min(FD_NODES, len(free))]]
+    # copies k < len(pick) move node pick[k] up by FD_STEP, the rest node pick[k - len(pick)] down
     nodes = np.concatenate([pick, pick])
-    shift = np.repeat([h, -h], len(pick))
+    shift = np.repeat([FD_STEP, -FD_STEP], len(pick))
     e = np.empty(len(nodes))
     for sl in _chunks(len(nodes), problem.shape):
         block = np.repeat(u[None], sl.stop - sl.start, axis=0)
@@ -322,7 +316,7 @@ def gradient_check(problem: ProblemSpec | DiscreteProblem, u: np.ndarray,
         e[sl] = problem.energy_value(block)
     at = tuple(pick.T)
     with np.errstate(invalid="ignore"):  # inf - inf where u is outside the domain
-        fd = (e[:len(pick)] - e[len(pick):]) / (2.0 * h)
+        fd = (e[:len(pick)] - e[len(pick):]) / (2.0 * FD_STEP)
         err = np.abs(fd - g[at]) / np.maximum(1.0, np.abs(g[at]))
     return float(np.fmax.reduce(err, initial=np.nan))  # fmax skips nan: nodes not compared
 
@@ -346,6 +340,9 @@ class SublevelReport:
 
 
 _XI_EDGE_MARGIN = 1e-6  # sampled measure values within this of a finite xi_min are rejected
+PROBE_BOX = 3.0         # strain samples are uniform in [-PROBE_BOX, PROBE_BOX]^d
+PROBE_THETAS = 33       # points per segment of the quasiconvexity probe
+PROBE_TOL = 1e-10       # energy excess that counts as a violation
 
 
 def _g_total(energy, m, gamma, tau):
@@ -363,22 +360,20 @@ def _g_total(energy, m, gamma, tau):
     return v - np.sum(g * np.asarray(tau, dtype=float), axis=-1)
 
 
-def _sample_box(rng, energy, m, n, d, box):
+def _sample_box(rng, energy, m, n, d):
     """Uniform strain samples; endpoints keep Lambda 1e-6 above a finite xi_min."""
-    pts = rng.uniform(-box, box, size=(n, d))
+    pts = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(n, d))
     if np.isfinite(energy.xi_min):
         for _ in range(1000):
             bad = m.a * np.sum(pts * pts, axis=-1) + m.b < energy.xi_min + _XI_EDGE_MARGIN
             if not bad.any():
                 break
-            pts[bad] = rng.uniform(-box, box, size=(int(bad.sum()), d))
+            pts[bad] = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(int(bad.sum()), d))
     return pts
 
 
 def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
-                          n_segments: int = 10_000, seed: int = 0,
-                          box: float = 3.0, n_theta: int = 33,
-                          tol: float = 1e-10) -> list[ProbeViolation]:
+                          n_segments: int = 10_000, seed: int = 0) -> list[ProbeViolation]:
     """Search for segments violating G(theta*g1 + (1-theta)*g2) <= max(G(g1), G(g2)).
 
     An empty list means no violation was found (a probe, not a proof); any
@@ -387,23 +382,22 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     t = np.asarray(tau, dtype=float).ravel()
     d = t.size
     rng = np.random.default_rng(seed)
-    g1 = _sample_box(rng, energy, m, n_segments, d, box)
-    g2 = _sample_box(rng, energy, m, n_segments, d, box)
-    thetas = np.linspace(0.0, 1.0, n_theta)
+    g1 = _sample_box(rng, energy, m, n_segments, d)
+    g2 = _sample_box(rng, energy, m, n_segments, d)
+    thetas = np.linspace(0.0, 1.0, PROBE_THETAS)
     ends = np.maximum(_g_total(energy, m, g1, t), _g_total(energy, m, g2, t))
     out: list[ProbeViolation] = []
     seg = g1[:, None, :] * thetas[None, :, None] + g2[:, None, :] * (1.0 - thetas[None, :, None])
     vals = _g_total(energy, m, seg, t)
-    excess = vals - ends[:, None] - tol
+    excess = vals - ends[:, None] - PROBE_TOL
     for i, k in np.argwhere(excess > 0.0):
         out.append(ProbeViolation(tuple(g1[i]), tuple(g2[i]), float(thetas[k]),
-                                  float(excess[i, k] + tol)))
+                                  float(excess[i, k] + PROBE_TOL)))
     return out
 
 
 def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: float,
-                   n_pairs: int = 1000, seed: int = 0, box: float = 3.0,
-                   tol: float = 1e-10) -> SublevelReport:
+                   n_pairs: int = 1000, seed: int = 0) -> SublevelReport:
     """Midpoint convexity probe of the sub-level set {G <= alpha}.
 
     Pairs are rejection-sampled inside the set; a midpoint with G > alpha
@@ -417,7 +411,7 @@ def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: flo
     for _ in range(200):
         if inside.shape[0] >= 2 * n_pairs:
             break
-        pts = _sample_box(rng, energy, m, 4 * n_pairs, d, box)
+        pts = _sample_box(rng, energy, m, 4 * n_pairs, d)
         keep = pts[_g_total(energy, m, pts, t) <= alpha]
         inside = np.vstack([inside, keep])
     pairs = inside.shape[0] // 2
@@ -428,7 +422,7 @@ def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: flo
     mid = 0.5 * (g1 + g2)
     vals = _g_total(energy, m, mid, t)
     out = []
-    for i in np.nonzero(vals > alpha + tol)[0]:
+    for i in np.nonzero(vals > alpha + PROBE_TOL)[0]:
         out.append(ProbeViolation(tuple(g1[i]), tuple(g2[i]), 0.5, float(vals[i] - alpha)))
     return SublevelReport(tuple(out), pairs)
 

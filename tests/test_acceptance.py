@@ -56,7 +56,7 @@ def bar_spec(energy, measure, tau, n=3):
     return ProblemSpec(energy=energy, measure=measure,
                        geometry=IntervalGeometry(length=1.0, n=n),
                        loading=ConstantTau((tau,)),
-                       oracle=OracleOptions(n_starts=50, seed=SEED, span=2.0))
+                       oracle=OracleOptions(n_starts=50, seed=SEED))
 
 
 def test_c01_cubic_branch_structure():
@@ -114,7 +114,7 @@ def test_c04_global_minimizer_agreement():
     ok = True
     for energy, m, t2 in cases:
         spec = bar_spec(energy, m, math.sqrt(t2))
-        res = minimize_multistart(spec)
+        res = minimize_multistart(discretize(spec), spec.oracle)
         roots = solve_all_roots(energy, m, t2)
         branch = {r.label: dual_density(energy, m, r.zeta, t2) for r in roots.roots}
         pd1 = dual_density(energy, m, roots.roots[0].zeta, t2)
@@ -204,7 +204,7 @@ def test_c08_gradient_check():
         spec = bar_spec(energy, m, tau, n=9)
         prob = discretize(spec)
         u = np.linspace(0.0, 0.4, 9) + 0.03 * rng.standard_normal(9)
-        worst = max(worst, gradient_check(prob, u, h=1e-6, seed=SEED))
+        worst = max(worst, gradient_check(prob, u, seed=SEED))
     report("C08", worst <= 1e-6, f"max relative gradient error over both models = {worst:.2e}")
 
 

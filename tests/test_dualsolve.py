@@ -12,7 +12,6 @@ from triality import (
     QuadraticMeasure,
     RootSolveError,
     SingularDualError,
-    SolverOptions,
     TrialityLabel,
     classify_root,
     dual_residual,
@@ -20,6 +19,7 @@ from triality import (
     solve_all_roots,
     solve_roots_array,
 )
+from triality import _kernels
 from triality.energies import dual_density
 
 from conftest import DW_MEASURE, SHEAR_MEASURE, scan_roots
@@ -95,6 +95,21 @@ def test_unloaded_state(dw, log11):
     rs = solve_all_roots(dw, DW_MEASURE, 0.0)
     assert rs.zetas() == (-1.0,)
     assert solve_all_roots(log11, SHEAR_MEASURE, 0.0).roots == ()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.5, 2.0), st.sampled_from([0.0, 1e-30, 1e-6, 0.3, 4.0]))
+def test_quadratic_positive_shift_has_one_root_from_zero_load(b, t2):
+    # b > 0: h = 4a*zeta^2*(zeta/alpha - b) is negative on (0, alpha*b) and
+    # increasing beyond it, so every load has one root, the unloaded one at
+    # zeta = alpha*b
+    energy, m = QuadraticEnergy(1.5), QuadraticMeasure(1.0, b)
+    rs = solve_all_roots(energy, m, t2)
+    assert len(rs) == 1 and rs.roots[0].label is TrialityLabel.GLOBAL_MIN
+    if t2 == 0.0:
+        assert rs.zetas() == (1.5 * b,)
+    assert np.allclose(rs.zetas(), scan_roots(energy, m, t2), atol=1e-8)
+    assert abs(rs.roots[0].residual) <= 1e-12 * max(1.0, t2)
 
 
 def test_residual_invariant_on_returned_roots(dw, log11, rng):
@@ -190,9 +205,7 @@ def test_dual_density_concavity_around_positive_root(dw, log11, rng):
             assert lhs >= rhs - 1e-12
 
 
-def test_solver_options_and_convention_validation(dw):
-    opts = SolverOptions()
-    assert (opts.tol, opts.max_iter) == (1e-12, 200)
+def test_residual_convention_validation(dw):
     with pytest.raises(ValueError):
         dual_residual(dw, DW_MEASURE, 1.0, 1.0, convention="nonsense")
 
@@ -302,7 +315,6 @@ def test_log_model_shifted_measure_matches_scan_oracle(c1, c2, a, b, b_sign, tau
 def test_one_refine_call_per_piece(log11, monkeypatch):
     # every model is solved piece by piece: the refine calls are bounded by
     # the number of pieces, not by the number of loads
-    from triality import _kernels
     from triality.dualsolve import _curve
     calls = []
     refine = _kernels.refine
@@ -339,11 +351,12 @@ def test_paper_eq45_convention_log_roots(log11):
 @pytest.mark.parametrize("energy,m", [(QuadraticEnergy(1.0), DW_MEASURE),
                                       (LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, -0.5))],
                          ids=["closed-form", "generic-scan"])
-def test_newton_nonconvergence_raises_with_best_iterate(energy, m):
+def test_newton_nonconvergence_raises_with_best_iterate(energy, m, monkeypatch):
     # with no Newton steps allowed no bracket converges; the error carries
     # the bracket midpoint and its residual, both finite
+    monkeypatch.setattr(_kernels, "MAX_ITER", 0)
     with pytest.raises(RootSolveError) as info:
-        solve_roots_array(energy, m, np.array([0.1]), SolverOptions(max_iter=0))
+        solve_roots_array(energy, m, np.array([0.1]))
     err = info.value
     assert math.isfinite(err.best_zeta) and math.isfinite(err.best_residual)
     assert abs(err.best_residual) > 1e-12

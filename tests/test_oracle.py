@@ -25,13 +25,17 @@ from triality.oracle import descend, descend_batch, discretize, violations_to_cs
 from conftest import DW_MEASURE, SHEAR_MEASURE
 
 
-def interval_spec(energy, measure, tau, n=3, starts=50, seed=20240811, span=2.0):
+def interval_spec(energy, measure, tau, n=3, starts=50, seed=20240811):
     return ProblemSpec(
         energy=energy, measure=measure,
         geometry=IntervalGeometry(length=1.0, n=n),
         loading=ConstantTau((tau,)),
-        oracle=OracleOptions(n_starts=starts, seed=seed, span=span),
+        oracle=OracleOptions(n_starts=starts, seed=seed),
     )
+
+
+def multistart(spec):
+    return minimize_multistart(discretize(spec), spec.oracle)
 
 
 def dual_global_energy(energy, measure, tau_sq, length=1.0):
@@ -41,7 +45,7 @@ def dual_global_energy(energy, measure, tau_sq, length=1.0):
 
 def test_multistart_matches_dual_prediction_double_well(dw):
     spec = interval_spec(dw, DW_MEASURE, math.sqrt(0.1))
-    res = minimize_multistart(spec)
+    res = multistart(spec)
     assert abs(res.energy - dual_global_energy(dw, DW_MEASURE, 0.1)) <= 1e-6
     assert res.converged_fraction == 1.0
     assert res.distinct_basins >= 2  # global + local-minimum branches
@@ -49,7 +53,7 @@ def test_multistart_matches_dual_prediction_double_well(dw):
 
 def test_multistart_supercritical_single_basin(log11):
     spec = interval_spec(log11, SHEAR_MEASURE, 1.0, starts=20)
-    res = minimize_multistart(spec)
+    res = multistart(spec)
     assert res.distinct_basins == 1
     assert abs(res.energy - dual_global_energy(log11, SHEAR_MEASURE, 1.0)) <= 1e-6
 
@@ -61,9 +65,9 @@ def test_multistart_2d_supercritical_matches_dual(log11):
         energy=log11, measure=SHEAR_MEASURE,
         geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=9),
         loading=ConstantTau((0.8, 0.0)),
-        oracle=OracleOptions(n_starts=4, seed=20240811, span=2.0),
+        oracle=OracleOptions(n_starts=4, seed=20240811),
     )
-    res = minimize_multistart(spec)
+    res = multistart(spec)
     want = dual_global_energy(log11, SHEAR_MEASURE, 0.64)
     assert res.distinct_basins == 1
     assert abs(res.energy - want) <= 1e-6
@@ -71,7 +75,7 @@ def test_multistart_2d_supercritical_matches_dual(log11):
 
 def test_multistart_unloaded_ground_state(dw):
     spec = interval_spec(dw, DW_MEASURE, 0.0, starts=20)
-    res = minimize_multistart(spec)
+    res = multistart(spec)
     assert abs(res.energy) <= 1e-8  # well bottom |gamma|^2 = 2 has zero energy
 
 
@@ -80,7 +84,7 @@ def test_single_cell_basins_match_branch_energies(dw, log11):
     # census must reproduce {Pi(zeta_1), Pi(zeta_2)}
     for energy, m, t2 in ((dw, DW_MEASURE, 0.1), (log11, SHEAR_MEASURE, 0.2)):
         spec = interval_spec(energy, m, math.sqrt(t2), n=2, starts=40)
-        res = minimize_multistart(spec)
+        res = multistart(spec)
         roots = solve_all_roots(energy, m, t2).roots
         want = sorted(dual_density(energy, m, r.zeta, t2) for r in roots[:2])
         assert res.distinct_basins == 2
@@ -90,7 +94,7 @@ def test_single_cell_basins_match_branch_energies(dw, log11):
 def test_weak_duality_and_energy_recomputed(dw):
     for t2 in (0.05, 0.1, 8.0 / 27.0, 0.5, 1.0):
         spec = interval_spec(dw, DW_MEASURE, math.sqrt(t2), n=3, starts=30)
-        res = minimize_multistart(spec)
+        res = multistart(spec)
         assert res.energy >= dual_global_energy(dw, DW_MEASURE, t2) - 1e-6
         prob = discretize(spec)
         assert res.energy == pytest.approx(prob.energy_value(res.u[None])[0], abs=1e-12)
@@ -98,8 +102,8 @@ def test_weak_duality_and_energy_recomputed(dw):
 
 def test_multistart_reproducible(log11):
     spec = interval_spec(log11, SHEAR_MEASURE, 0.5, n=5, starts=10)
-    r1 = minimize_multistart(spec)
-    r2 = minimize_multistart(spec)
+    r1 = multistart(spec)
+    r2 = multistart(spec)
     assert r1.energy == r2.energy
     assert np.array_equal(r1.u, r2.u)
     assert r1.basin_energies == r2.basin_energies
@@ -126,10 +130,10 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def test_fold_starts_converge_to_the_global_minimum():
     # loaded exactly at the fold (tau^2 = 8/27), where plain gradient descent
-    # converges sublinearly: every start converges within max_iter and the
+    # converges sublinearly: every start converges within MAX_ITER and the
     # lowest basin is the dual prediction
     spec = parse_config(CONFIGS / "doublewell_1d.cfg")
-    res = minimize_multistart(spec)
+    res = multistart(spec)
     assert res.converged_starts == spec.oracle.n_starts
     t2 = spec.loading.vec[0] ** 2
     want = dual_global_energy(spec.energy, spec.measure, t2)
@@ -139,7 +143,7 @@ def test_fold_starts_converge_to_the_global_minimum():
 def lone_starts(problem, options):
     """The multistart starts as documented, drawn one start at a time."""
     rng = np.random.default_rng(options.seed)
-    return [rng.uniform(-options.span, options.span, size=problem.shape)
+    return [rng.uniform(-oracle.START_SPAN, oracle.START_SPAN, size=problem.shape)
             for _ in range(options.n_starts)]
 
 
@@ -148,10 +152,11 @@ def lone_starts(problem, options):
 # lone-start reruns
 @pytest.mark.parametrize("name, max_iter", [("doublewell_1d", 3000), ("doublewell_1d_sub", 20000),
                                             ("log_1d_sub", 20000), ("log_1d_super", 20000)])
-def test_batched_descent_matches_lone_starts_1d(name, max_iter):
+def test_batched_descent_matches_lone_starts_1d(name, max_iter, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ITER", max_iter)
     spec = parse_config(CONFIGS / f"{name}.cfg")
     prob = discretize(spec)
-    res = minimize_multistart(spec, max_iter=max_iter)
+    res = multistart(spec)
     runs = res.starts
     assert runs.u.shape == (spec.oracle.n_starts, *prob.shape)
     picks = range(spec.oracle.n_starts)
@@ -160,13 +165,13 @@ def test_batched_descent_matches_lone_starts_1d(name, max_iter):
         picks = [*np.flatnonzero(runs.converged)[:2], *np.flatnonzero(~runs.converged)[:2]]
     starts = lone_starts(prob, spec.oracle)
     for i in picks:
-        r = descend(prob, starts[i], max_iter=max_iter)
+        r = descend(prob, starts[i])
         assert np.array_equal(r.u, runs.u[i]), i
         assert r.energy == runs.energy[i], i
         assert (r.iterations, r.converged) == (runs.iterations[i], runs.converged[i]), i
 
 
-def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
+def scalar_descent(prob, u0):
     """Reference: the one-start Armijo loop in scalar arithmetic, the
     algorithm the batched descent runs per start.  The next trial step is
     the BB1 step s.s/s.y in [MIN_STEP, MAX_STEP], capped at twice the
@@ -182,9 +187,9 @@ def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
     if not np.isfinite(e):
         return u, np.inf, 0, False
     step, stalled = 1.0, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, oracle.MAX_ITER + 1):
         gsq = float(np.sum(g * g))
-        if np.sqrt(gsq) <= gtol:
+        if np.sqrt(gsq) <= oracle.GTOL:
             return u, e, it - 1, True
         tried = step
         while step >= oracle.MIN_STEP:
@@ -199,7 +204,7 @@ def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
         s, g_old = trial - u, g
         u = trial
         e, g = value_grad(u)
-        if stalled >= stall_limit:
+        if stalled >= oracle.STALL_LIMIT:
             return u, e, it, True
         ss, sy = float(np.sum(s * s)), float(np.sum(s * (g - g_old)))
         if sy > 0:
@@ -207,7 +212,7 @@ def scalar_descent(prob, u0, max_iter=20_000, gtol=1e-9, stall_limit=20):
             step = min(max(ss / sy, oracle.MIN_STEP), cap)
         else:
             step = min(step / oracle.ARMIJO_SHRINK, oracle.MAX_STEP)
-    return u, e, max_iter, False
+    return u, e, oracle.MAX_ITER, False
 
 
 @pytest.mark.parametrize("name", ["doublewell_1d_sub", "log_1d_sub"])
@@ -227,10 +232,10 @@ def test_batched_descent_matches_lone_starts_2d(log11):
         energy=log11, measure=SHEAR_MEASURE,
         geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=9),
         loading=ConstantTau((0.8, 0.0)),
-        oracle=OracleOptions(n_starts=3, seed=20240811, span=2.0),
+        oracle=OracleOptions(n_starts=3, seed=20240811),
     )
     prob = discretize(spec)
-    runs = minimize_multistart(spec).starts
+    runs = multistart(spec).starts
     for i, u0 in enumerate(lone_starts(prob, spec.oracle)):
         r = descend(prob, u0)
         assert r.converged == runs.converged[i]
@@ -265,9 +270,10 @@ def test_results_do_not_depend_on_chunking(dw, monkeypatch):
         assert np.array_equal(getattr(whole, field), getattr(split, field)), field
 
 
-def test_multistart_reports_per_start_iterations(dw):
+def test_multistart_reports_per_start_iterations(dw, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ITER", 75)  # the starts need 64 to 85 iterations
     spec = interval_spec(dw, DW_MEASURE, math.sqrt(0.1), n=5, starts=6)
-    res = minimize_multistart(spec, max_iter=75)  # the starts need 64 to 85 iterations
+    res = multistart(spec)
     its, conv = res.starts.iterations, res.starts.converged
     assert its.shape == (6,) and conv.any() and not conv.all()
     assert np.all(its[conv] < 75) and np.all(its[~conv] == 75)
@@ -275,27 +281,28 @@ def test_multistart_reports_per_start_iterations(dw):
     assert res.converged_fraction == res.converged_starts / 6
 
 
-def test_oracle_failure_when_nothing_converges(dw):
+def test_oracle_failure_when_nothing_converges(dw, monkeypatch):
     # zero iterations cannot converge from random starts
+    monkeypatch.setattr(oracle, "MAX_ITER", 0)
     spec = interval_spec(dw, DW_MEASURE, math.sqrt(0.1), n=5, starts=3)
     with pytest.raises(OracleError):
-        minimize_multistart(spec, max_iter=0)
+        multistart(spec)
 
 
 def test_gradient_check_quadratic_energy(rng):
     # composed quartic still checks far below the contract tolerance
     spec = interval_spec(QuadraticEnergy(1.0), QuadraticMeasure(1.0, 0.0), 0.3, n=9)
     u = 0.2 * rng.standard_normal(9)
-    assert gradient_check(spec, u, h=1e-6) <= 1e-9
+    assert gradient_check(discretize(spec), u) <= 1e-9
 
 
 def test_gradient_check_double_well_and_log(rng):
     spec = interval_spec(QuadraticEnergy(1.0), DW_MEASURE, math.sqrt(0.1), n=9)
     u = 0.3 * rng.standard_normal(9)
-    assert gradient_check(spec, u, h=1e-6) <= 1e-6
+    assert gradient_check(discretize(spec), u) <= 1e-6
     spec = interval_spec(LogNeoHookeanEnergy(1.0, 1.0), SHEAR_MEASURE, 0.5, n=9)
     u = np.linspace(0.0, 0.4, 9) + 0.05 * rng.standard_normal(9)
-    assert gradient_check(spec, u, h=1e-6) <= 1e-6
+    assert gradient_check(discretize(spec), u) <= 1e-6
 
 
 def test_gradient_check_zero_state(dw):
@@ -303,15 +310,13 @@ def test_gradient_check_zero_state(dw):
     prob = discretize(spec)
     _, g = prob.energy_gradient(np.zeros((1, 5)))
     assert np.all(g == 0.0)
-    assert gradient_check(prob, np.zeros(5), h=1e-6) <= 1e-9
-    with pytest.raises(ValueError):
-        gradient_check(prob, np.zeros(5), h=0.0)
+    assert gradient_check(prob, np.zeros(5)) <= 1e-9
 
 
 def test_gradient_check_outside_the_domain_compares_nothing(log11):
     # b < 0 and u = 0: xi = -0.5 in every cell, every perturbed energy is +inf
     spec = interval_spec(log11, QuadraticMeasure(1.0, -0.5), 0.6, n=5)
-    assert math.isnan(gradient_check(spec, np.zeros(5), h=1e-6))
+    assert math.isnan(gradient_check(discretize(spec), np.zeros(5)))
 
 
 def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
@@ -333,9 +338,10 @@ def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
         um[idx] -= 1e-6
         fd = (prob.energy_value(up[None])[0] - prob.energy_value(um[None])[0]) / 2e-6
         want = max(want, abs(fd - g[idx]) / max(1.0, abs(g[idx])))
-    assert gradient_check(prob, u, h=1e-6, n_nodes=20, seed=3) == want
+    monkeypatch.setattr(oracle, "FD_NODES", 20)
+    assert gradient_check(prob, u, seed=3) == want
     monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 200)  # three copies per chunk
-    assert gradient_check(prob, u, h=1e-6, n_nodes=20, seed=3) == want
+    assert gradient_check(prob, u, seed=3) == want
 
 
 def test_gradient_check_2d(rng):
@@ -346,7 +352,7 @@ def test_gradient_check_2d(rng):
     )
     prob = discretize(spec)
     u = 0.05 * rng.standard_normal(prob.shape)
-    assert gradient_check(prob, u, h=1e-6) <= 1e-6
+    assert gradient_check(prob, u) <= 1e-6
 
 
 def test_quasiconvexity_probe_expected_regimes(dw, log11):
