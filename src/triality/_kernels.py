@@ -6,11 +6,12 @@ takes the energy object and evaluates its unchecked array methods
 
 Discrete energy: the ``stored_energy*`` kernels take nodal fields with a
 leading start axis, u of shape (starts, n) or (starts, ny, nx), and return
-one stored energy per start (the gradient kernels also fill grad, shaped
-like u).  A start with any xi outside the energy's domain gets +inf (and a
+one stored energy per start; the gradient kernels fill grad, shaped like
+u, evaluate no energy and return a per-start mask of the starts outside the
+domain.  A start with any xi outside the energy's domain gets +inf (or a
 zero gradient) without affecting the other starts; the domain test is
 skipped for a domain unbounded below.  In 2-D the four corner quadrature
-points are stacked, so each call evaluates energy.V (and energy.dV) once.
+points are stacked, so each call evaluates energy.V (or energy.dV) once.
 
 Root solving: per material point the residual is
 
@@ -199,6 +200,14 @@ def _outside_domain(energy, xi):
     return bad.reshape(len(xi), -1).any(axis=1)
 
 
+def _zero_outside(grad, out):
+    """Zero the gradient of the starts outside the domain; their mask."""
+    if out is None:
+        return np.zeros(len(grad), dtype=bool)
+    grad[out] = 0.0
+    return out
+
+
 def stored_energy_1d(u, h, energy, m):
     g = (u[..., 1:] - u[..., :-1]) / h
     xi = m.a * g * g + m.b
@@ -217,11 +226,7 @@ def stored_energy_grad_1d(u, h, energy, m, grad):
     s = 2.0 * m.a * g * energy.dV(xi)
     grad[..., :-1] -= s
     grad[..., 1:] += s
-    e = h * energy.V(xi).sum(axis=-1)
-    if out is not None:
-        e[out] = np.inf
-        grad[out] = 0.0
-    return e
+    return _zero_outside(grad, out)
 
 
 #: the four corner quadrature points of a cell, as (cx, cy): cx = 0/1 takes the
@@ -279,8 +284,4 @@ def stored_energy_grad_2d(u, hx, hy, energy, m, grad):
         s = ay[:, :, cols] * c * (w / hy)  # y-difference: nodes (lo, cols) -> (hi, cols)
         grad[:, lo, cols] -= s
         grad[:, hi, cols] += s
-    e = _corner_sum(w, energy.V(xi))
-    if out is not None:
-        e[out] = np.inf
-        grad[out] = 0.0
-    return e
+    return _zero_outside(grad, out)

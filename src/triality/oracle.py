@@ -4,19 +4,25 @@ functional, finite-difference gradient checks, and quasiconvexity probes.
 The discrete functional places strain quadrature points at the cell corners
 (one-sided differences per cell), so constant-strain states are exactly
 representable and on constant-stress instances the discrete minimum
-coincides with the dual prediction.  Minimization is gradient descent from
-uniform random starts: the Barzilai-Borwein step (Barzilai & Borwein 1988)
-is the first trial of a monotone Armijo backtracking search (c = 1e-4,
-shrink 1/2), which keeps the spectral step globally convergent (Raydan 1997)
-and every accepted step an energy decrease.  All starts descend together in
-one loop over fields with a leading start axis: each start keeps its own
-step, stall count, iteration count and converged flag and leaves the loop by
-its own stop rule, and its arithmetic is that of a lone start, so a start's
-result is independent of the batch it runs in.
+coincides with the dual prediction.  Minimization is preconditioned gradient
+descent from uniform random starts inside the energy's domain.  The
+direction is the Sobolev gradient d = K^-1 g (Neuberger 1997), K the
+stiffness of the grid's Dirichlet energy, so the iteration count does not
+grow with the grid; K^-1 is applied exactly by the tensor-product method
+(Lynch, Rice & Thomas 1964).  The Barzilai-Borwein step in the K metric
+(Barzilai & Borwein 1988) is the first trial of a monotone Armijo
+backtracking search (c = 1e-4, shrink 1/2), which keeps the spectral step
+globally convergent (Raydan 1997) and every accepted step an energy
+decrease.  All starts descend together in one loop over fields with a
+leading start axis: each start keeps its own step, stall count, iteration
+count and converged flag and leaves the loop by its own stop rule, and its
+arithmetic is that of a lone start, so a start's result is independent of
+the batch it runs in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +58,9 @@ FD_NODES = 50
 class DiscreteProblem:
     """Nodal discretization of one primal instance.
 
-    ``energy_value`` and ``energy_gradient`` take a batch of nodal fields,
-    shape ``(starts, *shape)``, and return one energy per start.
+    ``energy_value``, ``gradient`` and ``precondition`` take a batch of nodal
+    fields, shape ``(starts, *shape)``; ``energy_value`` returns one energy
+    per start, the other two a field per start.
     """
 
     energy: CanonicalEnergy
@@ -76,17 +83,128 @@ class DiscreteProblem:
             ew = _kernels.stored_energy_2d(u, *self.spacings, self.energy, self.measure)
         return self._total(ew, u)
 
-    def energy_gradient(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """dPi/du, zero on the fixed nodes and for a start outside the domain."""
         grad = np.empty_like(u, dtype=float)
         if self.ndim == 1:
-            ew = _kernels.stored_energy_grad_1d(u, self.spacings[0], self.energy, self.measure, grad)
+            out = _kernels.stored_energy_grad_1d(u, self.spacings[0], self.energy, self.measure, grad)
         else:
-            ew = _kernels.stored_energy_grad_2d(u, *self.spacings, self.energy, self.measure, grad)
-        e = self._total(ew, u)
+            out = _kernels.stored_energy_grad_2d(u, *self.spacings, self.energy, self.measure, grad)
         grad -= self.load
         grad[:, self.fixed] = 0.0
-        grad[np.isinf(e)] = 0.0  # no gradient outside the domain
-        return e, grad
+        grad[out] = 0.0
+        return grad
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        """K^-1 g on the free nodes, zero on the fixed ones (see Stiffness)."""
+        return self._stiffness.solve(g)
+
+    @cached_property
+    def _stiffness(self) -> Stiffness:
+        return Stiffness.of(self)
+
+
+def _axis_stiffness(n: int, free: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of the path-graph Laplacian (off-diagonal -1) and trapezoid
+    weights (1/2, 1, ..., 1, 1/2) of an axis of n nodes, on its free nodes."""
+    lap, weights = np.full(n, 2.0), np.ones(n)
+    lap[[0, -1]], weights[[0, -1]] = 1.0, 0.5
+    return lap[free], weights[free]
+
+
+def _free_slice(free: np.ndarray) -> slice:
+    """The free nodes of an axis (only its ends can be fixed) as a slice."""
+    at = np.flatnonzero(free).tolist()
+    return slice(at[0], at[-1] + 1) if at else slice(0, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class Stiffness:
+    """Exact inverse of the stiffness K of the grid's Dirichlet energy.
+
+    K is the quadratic form of the stored energy for V(xi) = xi, a = 1,
+    b = 0: Kx/h on an interval and (hy/hx) My(x)Kx + (hx/hy) Ky(x)Mx on a
+    rectangle, with K* the path-graph Laplacian and M* the trapezoid weights
+    of an axis, restricted to the free nodes (fixed edges are whole node
+    lines, so the free nodes are a product set).  K^-1 is applied by the
+    tensor-product method: in the generalized eigenbasis Q of the shorter
+    axis (Q^T K_S Q = Lambda, Q^T M_S Q = I, in closed form) K splits into
+    one tridiagonal matrix c K_L + (1/c) lambda_k M_L per mode k along the
+    longer axis (c = h_S/h_L), and one Thomas sweep solves them all.  An
+    interval is a single mode with lambda = 0 and c = 1/h.  No matrix is
+    larger than the shorter axis squared, and each start's arithmetic is a
+    stacked matmul or elementwise, so it does not depend on the batch.
+    """
+
+    free: tuple            # index of the free nodes in a (starts, *shape) array
+    swap: bool             # the free block is (starts, short, long): swap its axes
+    basis: np.ndarray | None  # Q, (short, short); None on an interval
+    coupling: float        # c: minus the off-diagonal of every mode's matrix
+    pivots: np.ndarray     # (long, modes) Thomas pivots of the mode matrices
+
+    @classmethod
+    def of(cls, problem: DiscreteProblem) -> Stiffness:
+        fixed = problem.fixed
+        if problem.ndim == 1:
+            free, c = _free_slice(~fixed), 1.0 / problem.spacings[0]
+            return cls((slice(None), free), False, None, c,
+                       _thomas_pivots(*_axis_stiffness(fixed.size, free), c, np.zeros(1)))
+        (ny, nx), (hx, hy) = problem.shape, problem.spacings
+        fy, fx = _free_slice(~fixed.all(axis=1)), _free_slice(~fixed.all(axis=0))
+        y, x = (ny, fy, hy), (nx, fx, hx)  # nodes, free nodes, spacing
+        swap = fy.stop - fy.start < fx.stop - fx.start  # modes along the axis with fewer free nodes
+        (n_s, f_s, h_s), (n_l, f_l, h_l) = (y, x) if swap else (x, y)
+        lam, basis = _axis_modes(n_s, f_s)
+        c = h_s / h_l
+        return cls((slice(None), fy, fx), swap, basis, c,
+                   _thomas_pivots(*_axis_stiffness(n_l, f_l), c, lam / c))
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """K^-1 g per start on the free nodes; zero on the fixed ones."""
+        d = np.zeros_like(g)
+        r = g[self.free]
+        if not r.size:  # no start, or no free node (nx = 2 between two fixed edges)
+            return d
+        r = r[..., None] if self.basis is None else (r.transpose(0, 2, 1) if self.swap else r)
+        r = np.ascontiguousarray(r)  # (starts, long, modes)
+        if self.basis is not None:
+            r = r @ self.basis
+        x, c, piv = np.empty_like(r), self.coupling, self.pivots
+        x[:, 0] = r[:, 0] / piv[0]
+        for i in range(1, len(piv)):
+            x[:, i] = (r[:, i] + c * x[:, i - 1]) / piv[i]
+        for i in range(len(piv) - 2, -1, -1):
+            x[:, i] += c / piv[i] * x[:, i + 1]
+        if self.basis is None:
+            d[self.free] = x[..., 0]
+        else:
+            x = x @ self.basis.T
+            d[self.free] = x.transpose(0, 2, 1) if self.swap else x
+        return d
+
+
+def _axis_modes(n: int, free: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized eigenpairs (lambda, Q) of the path-graph Laplacian K and
+    the trapezoid weights M of an axis of n nodes on its free nodes, in
+    closed form (Q^T K Q = diag(lambda), Q^T M Q = I): cos(theta*j) from a
+    free first node, sin(theta*j) from a fixed one, theta = pi*(m + f/2)/(n-1)
+    for mode m with f fixed ends, and lambda = 4 sin^2(theta/2)."""
+    j = np.arange(free.start, free.stop)
+    fixed_ends = (free.start > 0) + (free.stop < n)
+    theta = np.pi * (np.arange(j.size) + 0.5 * fixed_ends) / (n - 1)
+    q = (np.sin if free.start > 0 else np.cos)(np.outer(j, theta))
+    q /= np.sqrt((_axis_stiffness(n, free)[1][:, None] * q * q).sum(axis=0))
+    return 4.0 * np.sin(0.5 * theta) ** 2, q
+
+
+def _thomas_pivots(lap, weights, c, lam):
+    """Pivots of the tridiagonal matrices c*K_L + lam_k*M_L (K_L with
+    diagonal lap and off-diagonal -1, M_L = diag(weights)), one column per
+    mode k; the matrices are diagonally dominant, so no pivoting is needed."""
+    piv = c * lap[:, None] + weights[:, None] * lam[None, :]
+    for i in range(1, len(piv)):
+        piv[i] -= c * c / piv[i - 1]
+    return piv
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
@@ -136,29 +254,32 @@ def _chunks(n: int, shape: tuple[int, ...]):
 
 
 def descend(problem: DiscreteProblem, u0: np.ndarray) -> DescentResult:
-    """Armijo-backtracking gradient descent from one start (see descend_batch)."""
+    """Preconditioned Armijo descent from one start (see descend_batch)."""
     r = descend_batch(problem, np.asarray(u0, dtype=float)[None])
     return DescentResult(r.u[0], float(r.energy[0]), int(r.iterations[0]), bool(r.converged[0]))
 
 
 def descend_batch(problem: DiscreteProblem, u0: np.ndarray) -> DescentResult:
-    """Armijo-backtracking gradient descent from every start of u0, shape
-    (starts, *problem.shape), run in chunks of at most _CHUNK_ELEMENTS values.
+    """Preconditioned Armijo-backtracking descent from every start of u0,
+    shape (starts, *problem.shape), run in chunks of at most _CHUNK_ELEMENTS
+    values.
 
-    The first trial step is 1, then the BB1 step s.s/s.y of the last move
-    (s = u_new - u, y = g_new - g) clipped to [MIN_STEP, MAX_STEP] and, after
-    a move that needed backtracking, to twice the accepted step; where
-    s.y <= 0 (no positive curvature along s) it is twice the accepted step,
-    at most MAX_STEP.  Backtracking halves it until Armijo holds.
+    The direction is d = K^-1 g (problem.precondition) and a trial step t is
+    accepted where e(u - t*d) <= e - ARMIJO_C*t*(g.d).  The first trial step
+    is 1, then the BB1 step of the last move in the K metric, t^2 (g.d)/(s.y)
+    (s = u_new - u = -t*d, y = g_new - g), clipped to [MIN_STEP, MAX_STEP]
+    and, after a move that needed backtracking, to twice the accepted step;
+    where s.y <= 0 (no positive curvature along s) it is twice the accepted
+    step, at most MAX_STEP.  Backtracking halves it until Armijo holds.
 
     Each start has its own step, stall count, iteration count and converged
-    flag, and stops on a gradient norm below GTOL, when no step down to
-    MIN_STEP decreases the energy enough, or when the energy improvement stays
-    below float resolution for STALL_LIMIT consecutive accepted steps (all
-    three count as converged), after MAX_ITER iterations, or at once
-    when it starts outside the domain (+inf energy; neither counts).  Every
-    start sees the arithmetic of a lone start, so its result does not depend
-    on the other starts or on the chunking.
+    flag, and stops on a Euclidean gradient norm below GTOL, when no step
+    down to MIN_STEP decreases the energy enough, or when the energy
+    improvement stays below float resolution for STALL_LIMIT consecutive
+    accepted steps (all three count as converged), after MAX_ITER
+    iterations, or at once when it starts outside the domain (+inf energy;
+    neither counts).  Every start sees the arithmetic of a lone start, so
+    its result does not depend on the other starts or on the chunking.
     """
     u = np.array(u0, dtype=float)
     u[:, problem.fixed] = 0.0
@@ -175,11 +296,15 @@ def _descend_chunk(problem, u_out, e_out, it_out, conv_out):
     """Descend the starts u_out in place; results go into the *_out views.
 
     The loop works on compacted arrays of the active starts and writes a
-    start's state out when it leaves.
+    start's state out when it leaves.  Each accepted point costs one
+    gradient; its energy is the accepted trial's.
     """
-    e, g = problem.energy_gradient(u_out)
+    e = problem.energy_value(u_out)
     idx = np.flatnonzero(np.isfinite(e))  # starts outside the domain never move
-    u, e, g = u_out[idx], e[idx], g[idx]
+    if not idx.size:
+        return
+    u, e = u_out[idx], e[idx]
+    g = problem.gradient(u)
     step = np.ones(idx.size)
     stalled = np.zeros(idx.size, dtype=np.int64)
 
@@ -196,35 +321,34 @@ def _descend_chunk(problem, u_out, e_out, it_out, conv_out):
         if not idx.size:
             return
         gsq = (g * g).reshape(idx.size, -1).sum(axis=1)
-        small = np.sqrt(gsq) <= GTOL
-        if small.any():
-            leave(small, it - 1, True)
-            gsq = gsq[~small]
-            if not idx.size:
-                return
-        trial, et, accepted = _armijo(problem, u, e, g, gsq, step)
+        leave(np.sqrt(gsq) <= GTOL, it - 1, True)
+        if not idx.size:
+            return
+        d = problem.precondition(g)
+        gd = (g * d).reshape(idx.size, -1).sum(axis=1)
+        trial, et, accepted = _armijo(problem, u, e, d, gd, step)
         # no further decrease representable at any step size: stay and leave
         failed = accepted < MIN_STEP
         if failed.any():
             trial[failed], et[failed] = u[failed], e[failed]
         stalled = np.where(e - et <= 1e-15 * (1.0 + np.abs(e)), stalled + 1, 0)
         s, g_old = trial - u, g
-        u = trial
-        e, g = problem.energy_gradient(u)
-        # next trial step (see descend_batch): BB1, or doubling where s.y <= 0
-        ss = (s * s).reshape(idx.size, -1).sum(axis=1)
+        u, e = trial, et
+        g = problem.gradient(u)
+        # next trial step (see descend_batch): BB1 in the K metric, s.K.s = t^2 g.d
         sy = (s * (g - g_old)).reshape(idx.size, -1).sum(axis=1)
         cap = np.where(accepted < step, accepted / ARMIJO_SHRINK, MAX_STEP)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # used where sy > 0
-            bb = np.clip(ss / sy, MIN_STEP, cap)
+            bb = np.clip(accepted * accepted * gd / sy, MIN_STEP, cap)
         step = np.where(sy > 0, bb, np.minimum(accepted / ARMIJO_SHRINK, MAX_STEP))
         leave(failed | (stalled >= STALL_LIMIT), it, True)
     leave(np.ones(idx.size, dtype=bool), MAX_ITER, False)
 
 
-def _armijo(problem, u, e, g, gsq, step):
-    """Backtracking line search per start: the first of step, step/2, step/4,
-    ... not below MIN_STEP that satisfies Armijo, one halving per pass.
+def _armijo(problem, u, e, d, gd, step):
+    """Backtracking line search per start along -d: the first of step,
+    step/2, step/4, ... not below MIN_STEP that satisfies Armijo, one halving
+    per pass.
 
     Returns (trial fields, their energies, accepted steps); a start without
     such a step gets a step below MIN_STEP and an unset trial.
@@ -233,9 +357,9 @@ def _armijo(problem, u, e, g, gsq, step):
     todo = np.arange(len(u))
     while todo.size:
         s = step[todo]
-        t = u[todo] - s.reshape(-1, *(1,) * problem.ndim) * g[todo]
+        t = u[todo] - s.reshape(-1, *(1,) * problem.ndim) * d[todo]
         ev = problem.energy_value(t)
-        ok = ev <= e[todo] - ARMIJO_C * s * gsq[todo]
+        ok = ev <= e[todo] - ARMIJO_C * s * gd[todo]
         trial[todo[ok]], et[todo[ok]] = t[ok], ev[ok]
         miss = todo[~ok]
         step[miss] *= ARMIJO_SHRINK
@@ -266,16 +390,33 @@ class MinimizeResult:
 
 
 def minimize_multistart(problem: DiscreteProblem, options: OracleOptions) -> MinimizeResult:
-    """Multistart gradient descent on the nodal values, all starts in one
-    batched descent.
+    """Multistart descent on the nodal values, all starts in one batched
+    descent.
 
     Starts are uniform in [-START_SPAN, START_SPAN] per free node with the
-    options' seed, so identical inputs reproduce bitwise-identical results.
-    The basin census clusters converged energies within CLUSTER_TOL.
+    options' seed, so identical inputs reproduce bitwise-identical results;
+    a start with some xi <= xi_min (+inf energy) is redrawn, up to 1000
+    times.  The basin census clusters converged energies within CLUSTER_TOL.
     """
     n_starts = options.n_starts
     rng = np.random.default_rng(options.seed)
-    u0 = rng.uniform(-START_SPAN, START_SPAN, size=(n_starts, *problem.shape))
+
+    def draw(k):
+        u = rng.uniform(-START_SPAN, START_SPAN, size=(k, *problem.shape))
+        u[:, problem.fixed] = 0.0
+        return u
+
+    def outside(u):
+        return np.concatenate([np.isinf(problem.energy_value(u[sl]))
+                               for sl in _chunks(len(u), problem.shape)])
+
+    u0 = draw(n_starts)
+    redo = np.flatnonzero(outside(u0))
+    for _ in range(1000):
+        if not redo.size:
+            break
+        u0[redo] = draw(redo.size)
+        redo = redo[outside(u0[redo])]
     starts = descend_batch(problem, u0)
     conv = np.flatnonzero(starts.converged & np.isfinite(starts.energy))
     if not conv.size:
@@ -302,7 +443,7 @@ def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> fl
     the domain)."""
     u = np.array(u, dtype=float)
     u[problem.fixed] = 0.0
-    g = problem.energy_gradient(u[None])[1][0]
+    g = problem.gradient(u[None])[0]
     free = np.argwhere(~problem.fixed)
     rng = np.random.default_rng(seed)
     pick = free[rng.permutation(len(free))[: min(FD_NODES, len(free))]]
@@ -325,17 +466,23 @@ def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> fl
 # quasiconvexity / sub-level probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeViolation:
-    gamma1: tuple[float, ...]
-    gamma2: tuple[float, ...]
-    theta: float
-    excess: float
+@dataclass(frozen=True, eq=False)
+class ProbeViolations:
+    """The violations a probe found, one row each: segment ends gamma1 and
+    gamma2, shape (k, d), and theta and the energy excess, shape (k,)."""
+
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    theta: np.ndarray
+    excess: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
 
 
 @dataclass(frozen=True)
 class SublevelReport:
-    violations: tuple[ProbeViolation, ...]
+    violations: ProbeViolations
     pairs_sampled: int
 
 
@@ -373,11 +520,11 @@ def _sample_box(rng, energy, m, n, d):
 
 
 def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
-                          n_segments: int = 10_000, seed: int = 0) -> list[ProbeViolation]:
+                          n_segments: int = 10_000, seed: int = 0) -> ProbeViolations:
     """Search for segments violating G(theta*g1 + (1-theta)*g2) <= max(G(g1), G(g2)).
 
-    An empty list means no violation was found (a probe, not a proof); any
-    entry is a constructive counterexample to G-quasiconvexity.
+    No row means no violation was found (a probe, not a proof); every row is
+    a constructive counterexample to G-quasiconvexity.
     """
     t = np.asarray(tau, dtype=float).ravel()
     d = t.size
@@ -386,14 +533,11 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     g2 = _sample_box(rng, energy, m, n_segments, d)
     thetas = np.linspace(0.0, 1.0, PROBE_THETAS)
     ends = np.maximum(_g_total(energy, m, g1, t), _g_total(energy, m, g2, t))
-    out: list[ProbeViolation] = []
     seg = g1[:, None, :] * thetas[None, :, None] + g2[:, None, :] * (1.0 - thetas[None, :, None])
     vals = _g_total(energy, m, seg, t)
     excess = vals - ends[:, None] - PROBE_TOL
-    for i, k in np.argwhere(excess > 0.0):
-        out.append(ProbeViolation(tuple(g1[i]), tuple(g2[i]), float(thetas[k]),
-                                  float(excess[i, k] + PROBE_TOL)))
-    return out
+    i, k = np.nonzero(excess > 0.0)
+    return ProbeViolations(g1[i], g2[i], thetas[k], excess[i, k] + PROBE_TOL)
 
 
 def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: float,
@@ -415,23 +559,18 @@ def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: flo
         keep = pts[_g_total(energy, m, pts, t) <= alpha]
         inside = np.vstack([inside, keep])
     pairs = inside.shape[0] // 2
-    if pairs == 0:
-        return SublevelReport((), 0)
     g1 = inside[0:2 * pairs:2]
     g2 = inside[1:2 * pairs:2]
-    mid = 0.5 * (g1 + g2)
-    vals = _g_total(energy, m, mid, t)
-    out = []
-    for i in np.nonzero(vals > alpha + PROBE_TOL)[0]:
-        out.append(ProbeViolation(tuple(g1[i]), tuple(g2[i]), 0.5, float(vals[i] - alpha)))
-    return SublevelReport(tuple(out), pairs)
+    vals = _g_total(energy, m, 0.5 * (g1 + g2), t)
+    i = np.flatnonzero(vals > alpha + PROBE_TOL)
+    viols = ProbeViolations(g1[i], g2[i], np.full(i.size, 0.5), vals[i] - alpha)
+    return SublevelReport(viols, pairs)
 
 
-def violations_to_csv(violations, path) -> None:
+def violations_to_csv(violations: ProbeViolations, path) -> None:
     """CSV rows gx1,gy1,gx2,gy2,theta,excess (1-D probes write gy = 0)."""
-    def pad(g):
-        return tuple(g) + (0.0,) * (2 - len(g))
+    def xy(g):
+        return [g[:, j] if j < g.shape[1] else np.zeros(len(g)) for j in range(2)]
 
-    rows = np.array([pad(v.gamma1) + pad(v.gamma2) + (v.theta, v.excess)
-                     for v in violations]).reshape(-1, 6)
-    write_csv(path, "gx1,gy1,gx2,gy2,theta,excess", rows.T)
+    write_csv(path, "gx1,gy1,gx2,gy2,theta,excess",
+              [*xy(violations.gamma1), *xy(violations.gamma2), violations.theta, violations.excess])
