@@ -13,7 +13,6 @@ from .canonical import (
     d2Vstar,
     dV,
     dVstar,
-    duality_identity_residual,
     measure_eval,
 )
 from .dualsolve import (
@@ -59,6 +58,6 @@ from .fields import (
     reconstruct_displacement,
     stress_from_stream,
 )
-from .oracle import gquasiconvexity_probe, gradient_check, minimize_multistart, sublevel_probe
+from .oracle import gquasiconvexity_probe, gradient_check, minimize_multistart
 
 __version__ = "0.1.0"

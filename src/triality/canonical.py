@@ -123,11 +123,6 @@ class QuadraticMeasure:
             raise DomainError(f"measure shift b must be finite, got {self.b}")
 
 
-def xi_domain(energy: CanonicalEnergy) -> tuple[float, float]:
-    """Open interval of admissible xi."""
-    return (energy.xi_min, math.inf)
-
-
 def _checked_xi(energy: CanonicalEnergy, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= energy.xi_min):
@@ -171,12 +166,6 @@ def dVstar(energy: CanonicalEnergy, zeta):
 def d2Vstar(energy: CanonicalEnergy, zeta):
     """Second derivative of the conjugate, 1 / d2V(dV*(zeta))."""
     return _ret(energy.d2Vstar(np.asarray(zeta, dtype=float)))
-
-
-def duality_identity_residual(energy: CanonicalEnergy, xi):
-    """|V(xi) + V*(dV(xi)) - xi*dV(xi)|, zero for an exact Legendre pair."""
-    z = dV(energy, xi)
-    return _ret(np.abs(V(energy, xi) + Vstar(energy, z) - np.asarray(xi, dtype=float) * z))
 
 
 def measure_eval(m: QuadraticMeasure, gamma):

@@ -93,7 +93,7 @@ def gap_density(m: QuadraticMeasure, delta_gamma, zeta):
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# trapezoid quadrature weights
 # ---------------------------------------------------------------------------
 
 def trapezoid_weights_interval(n: int, h: float) -> np.ndarray:
@@ -107,46 +107,30 @@ def trapezoid_weights_grid(grid: Grid2) -> np.ndarray:
                     trapezoid_weights_interval(grid.nx, grid.hx))
 
 
-def integrate_interval(values, h: float) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(np.sum(trapezoid_weights_interval(v.size, h) * v))
-
-
-def integrate_grid(values, grid: Grid2) -> float:
-    return float(np.sum(trapezoid_weights_grid(grid) * np.asarray(values, dtype=float)))
-
-
-def boundary_integral(edge_values: dict[str, np.ndarray], grid: Grid2) -> float:
-    """Sum of trapezoid integrals of per-edge nodal values over the named edges."""
-    total = 0.0
-    for edge, vals in edge_values.items():
-        h = grid.hy if edge in ("left", "right") else grid.hx
-        total += integrate_interval(vals, h)
-    return total
-
-
 def make_energy_report(energy: CanonicalEnergy, m: QuadraticMeasure,
                        zeta, tau, weights) -> EnergyReport:
     """Integrated primal/dual/complementary energies of one branch.
 
     zeta has shape (...,), tau (..., d), weights (...): quadrature weights
     including the cell measure.  The branch strain gamma = tau/(2a*zeta).
+    An overflow gives inf/nan totals (gap_ok() fails), not a RuntimeWarning.
     """
     z = np.asarray(zeta, dtype=float)
     t = np.asarray(tau, dtype=float)
     w = np.asarray(weights, dtype=float)
-    t2 = np.sum(t * t, axis=-1)
-    gamma = t / (2.0 * m.a * z[..., None])
-    pd = primal_density(energy, m, gamma, t)
-    dd = dual_density(energy, m, z, t2)
-    xd = total_complementary_density(energy, m, gamma, z, t)
-    primal = float(np.sum(w * pd))
-    dual = float(np.sum(w * dd))
-    comp = float(np.sum(w * xd))
-    return EnergyReport(
-        primal=primal, dual=dual, complementary=comp, gap=primal - dual,
-        point_mismatch=float(np.max(np.abs(pd - dd))),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2 = np.sum(t * t, axis=-1)
+        gamma = t / (2.0 * m.a * z[..., None])
+        pd = primal_density(energy, m, gamma, t)
+        dd = dual_density(energy, m, z, t2)
+        xd = total_complementary_density(energy, m, gamma, z, t)
+        primal = float(np.sum(w * pd))
+        dual = float(np.sum(w * dd))
+        comp = float(np.sum(w * xd))
+        return EnergyReport(
+            primal=primal, dual=dual, complementary=comp, gap=primal - dual,
+            point_mismatch=float(np.max(np.abs(pd - dd))),
+        )
 
 
 # ---------------------------------------------------------------------------

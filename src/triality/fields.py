@@ -175,12 +175,16 @@ def _cumtrapz_from(v: np.ndarray, h: float, k0: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _dual_strain(zeta: np.ndarray, tau: np.ndarray, m: QuadraticMeasure) -> np.ndarray:
+    """gamma = tau / (2a*zeta); refused where |zeta| < 1e-14."""
+    if np.any(np.abs(zeta) < 1e-14):
+        raise SingularDualError("dual field zeta vanishes (|zeta| < 1e-14) at some node")
+    return tau / (2.0 * m.a * zeta)
+
+
 def strain_from_dual(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) -> VectorField2:
     """gamma = tau / (2a*zeta), the reconstruction integrand."""
-    if np.any(np.abs(zeta.values) < 1e-14):
-        raise SingularDualError("dual field zeta vanishes (|zeta| < 1e-14) at some node")
-    gam = tau.values / (2.0 * m.a * zeta.values[..., None])
-    return VectorField2(tau.grid, gam)
+    return VectorField2(tau.grid, _dual_strain(zeta.values[..., None], tau.values, m))
 
 
 def _two_path_integrals(gamma: VectorField2, anchor: tuple[int, int]):
@@ -232,10 +236,7 @@ def path_discrepancy(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) 
 def reconstruct_interval(zeta: np.ndarray, tau: np.ndarray, m: QuadraticMeasure,
                          x: np.ndarray, anchor: int = 0) -> np.ndarray:
     """1-D counterpart: cumulative trapezoid of gamma = tau/(2a*zeta)."""
-    zeta = np.asarray(zeta, dtype=float)
-    if np.any(np.abs(zeta) < 1e-14):
-        raise SingularDualError("dual field zeta vanishes (|zeta| < 1e-14) at some node")
-    gamma = np.asarray(tau, dtype=float) / (2.0 * m.a * zeta)
+    gamma = _dual_strain(np.asarray(zeta, dtype=float), np.asarray(tau, dtype=float), m)
     h = float(x[1] - x[0])
     return _cumtrapz_from(gamma, h, anchor, axis=0)
 
@@ -259,8 +260,8 @@ def principal_invariants(F: np.ndarray) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: x,y,value / x,y,vx,vy rows, row-major by y then x,
-# 17 significant digits for lossless round-trips.
+# CSV serialization: equal-length columns at 17 significant digits for
+# lossless round-trips; scalar fields as x,y,value rows, row-major by y then x.
 # ---------------------------------------------------------------------------
 
 #: rows formatted per block: each block is written before the next is built
@@ -290,23 +291,9 @@ def write_scalar_csv(f: ScalarField, path) -> None:
     _write_csv(path, "x,y,value", [X.ravel(), Y.ravel(), f.values.ravel()])
 
 
-def write_vector_csv(f: VectorField2, path) -> None:
-    X, Y = f.grid.coords()
-    _write_csv(path, "x,y,vx,vy",
-               [X.ravel(), Y.ravel(), f.values[..., 0].ravel(), f.values[..., 1].ravel()])
-
-
 def _write_csv(path, header: str, columns) -> None:
     """Field files: all-float columns through write_csv."""
     write_csv(path, header, columns)
-
-
-def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """(column names, data array) of a CSV written by this module."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
-    return header, data
 
 
 def format_float(v: float) -> str:

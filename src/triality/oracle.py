@@ -1,5 +1,5 @@
 """Independent verification: direct minimization of the discretized primal
-functional, finite-difference gradient checks, and quasiconvexity probes.
+functional, finite-difference gradient checks, and a quasiconvexity probe.
 
 The discrete functional places strain quadrature points at the cell corners
 (one-sided differences per cell), so constant-strain states are exactly
@@ -32,7 +32,7 @@ from .config import (IntervalGeometry, OracleOptions, ProblemSpec, build_grid,
                      build_tau_grid, build_tau_interval, interval_nodes)
 from .energies import trapezoid_weights_interval
 from .errors import OracleError
-from .fields import boundary_traction, edge_slice, write_csv
+from .fields import boundary_traction, edge_slice
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -463,7 +463,7 @@ def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> fl
 
 
 # ---------------------------------------------------------------------------
-# quasiconvexity / sub-level probes
+# generalized quasiconvexity probe
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -478,12 +478,6 @@ class ProbeViolations:
 
     def __len__(self) -> int:
         return len(self.theta)
-
-
-@dataclass(frozen=True)
-class SublevelReport:
-    violations: ProbeViolations
-    pairs_sampled: int
 
 
 _XI_EDGE_MARGIN = 1e-6  # sampled measure values within this of a finite xi_min are rejected
@@ -538,39 +532,3 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     excess = vals - ends[:, None] - PROBE_TOL
     i, k = np.nonzero(excess > 0.0)
     return ProbeViolations(g1[i], g2[i], thetas[k], excess[i, k] + PROBE_TOL)
-
-
-def sublevel_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau, alpha: float,
-                   n_pairs: int = 1000, seed: int = 0) -> SublevelReport:
-    """Midpoint convexity probe of the sub-level set {G <= alpha}.
-
-    Pairs are rejection-sampled inside the set; a midpoint with G > alpha
-    flags a nonconvex sub-level set.  If the set is not hit at all (alpha
-    below the minimum), zero pairs are sampled and no violation is reported.
-    """
-    t = np.asarray(tau, dtype=float).ravel()
-    d = t.size
-    rng = np.random.default_rng(seed)
-    inside = np.empty((0, d))
-    for _ in range(200):
-        if inside.shape[0] >= 2 * n_pairs:
-            break
-        pts = _sample_box(rng, energy, m, 4 * n_pairs, d)
-        keep = pts[_g_total(energy, m, pts, t) <= alpha]
-        inside = np.vstack([inside, keep])
-    pairs = inside.shape[0] // 2
-    g1 = inside[0:2 * pairs:2]
-    g2 = inside[1:2 * pairs:2]
-    vals = _g_total(energy, m, 0.5 * (g1 + g2), t)
-    i = np.flatnonzero(vals > alpha + PROBE_TOL)
-    viols = ProbeViolations(g1[i], g2[i], np.full(i.size, 0.5), vals[i] - alpha)
-    return SublevelReport(viols, pairs)
-
-
-def violations_to_csv(violations: ProbeViolations, path) -> None:
-    """CSV rows gx1,gy1,gx2,gy2,theta,excess (1-D probes write gy = 0)."""
-    def xy(g):
-        return [g[:, j] if j < g.shape[1] else np.zeros(len(g)) for j in range(2)]
-
-    write_csv(path, "gx1,gy1,gx2,gy2,theta,excess",
-              [*xy(violations.gamma1), *xy(violations.gamma2), violations.theta, violations.excess])

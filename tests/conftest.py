@@ -67,6 +67,14 @@ def scan_roots(energy, m, tau_sq, lo=-50.0, hi=50.0, n=400_001, convention="deri
     return sorted(roots, reverse=True)
 
 
+def read_csv(path):
+    """(column names, data array) of an all-float CSV written by the library."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
+    return header, data
+
+
 def conjugate_sup(energy, zeta, xi_lo, xi_hi, n=2_000_001):
     """Brute-force Legendre conjugate sup_xi (xi*zeta - V(xi)) on a grid."""
     xi = np.linspace(xi_lo, xi_hi, n)

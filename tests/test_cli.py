@@ -14,7 +14,8 @@ from triality import config, dual_residual
 from triality.cli import main
 from triality.config import parse_config
 from triality.errors import ConfigError
-from triality.fields import read_csv
+
+from conftest import read_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -324,3 +325,17 @@ def test_config_fuzzing_exits_cleanly(tmp_path_factory, key, value):
     assert code in (0, 1, 2, 3), (key, value)
     if value in ("nan", "inf", "-inf"):
         assert code == 2, (key, value)
+
+
+@pytest.mark.parametrize("extra", [
+    {"c2": "1e308", "measure_a": "5e-324"},
+    {"c2": "1e308", "length": "1e308"},
+    {"measure_b": "2.5", "length": "1e308"},
+])
+def test_extreme_constants_flag_the_gap_without_warnings(tmp_path, capsys, extra):
+    # the energy sums overflow: the report shows a red-flagged gap, and
+    # filterwarnings = error turns any numpy RuntimeWarning into a failure
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, **extra}.items()))
+    assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
+    assert "RED FLAG: duality gap exceeds tolerance" in capsys.readouterr().out

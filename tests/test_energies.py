@@ -23,11 +23,9 @@ from triality import (
 from triality.energies import (
     EnergyReport,
     TENSOR_MEASURE,
-    boundary_integral,
-    integrate_grid,
-    integrate_interval,
     make_energy_report,
     random_rotation,
+    trapezoid_weights_grid,
     trapezoid_weights_interval,
 )
 from triality.fields import Grid2
@@ -91,12 +89,13 @@ def test_gap_density_values():
 def test_integrate_cases():
     g = Grid2(nx=64, ny=64, hx=1.0 / 63, hy=1.0 / 63)
     c = 0.37
-    assert integrate_grid(np.full(g.shape, c), g) == pytest.approx(c, abs=1e-14)
+    w2 = trapezoid_weights_grid(g)
+    assert np.sum(w2 * np.full(g.shape, c)) == pytest.approx(c, abs=1e-14)
     X, _ = g.coords()
-    assert integrate_grid(X, g) == pytest.approx(0.5, abs=1e-10)
-    # boundary integral of t = 1 along one unit edge
-    assert boundary_integral({"right": np.ones(g.ny)}, g) == pytest.approx(1.0, abs=1e-14)
-    assert integrate_interval(np.ones(11), 0.1) == pytest.approx(1.0, abs=1e-14)
+    assert np.sum(w2 * X) == pytest.approx(0.5, abs=1e-10)
+    # t = 1 along one unit edge
+    assert np.sum(trapezoid_weights_interval(g.ny, g.hy)) == pytest.approx(1.0, abs=1e-14)
+    assert np.sum(trapezoid_weights_interval(11, 0.1)) == pytest.approx(1.0, abs=1e-14)
     w = trapezoid_weights_interval(5, 0.25)
     assert w[0] == w[-1] == 0.125 and w[1] == 0.25
 

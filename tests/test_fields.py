@@ -18,13 +18,9 @@ from triality import (
     stress_from_stream,
 )
 from triality import fields
-from triality.fields import (
-    path_discrepancy,
-    read_csv,
-    reconstruct_interval,
-    write_scalar_csv,
-    write_vector_csv,
-)
+from triality.fields import path_discrepancy, reconstruct_interval, write_scalar_csv
+
+from conftest import read_csv
 
 
 def unit_grid(n, fixed=("left",)):
@@ -222,9 +218,3 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(data[:, 2].reshape(g.shape), vals)  # lossless at 17 digits
     X, Y = g.coords()
     assert np.array_equal(data[:, 0].reshape(g.shape), X)
-    vec = rng.standard_normal(g.shape + (2,))
-    write_vector_csv(VectorField2(g, vec), tmp_path / "v.csv")
-    header, data = read_csv(tmp_path / "v.csv")
-    assert header == ["x", "y", "vx", "vy"]
-    assert np.array_equal(data[:, 2].reshape(g.shape), vec[..., 0])
-    assert np.array_equal(data[:, 3].reshape(g.shape), vec[..., 1])

@@ -1,4 +1,4 @@
-"""Direct-minimization oracle, gradient checks, and convexity probes."""
+"""Direct-minimization oracle, gradient checks, and the quasiconvexity probe."""
 import itertools
 import math
 from pathlib import Path
@@ -16,13 +16,12 @@ from triality import (
     gradient_check,
     minimize_multistart,
     solve_all_roots,
-    sublevel_probe,
 )
 from triality import _kernels, oracle
 from triality.config import (ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec,
                              RectangleGeometry, parse_config)
 from triality.fields import EDGES
-from triality.oracle import descend, descend_batch, discretize, violations_to_csv
+from triality.oracle import descend, descend_batch, discretize
 
 from conftest import DW_MEASURE, SHEAR_MEASURE
 
@@ -476,32 +475,6 @@ def test_probe_violations_are_genuine(dw):
         ends = max(_g_total(dw, DW_MEASURE, g1, tau), _g_total(dw, DW_MEASURE, g2, tau))
         assert _g_total(dw, DW_MEASURE, mid, tau) > ends
         assert _g_total(dw, DW_MEASURE, mid, tau) - ends == pytest.approx(excess, rel=1e-9)
-
-
-def test_sublevel_probe_cases(dw):
-    # annular sub-level set of the unloaded hat: midpoints near the crown fail
-    rep = sublevel_probe(dw, DW_MEASURE, [0.0, 0.0], alpha=0.1, n_pairs=1000, seed=2)
-    assert rep.pairs_sampled > 0 and len(rep.violations) >= 1
-    assert np.all(rep.violations.theta == 0.5) and np.all(rep.violations.excess > 0.0)
-    # supercritical 1-D section above the minimum: consistent with one G-ellipse
-    rep = sublevel_probe(dw, DW_MEASURE, [1.0], alpha=0.2, n_pairs=1000, seed=2)
-    assert rep.pairs_sampled > 0 and len(rep.violations) == 0
-    # level below the global minimum: empty set, nothing sampled
-    rep = sublevel_probe(dw, DW_MEASURE, [1.0], alpha=-10.0, n_pairs=500, seed=2)
-    assert rep.pairs_sampled == 0 and len(rep.violations) == 0
-
-
-def test_violations_csv(tmp_path, dw):
-    path = tmp_path / "viol.csv"
-    for tau in ([0.0, 0.0], [0.0]):
-        viols = gquasiconvexity_probe(dw, DW_MEASURE, tau, n_segments=500, seed=3)
-        violations_to_csv(viols, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "gx1,gy1,gx2,gy2,theta,excess"
-        assert len(lines) == len(viols) + 1
-        pad = [0.0] * (2 - len(tau))  # 1-D probes write gy = 0
-        fields = (*viols.gamma1[0], *pad, *viols.gamma2[0], *pad, viols.theta[0], viols.excess[0])
-        assert lines[1] == ",".join("%.17g" % x for x in fields)
 
 
 def test_log_model_probe_respects_domain(log11):
