@@ -7,12 +7,7 @@ from .canonical import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
-    V,
-    Vstar,
-    d2V,
-    d2Vstar,
-    dV,
-    dVstar,
+    closed_V,
     measure_eval,
 )
 from .dualsolve import (

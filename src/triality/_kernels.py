@@ -1,17 +1,19 @@
 """Hot numeric kernels: dual-root batch solving and discrete energy/gradient.
 
 One numpy implementation, vectorised over material points.  Every kernel
-takes the energy object and evaluates its unchecked array methods
-(``energy.V``, ``energy.dVstar``, ...).
+takes the energy object; the root kernels evaluate its array methods
+(``energy.dVstar``, ``energy.d2Vstar``), the discrete-energy kernels take V
+and dV from ``canonical.closed_V``, the one domain rule.
 
 Discrete energy: the ``stored_energy*`` kernels take nodal fields with a
 leading start axis, u of shape (starts, n) or (starts, ny, nx), and return
 one stored energy per start; the gradient kernels fill grad, shaped like
 u, evaluate no energy and return a per-start mask of the starts outside the
-domain.  A start with any xi outside the energy's domain gets +inf (or a
-zero gradient) without affecting the other starts; the domain test is
-skipped for a domain unbounded below.  In 2-D the four corner quadrature
-points are stacked, so each call evaluates energy.V (or energy.dV) once.
+domain.  Under the closed-domain rule an xi on the floor xi_min adds V's
+limit there (0 for the log model) and no gradient term; a start with any xi
+below the floor gets +inf (or a zero gradient) without affecting the other
+starts.  In 2-D the four corner quadrature points are stacked, so each call
+evaluates V (or dV) once.
 
 Root solving: per material point the residual is
 
@@ -34,9 +36,9 @@ from functools import partial
 
 import numpy as np
 
+from .canonical import TOL, closed_V
 from .errors import RootSolveError
 
-TOL = 1e-12              # root stop rule |D| <= TOL*max(1, tau^2)
 MAX_ITER = 200           # Newton/bisection steps per bracket
 _DEGENERATE_RTOL = 1e-13  # |tau^2 - eta^2| window treated as the fold
 _EXPAND_LIMIT = 600       # bracket-expansion doublings before giving up
@@ -187,46 +189,30 @@ def solve_roots_batch(energy, b, factor, tau_sq, ends, levels, critical):
     return roots, resid, degenerate, counts
 
 
-def _outside_domain(energy, xi):
-    """Per start (leading axis of xi), whether any xi lies on or below the
-    domain floor; such xi are moved to xi_min + 1 in place so V and dV stay
-    finite and quiet.  Returns None when every start is inside."""
-    if energy.xi_min == -math.inf:  # an unbounded domain (the quadratic energy's) needs no test
-        return None
-    bad = xi <= energy.xi_min
-    if not bad.any():
-        return None
-    xi[bad] = energy.xi_min + 1.0
-    return bad.reshape(len(xi), -1).any(axis=1)
-
-
-def _zero_outside(grad, out):
-    """Zero the gradient of the starts outside the domain; their mask."""
-    if out is None:
+def _outside_starts(below, grad):
+    """Zero the gradient of the starts (leading axis) with an xi below the
+    floor; their mask."""
+    if below is None:
         return np.zeros(len(grad), dtype=bool)
+    out = below.reshape(len(below), -1).any(axis=1)
     grad[out] = 0.0
     return out
 
 
 def stored_energy_1d(u, h, energy, m):
     g = (u[..., 1:] - u[..., :-1]) / h
-    xi = m.a * g * g + m.b
-    out = _outside_domain(energy, xi)
-    e = h * energy.V(xi).sum(axis=-1)
-    if out is not None:
-        e[out] = np.inf
-    return e
+    v, _ = closed_V(energy, m, m.a * g * g + m.b)
+    return h * v.sum(axis=-1)
 
 
 def stored_energy_grad_1d(u, h, energy, m, grad):
     grad[:] = 0.0
     g = (u[..., 1:] - u[..., :-1]) / h
-    xi = m.a * g * g + m.b
-    out = _outside_domain(energy, xi)
-    s = 2.0 * m.a * g * energy.dV(xi)
+    dv, below = closed_V(energy, m, m.a * g * g + m.b, slope=True)
+    s = 2.0 * m.a * g * dv
     grad[..., :-1] -= s
     grad[..., 1:] += s
-    return _zero_outside(grad, out)
+    return _outside_starts(below, grad)
 
 
 #: the four corner quadrature points of a cell, as (cx, cy): cx = 0/1 takes the
@@ -260,19 +246,15 @@ def _corner_sum(w, v):
 
 def stored_energy_2d(u, hx, hy, energy, m):
     _, _, xi = _measure_2d(u, hx, hy, m)
-    out = _outside_domain(energy, xi)
-    e = _corner_sum(0.25 * hx * hy, energy.V(xi))
-    if out is not None:
-        e[out] = np.inf
-    return e
+    v, _ = closed_V(energy, m, xi)
+    return _corner_sum(0.25 * hx * hy, v)
 
 
 def stored_energy_grad_2d(u, hx, hy, energy, m, grad):
     grad[:] = 0.0
     dx, dy, xi = _measure_2d(u, hx, hy, m)
-    out = _outside_domain(energy, xi)
+    coef, below = closed_V(energy, m, xi, slope=True)
     w = 0.25 * hx * hy
-    coef = energy.dV(xi)
     ax, ay = 2.0 * m.a * dx, 2.0 * m.a * dy
     lo, hi = _EDGE
     for cx, cy in _CORNERS:
@@ -284,4 +266,4 @@ def stored_energy_grad_2d(u, hx, hy, energy, m, grad):
         s = ay[:, :, cols] * c * (w / hy)  # y-difference: nodes (lo, cols) -> (hi, cols)
         grad[:, lo, cols] -= s
         grad[:, hi, cols] += s
-    return _zero_outside(grad, out)
+    return _outside_starts(below, grad)

@@ -7,11 +7,11 @@ the quadratic measure family Lambda(gamma) = a*|gamma|^2 + b (Frobenius norm
 for matrices), which covers both the double-well measure (a=1/2, b=-1) and
 the shear-invariant measure (a=1, b=0) with a single parameterization.
 
-Each energy class holds its formulas as unchecked array methods (V, dV, d2V,
-Vstar, dVstar, d2Vstar) and the lower end xi_min of its xi domain; callers
-choose their own domain policy.  The module-level functions of the same
-names are the public, domain-checked calls: they raise DomainError for xi
-outside the domain.
+Each energy class holds its formulas as array methods (V, dV, d2V, Vstar,
+dVstar, d2Vstar) and the lower end xi_min of its xi domain.  The methods do
+not test the domain; closed_V is the one rule for V and dV at a measure
+value, wherever it lies: the closed extension of V, with V's continuous
+limit at the floor xi_min and +inf below it.
 """
 from __future__ import annotations
 
@@ -22,6 +22,10 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
+
+#: stop rule of the dual roots, |D| <= TOL*max(1, tau^2) (see _kernels.refine);
+#: it also sets the rounding window at the floor of closed_V
+TOL = 1e-12
 
 
 def _as_floats(obj, *names):
@@ -35,8 +39,8 @@ def _as_floats(obj, *names):
 class QuadraticEnergy:
     """V(xi) = alpha*xi^2/2, defined on all of R.
 
-    The array methods evaluate the formulas unchecked on scalars or arrays;
-    each caller applies its own domain policy (see xi_min).
+    The array methods evaluate the formulas on scalars or arrays, without a
+    domain test (see closed_V).
     """
 
     alpha: float = 1.0
@@ -71,13 +75,14 @@ class QuadraticEnergy:
 class LogNeoHookeanEnergy:
     """V(xi) = c1*xi + c2*xi*log(xi), defined on xi > 0.
 
-    Unchecked array methods as for QuadraticEnergy.
+    Array methods as for QuadraticEnergy.
     """
 
     c1: float = 1.0
     c2: float = 1.0
 
     xi_min = 0.0
+    V_floor = 0.0  # the limit of V at xi_min (xi*log(xi) -> 0)
 
     def __post_init__(self):
         _as_floats(self, "c1", "c2")
@@ -123,49 +128,36 @@ class QuadraticMeasure:
             raise DomainError(f"measure shift b must be finite, got {self.b}")
 
 
-def _checked_xi(energy: CanonicalEnergy, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= energy.xi_min):
-        raise DomainError(
-            f"xi must be strictly above {energy.xi_min} for {type(energy).__name__} "
-            f"(got min {np.min(xi)}); refusing to clamp a constitutive-constraint violation"
-        )
-    return xi
+def closed_V(energy: CanonicalEnergy, m: QuadraticMeasure, xi, slope: bool = False):
+    """V(xi), or dV(xi) with slope=True, on the closed domain of V: the one
+    domain rule for the measure values xi = a*|gamma|^2 + b of m.
 
+    The rule is the lower-semicontinuous closure of V (Rockafellar, Convex
+    Analysis, 1970, section 7):
 
-def _ret(x):
-    arr = np.asarray(x)
-    return float(arr) if arr.ndim == 0 else arr
+    - inside, xi > xi_min: the formula;
+    - on the floor, xi_min - w <= xi <= xi_min: V's continuous limit
+      V_floor (0 for the log model) and slope 0, so the gradient term
+      2a*gamma*dV(xi) takes its limit 0 where the floor is gamma = 0;
+    - below the floor: V = +inf and a nan slope.
 
-
-def V(energy: CanonicalEnergy, xi):
-    """Canonical energy value; accepts scalars or arrays."""
-    return _ret(energy.V(_checked_xi(energy, xi)))
-
-
-def dV(energy: CanonicalEnergy, xi):
-    """Derivative zeta = dV(xi); strictly increasing on the xi domain."""
-    return _ret(energy.dV(_checked_xi(energy, xi)))
-
-
-def d2V(energy: CanonicalEnergy, xi):
-    """Second derivative; positive everywhere on the xi domain."""
-    return _ret(energy.d2V(_checked_xi(energy, xi)))
-
-
-def Vstar(energy: CanonicalEnergy, zeta):
-    """Legendre conjugate V*(zeta); defined on all of R for both models."""
-    return _ret(energy.Vstar(np.asarray(zeta, dtype=float)))
-
-
-def dVstar(energy: CanonicalEnergy, zeta):
-    """Conjugate derivative xi = dV*(zeta); the inverse map of dV."""
-    return _ret(energy.dVstar(np.asarray(zeta, dtype=float)))
-
-
-def d2Vstar(energy: CanonicalEnergy, zeta):
-    """Second derivative of the conjugate, 1 / d2V(dV*(zeta))."""
-    return _ret(energy.d2Vstar(np.asarray(zeta, dtype=float)))
+    The window w = (TOL + 4 eps)*|b| is the error that the root stop rule and
+    rounding leave in a strain recomputed from a root near the floor, where
+    tau^2 ~ 4a*zeta^2*|b|; it is 0 for b = 0.  A domain unbounded below takes
+    no test, a bounded one a single comparison while every xi is inside.
+    Returns the values (shaped like xi) and the mask of the xi below the
+    floor, None when there is none.
+    """
+    f = energy.dV if slope else energy.V
+    if energy.xi_min == -math.inf:
+        return f(xi), None
+    low = xi <= energy.xi_min
+    if not np.any(low):
+        return f(xi), None
+    below = xi < energy.xi_min - (TOL + 4.0 * math.ulp(1.0)) * abs(m.b)
+    edge = np.where(below, np.nan if slope else np.inf, 0.0 if slope else energy.V_floor)
+    inside = f(np.where(low, energy.xi_min + 1.0, xi))
+    return np.where(low, edge, inside), (below if np.any(below) else None)
 
 
 def measure_eval(m: QuadraticMeasure, gamma):

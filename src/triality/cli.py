@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, dualsolve, energies, fields, oracle
+from .canonical import closed_V
 from .config import (
     MAX_NODES,
     ConstantTau,
@@ -281,10 +282,10 @@ def _write_figure_curves(spec: ProblemSpec, outdir: Path, tau_marks) -> None:
 
     gamma = np.linspace(-3.0, 3.0, 1200)  # even count: skips gamma = 0 exactly
     xi = m.a * gamma * gamma + m.b
-    ok = xi > energy.xi_min  # NaN outside the xi domain
-    safe = np.where(ok, xi, 1.0)
-    w = np.where(ok, energy.V(safe), np.nan)
-    dw = np.where(ok, 2.0 * m.a * gamma * energy.dV(safe), np.nan)
+    w, below = closed_V(energy, m, xi)
+    if below is not None:
+        w[below] = np.nan  # a gap in the plots where W is +inf; dW is nan there
+    dw = 2.0 * m.a * gamma * closed_V(energy, m, xi, slope=True)[0]
     _write_rows(outdir / "wcurve.csv", "gamma,W,dW", [gamma, w, dw])
     _write_rows(outdir / "gcurve.csv", "gamma,G_tau_lo,G_tau_fold,G_tau_hi",
                 [gamma] + [w - gamma * t for t in tau_marks])

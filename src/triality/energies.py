@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (
-    CanonicalEnergy,
-    QuadraticMeasure,
-    V,
-    Vstar,
-    measure_eval,
-)
+from .canonical import CanonicalEnergy, QuadraticMeasure, closed_V, measure_eval
 from .dualsolve import TrialityLabel, solve_all_roots
 from .errors import InvalidRotationError, SingularDualError
 from .fields import Grid2
@@ -59,10 +53,12 @@ def _lam(m: QuadraticMeasure, gamma) -> np.ndarray:
 
 
 def primal_density(energy: CanonicalEnergy, m: QuadraticMeasure, gamma, tau):
-    """G(gamma) = V(Lambda(gamma)) - <gamma, tau>; leading axes broadcast."""
+    """G(gamma) = V(Lambda(gamma)) - <gamma, tau>, V on its closed domain
+    (canonical.closed_V); leading axes broadcast."""
     g = np.asarray(gamma, dtype=float)
     t = np.asarray(tau, dtype=float)
-    out = V(energy, _lam(m, g)) - np.sum(g * t, axis=-1)
+    v, _ = closed_V(energy, m, _lam(m, g))
+    out = v - np.sum(g * t, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -71,7 +67,7 @@ def dual_density(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq):
     z = np.asarray(zeta, dtype=float)
     if np.any(z == 0.0):
         raise SingularDualError("dual density is singular at zeta = 0")
-    out = m.b * z - Vstar(energy, z) - np.asarray(tau_sq, dtype=float) / (4.0 * m.a * z)
+    out = m.b * z - energy.Vstar(z) - np.asarray(tau_sq, dtype=float) / (4.0 * m.a * z)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -81,7 +77,7 @@ def total_complementary_density(energy: CanonicalEnergy, m: QuadraticMeasure,
     g = np.asarray(gamma, dtype=float)
     t = np.asarray(tau, dtype=float)
     z = np.asarray(zeta, dtype=float)
-    out = _lam(m, g) * z - Vstar(energy, z) - np.sum(g * t, axis=-1)
+    out = _lam(m, g) * z - energy.Vstar(z) - np.sum(g * t, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

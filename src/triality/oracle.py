@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .canonical import CanonicalEnergy, QuadraticMeasure
+from .canonical import CanonicalEnergy, QuadraticMeasure, closed_V
 from .config import (IntervalGeometry, OracleOptions, ProblemSpec, build_grid,
                      build_tau_grid, build_tau_interval, interval_nodes)
 from .energies import trapezoid_weights_interval
@@ -395,8 +395,9 @@ def minimize_multistart(problem: DiscreteProblem, options: OracleOptions) -> Min
 
     Starts are uniform in [-START_SPAN, START_SPAN] per free node with the
     options' seed, so identical inputs reproduce bitwise-identical results;
-    a start with some xi <= xi_min (+inf energy) is redrawn, up to 1000
-    times.  The basin census clusters converged energies within CLUSTER_TOL.
+    a start with some xi below the floor of V's closed domain (+inf energy)
+    is redrawn, up to 1000 times.  The basin census clusters converged
+    energies within CLUSTER_TOL.
     """
     n_starts = options.n_starts
     rng = np.random.default_rng(options.seed)
@@ -487,17 +488,14 @@ PROBE_TOL = 1e-10       # energy excess that counts as a violation
 
 
 def _g_total(energy, m, gamma, tau):
-    """Primal density for probes, extended to the closed xi domain.
-
-    At a finite xi_min the energy takes its continuous limit there, 0 for the
-    log model, and +inf below it (segment interpolates may leave the domain;
-    an infinite midpoint is a genuine quasiconvexity violation since the
-    admissible set itself is not convex there).
+    """Primal density for probes, V on its closed domain (canonical.closed_V):
+    V's continuous limit at a finite xi_min, 0 for the log model, and +inf
+    below it (segment interpolates may leave the domain; an infinite midpoint
+    is a genuine quasiconvexity violation since the admissible set itself is
+    not convex there).
     """
     g = np.asarray(gamma, dtype=float)
-    xi = m.a * np.sum(g * g, axis=-1) + m.b
-    ok = xi > energy.xi_min
-    v = np.where(ok, energy.V(np.where(ok, xi, 1.0)), np.where(xi == energy.xi_min, 0.0, np.inf))
+    v, _ = closed_V(energy, m, m.a * np.sum(g * g, axis=-1) + m.b)
     return v - np.sum(g * np.asarray(tau, dtype=float), axis=-1)
 
 

@@ -11,8 +11,6 @@ from triality import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
-    V,
-    dVstar,
 )
 from triality.dualsolve import residual_factor
 
@@ -54,7 +52,7 @@ def scan_roots(energy, m, tau_sq, lo=-50.0, hi=50.0, n=400_001, convention="deri
     f = residual_factor(m, convention)
 
     def D(z):
-        return f * z * z * (dVstar(energy, z) - m.b) - tau_sq
+        return f * z * z * (energy.dVstar(z) - m.b) - tau_sq
 
     grid = np.linspace(lo, hi, n)
     grid = grid[np.abs(grid) > 1e-9]
@@ -78,4 +76,4 @@ def read_csv(path):
 def conjugate_sup(energy, zeta, xi_lo, xi_hi, n=2_000_001):
     """Brute-force Legendre conjugate sup_xi (xi*zeta - V(xi)) on a grid."""
     xi = np.linspace(xi_lo, xi_hi, n)
-    return float(np.max(xi * zeta - V(energy, xi)))
+    return float(np.max(xi * zeta - energy.V(xi)))

@@ -10,9 +10,6 @@ from triality import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     TrialityLabel,
-    V,
-    Vstar,
-    dV,
     dual_density,
     fold_threshold,
     gquasiconvexity_probe,
@@ -101,8 +98,8 @@ def test_c03_legendre_identity_sweep():
     worst = 0.0
     for energy, lo, hi in ((DW, -5.0, 5.0), (LOG, 1e-3, 10.0)):
         xi = np.linspace(lo, hi, 10_000)
-        z = dV(energy, xi)
-        res = np.abs(V(energy, xi) + Vstar(energy, z) - xi * z)
+        z = energy.dV(xi)
+        res = np.abs(energy.V(xi) + energy.Vstar(z) - xi * z)
         worst = max(worst, float(np.max(res / np.maximum(1.0, np.abs(xi * z)))))
     report("C03", worst <= 1e-10, f"Legendre identity residual over 2x10^4 samples = {worst:.2e}")
 

@@ -9,48 +9,62 @@ from triality import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
-    V,
-    Vstar,
-    d2V,
-    dV,
-    dVstar,
+    closed_V,
     measure_eval,
 )
+from triality.canonical import TOL
 
 from conftest import conjugate_sup
 
 
 def test_log_values(log11):
-    assert V(log11, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert V(log11, math.e) == pytest.approx(2.0 * math.e, rel=1e-15)
-    assert dV(log11, 1.0) == pytest.approx(2.0, abs=1e-15)
-    assert d2V(log11, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert Vstar(log11, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert dVstar(log11, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert dVstar(log11, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert log11.V(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert log11.V(math.e) == pytest.approx(2.0 * math.e, rel=1e-15)
+    assert log11.dV(1.0) == pytest.approx(2.0, abs=1e-15)
+    assert log11.d2V(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert log11.Vstar(2.0) == pytest.approx(1.0, abs=1e-15)
+    assert log11.dVstar(2.0) == pytest.approx(1.0, abs=1e-15)
+    assert log11.dVstar(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_quadratic_values(dw):
-    assert V(dw, 0.0) == 0.0
-    assert Vstar(dw, 0.0) == 0.0
+    assert dw.V(0.0) == 0.0
+    assert dw.Vstar(0.0) == 0.0
     xi = np.linspace(-4, 4, 101)
-    assert np.allclose(dV(dw, xi), xi)          # identity map for alpha = 1
-    assert np.allclose(dVstar(dw, dV(dw, xi)), xi)
+    assert np.allclose(dw.dV(xi), xi)          # identity map for alpha = 1
+    assert np.allclose(dw.dVstar(dw.dV(xi)), xi)
     e2 = QuadraticEnergy(alpha=2.5)
-    assert Vstar(e2, 5.0) == pytest.approx(5.0, abs=1e-14)  # zeta^2 / (2 alpha)
+    assert e2.Vstar(5.0) == pytest.approx(5.0, abs=1e-14)  # zeta^2 / (2 alpha)
 
 
-def test_log_domain_rejected(dw, log11):
+def test_closed_domain_rule(dw, log11):
     assert (dw.xi_min, log11.xi_min) == (-math.inf, 0.0)
-    for bad in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            V(log11, bad)
-        with pytest.raises(DomainError):
-            dV(log11, bad)
-        with pytest.raises(DomainError):
-            d2V(log11, bad)
-    with pytest.raises(DomainError):
-        V(log11, np.array([1.0, -0.5]))
+    m = QuadraticMeasure(1.0, -0.5)
+    window = (TOL + 4.0 * math.ulp(1.0)) * 0.5  # the rounding window at the floor, TOL*|b| + ulps
+    # inside, the floor, just inside the window, just below it, far below
+    xi = np.array([math.e, 1.0, 0.0, -0.9 * window, -1.1 * window, -1.0])
+    v, below = closed_V(log11, m, xi)
+    assert v[:2].tolist() == log11.V(xi[:2]).tolist()
+    assert v[2:].tolist() == [0.0, 0.0, math.inf, math.inf]
+    assert below.tolist() == [False] * 4 + [True] * 2
+    dv, below = closed_V(log11, m, xi, slope=True)
+    assert dv[:2].tolist() == log11.dV(xi[:2]).tolist()
+    assert dv[2:4].tolist() == [0.0, 0.0] and np.isnan(dv[4:]).all()
+    assert below.tolist() == [False] * 4 + [True] * 2
+    # every xi inside: the formula and no mask; scalars as well
+    inside = np.array([1e-300, 0.5, 2.0])
+    v, below = closed_V(log11, m, inside)
+    assert below is None and v.tolist() == log11.V(inside).tolist()
+    assert closed_V(log11, m, 0.0) == (0.0, None)
+    assert closed_V(log11, m, -1.0)[0] == math.inf
+    # b = 0: no window, the floor is xi_min itself
+    v, below = closed_V(log11, QuadraticMeasure(1.0, 0.0), np.array([0.0, -5e-324]))
+    assert v.tolist() == [0.0, math.inf] and below.tolist() == [False, True]
+    # the double well has no floor
+    xi = np.array([-1e150, -1.0, 0.0, 2.0])
+    for slope, f in ((False, dw.V), (True, dw.dV)):
+        v, below = closed_V(dw, QuadraticMeasure(0.5, -1.0), xi, slope=slope)
+        assert below is None and v.tolist() == f(xi).tolist()
 
 
 def test_material_constants_validated():
@@ -72,8 +86,8 @@ def test_material_constants_validated():
 ])
 def test_duality_identity_sweep(energy, xi_lo, xi_hi):
     xi = np.linspace(xi_lo, xi_hi, 10_000)
-    z = dV(energy, xi)
-    res = np.abs(V(energy, xi) + Vstar(energy, z) - xi * z)
+    z = energy.dV(xi)
+    res = np.abs(energy.V(xi) + energy.Vstar(z) - xi * z)
     assert np.all(res <= 1e-10 * np.maximum(1.0, np.abs(xi * z)))
 
 
@@ -83,18 +97,18 @@ def test_duality_identity_sweep(energy, xi_lo, xi_hi):
 ])
 def test_inverse_map_and_convexity(energy, xi_lo, xi_hi):
     xi = np.linspace(xi_lo, xi_hi, 10_000)
-    assert np.all(d2V(energy, xi) > 0.0)
-    back = dVstar(energy, dV(energy, xi))
+    assert np.all(energy.d2V(xi) > 0.0)
+    back = energy.dVstar(energy.dV(xi))
     assert np.max(np.abs(back - xi) / np.maximum(1e-300, np.abs(xi))) <= 1e-9
 
 
 def test_conjugate_matches_bruteforce_sup(log11, dw):
     # independent oracle: sup over a fine xi grid
     for zeta in (0.5, 1.5, 2.0):
-        assert Vstar(log11, zeta) == pytest.approx(
+        assert log11.Vstar(zeta) == pytest.approx(
             conjugate_sup(log11, zeta, 1e-6, 20.0), abs=1e-6)
     for zeta in (-2.0, 0.7, 3.0):
-        assert Vstar(dw, zeta) == pytest.approx(
+        assert dw.Vstar(zeta) == pytest.approx(
             conjugate_sup(dw, zeta, -10.0, 10.0), abs=1e-6)
 
 
@@ -108,8 +122,8 @@ def test_dV_finite_difference_order(energy, points):
     for xi in points:
         errs = []
         for h in (1e-3, 1e-4):
-            fd = (V(energy, xi + h) - V(energy, xi - h)) / (2.0 * h)
-            errs.append(abs(fd - dV(energy, xi)))
+            fd = (energy.V(xi + h) - energy.V(xi - h)) / (2.0 * h)
+            errs.append(abs(fd - energy.dV(xi)))
         if max(errs) <= 1e-10:
             continue
         order = math.log10(errs[0] / errs[1])

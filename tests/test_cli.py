@@ -147,6 +147,21 @@ def test_generic_measure_override_end_to_end(tmp_path, capsys):
     assert "SKIP gradient check: no node compared" in capsys.readouterr().out
 
 
+def test_oracle_runs_where_two_fixed_edges_meet(tmp_path, capsys):
+    # the corner cell takes both differences along fixed lines, so xi = b = 0
+    # there for every field: the floor of the closed domain, not outside it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "model = log_neohookean\ngeometry = rectangle\nlx = 1\nly = 1\nnx = 9\nny = 9\n"
+        "fixed_edges = left,bottom\nloading = constant_tau\ntau_x = 0.8\ntau_y = 0.3\n"
+        "oracle_starts = 6\noracle_seed = 20240811\n")
+    run(["verify", cfg])  # the constant-strain branch cannot meet u = 0 on both edges
+    out = capsys.readouterr().out
+    converged = re.search(r"converged = (\d+)/6 starts", out)
+    assert converged and int(converged.group(1)) >= 1
+    assert "PASS gradient check" in out and "SKIP gradient check" not in out
+
+
 def test_interval_fixed_right_end(tmp_path):
     cfg = tmp_path / "r.cfg"
     cfg.write_text(

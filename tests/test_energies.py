@@ -9,9 +9,6 @@ from triality import (
     QuadraticMeasure,
     SingularDualError,
     TrialityLabel,
-    dV,
-    dVstar,
-    d2V,
     dual_density,
     gap_density,
     primal_density,
@@ -66,7 +63,7 @@ def test_total_complementary_consistency(dw, log11, rng):
         gam = rng.uniform(-2.0, 2.0, size=2)
         tau = rng.uniform(-1.0, 1.0, size=2)
         lam = DW_MEASURE.a * float(gam @ gam) + DW_MEASURE.b
-        z = dV(dw, lam)
+        z = dw.dV(lam)
         if z == 0.0:
             continue
         assert total_complementary_density(dw, DW_MEASURE, gam, z, tau) == pytest.approx(
@@ -151,13 +148,13 @@ def test_hessian_psd_at_global_root(dw, log11):
         z1 = solve_all_roots(energy, m, t2).roots[0].zeta
         a = m.a
         gsq = t2 / (4 * a * a * z1 * z1)
-        xi = dVstar(energy, z1)
-        along = 2 * a * z1 + 4 * a * a * d2V(energy, xi) * gsq
+        xi = energy.dVstar(z1)
+        along = 2 * a * z1 + 4 * a * a * energy.d2V(xi) * gsq
         assert along >= 0.0 and 2 * a * z1 >= 0.0
 
 
 def test_tensor_reconstruct_identity_case(log11):
-    zbar = dV(log11, 3.0)  # dVstar(zbar) = 3, so T = 2 zbar I solves the dual equation
+    zbar = log11.dV(3.0)  # dVstar(zbar) = 3, so T = 2 zbar I solves the dual equation
     T = 2.0 * zbar * np.eye(3)
     branches = tensor_reconstruct(log11, T)
     match = [b for b in branches if abs(b.zeta - zbar) < 1e-9]
@@ -177,10 +174,10 @@ def test_tensor_reconstruct_contracts(log11, rng, a):
     for b in branches:
         assert np.max(np.abs(b.sigma - T)) <= 1e-14 * scale
         lam = a * float(np.sum(b.F * b.F))
-        assert lam == pytest.approx(dVstar(log11, b.zeta), rel=1e-9)
-        assert b.zeta ** 2 * 4.0 * a * dVstar(log11, b.zeta) == pytest.approx(tau_sq, rel=1e-9)
+        assert lam == pytest.approx(log11.dVstar(b.zeta), rel=1e-9)
+        assert b.zeta ** 2 * 4.0 * a * log11.dVstar(b.zeta) == pytest.approx(tau_sq, rel=1e-9)
         # stationarity of V(a|F|^2) - tr(F^T T): dW/dF = 2a*V'(Lambda(F))*F = T
-        assert np.max(np.abs(2.0 * a * dV(log11, lam) * b.F - T)) <= 1e-9 * scale
+        assert np.max(np.abs(2.0 * a * log11.dV(lam) * b.F - T)) <= 1e-9 * scale
 
 
 def test_tensor_reconstruct_unloaded(log11):

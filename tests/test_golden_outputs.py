@@ -11,6 +11,7 @@ critical-point scan.  Regenerate them only for a deliberate change of
 output format.
 """
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,21 @@ def test_generic_path_digests(case, tmp_path, capsys):
     result = _run_digests(cfg, *case, tmp_path / "out")
     capsys.readouterr()
     assert result == GOLDEN_GENERIC[case]
+
+
+@pytest.mark.parametrize("tau_x", ["500", "2999", "1e4"])
+def test_large_load_strain_on_the_floor(tau_x, tmp_path, capsys):
+    # the negative branch's strain, recomputed from its root, lands within the
+    # root's stop rule of the floor xi = 0 (at tau_x = 500, xi = -3.7e-13):
+    # the closed domain takes V = 0 there instead of refusing the report
+    text = (CONFIGS / "log_1d_sub.cfg").read_text(encoding="utf-8")
+    cfg = tmp_path / "log_1d_sub_b_neg.cfg"
+    cfg.write_text(re.sub(r"(?m)^tau_x = .*$", f"tau_x = {tau_x}", text)
+                   + "measure_b = -0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "duality-gap check: OK" in (out / "report.txt").read_text(encoding="utf-8")
 
 
 def test_golden_covers_every_shipped_config():

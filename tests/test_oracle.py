@@ -265,19 +265,24 @@ def test_batched_descent_matches_lone_starts_2d_either_mode_axis(dw, nx, ny, fix
 
 
 def test_start_outside_domain_leaves_the_others_alone(log11):
-    spec = interval_spec(log11, SHEAR_MEASURE, 0.5, n=5, starts=4)
+    spec = interval_spec(log11, QuadraticMeasure(1.0, -0.5), 0.5, n=5, starts=3)
     prob = discretize(spec)
     inside = np.array(lone_starts(prob, spec.oracle))
-    outside = np.array([0.0, 0.0, 0.3, 0.6, 0.9])  # zero strain in the first cell: xi = 0
+    assert np.isfinite(prob.energy_value(inside)).all()
+    outside = np.array([0.0, 0.0, 0.3, 0.6, 0.9])  # zero strain in the first cell: xi = b < 0
     alone = descend_batch(prob, inside)
     mixed = descend_batch(prob, np.insert(inside, 2, outside, axis=0))
     assert mixed.energy[2] == np.inf
     assert mixed.iterations[2] == 0 and not mixed.converged[2]
-    keep = [0, 1, 3, 4]
+    keep = [0, 1, 3]
     assert np.array_equal(mixed.u[keep], alone.u)
     assert np.array_equal(mixed.energy[keep], alone.energy)
     assert np.array_equal(mixed.iterations[keep], alone.iterations)
     assert np.array_equal(mixed.converged[keep], alone.converged)
+    # with b = 0 that cell lies on the floor xi = 0, which the closed domain admits
+    floor = discretize(interval_spec(log11, SHEAR_MEASURE, 0.5, n=5))
+    assert np.isfinite(floor.energy_value(outside[None])).all()
+    assert np.isfinite(floor.gradient(outside[None])).all()
 
 
 def test_results_do_not_depend_on_chunking(dw, monkeypatch):
