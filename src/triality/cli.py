@@ -134,32 +134,28 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> ScalarField | np.ndarra
     return fields.reconstruct_displacement(*_branch_fields(sol, k), spec.measure)
 
 
-def _write_rows(path: Path, header: str, columns, row_format: str | None = None) -> None:
+def _write_rows(path: Path, header: str, columns) -> None:
     """Pipeline CSV files: equal-length columns through fields.write_csv."""
-    fields.write_csv(path, header, columns, row_format)
+    fields.write_csv(path, header, columns)
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
     node, k = np.nonzero(~np.isnan(sol.roots))
-    # each node's x,y,tau_sq prefix is formatted once, however many roots it has
-    prefix = np.array(list(map("%.17g,%.17g,%.17g".__mod__, zip(
-        sol.coords[:, 0].tolist(), sol.coords[:, 1].tolist(), sol.tau_sq.tolist()))), dtype=object)
     _write_rows(path, "x,y,tau_sq,k,zeta,residual,label",
-                [prefix[node], k + 1, sol.roots[node, k], sol.residuals[node, k],
-                 _label_text(sol.labels[node, k])],
-                "%s,%d,%.17g,%.17g,%s")
+                [sol.coords[node, 0], sol.coords[node, 1], sol.tau_sq[node], k + 1,
+                 sol.roots[node, k], sol.residuals[node, k], _label_text(sol.labels[node, k])])
 
 
 def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyReport],
-                     path: Path) -> None:
+                     names: dict[int, str], path: Path) -> None:
+    """One row per full branch; names[k] is branch_label_name(sol, k)."""
     ks = sorted(reports)
     _write_rows(path, "tau_sq,zeta,label,primal,dual,gap",
                 [[float(np.mean(sol.tau_sq))] * len(ks),
                  [float(np.mean(sol.roots[:, k])) for k in ks],
-                 [branch_label_name(sol, k) for k in ks],
+                 [names[k] for k in ks],
                  [reports[k].primal for k in ks], [reports[k].dual for k in ks],
-                 [reports[k].gap for k in ks]],
-                "%.17g,%.17g,%s,%.17g,%.17g,%.17g")
+                 [reports[k].gap for k in ks]])
 
 
 def write_branch_field(sol: InstanceSolution, k: int, u, path: Path) -> None:
@@ -191,13 +187,14 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
 
     write_roots_csv(sol, outdir / "roots.csv")
     reports = {k: branch_energy_report(sol, k) for k in full_branches(sol)}
-    write_energy_csv(sol, reports, outdir / "energy_report.csv")
+    names = {k: branch_label_name(sol, k) for k in reports}
+    write_energy_csv(sol, reports, names, outdir / "energy_report.csv")
     gap_bad = False
     for k, rep in sorted(reports.items()):
         ok = rep.gap_ok()
         gap_bad |= not ok
         lines.append(
-            f"branch {k + 1}: label={branch_label_name(sol, k)} "
+            f"branch {k + 1}: label={names[k]} "
             f"zeta_mean={format_float(float(np.mean(sol.roots[:, k])))} "
             f"Pi={format_float(rep.primal)} Pi_d={format_float(rep.dual)} "
             f"gap={rep.gap:.3e} point_mismatch={rep.point_mismatch:.3e}"
@@ -252,7 +249,7 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     pid = np.full(roots.shape, np.nan)
     pid[found] = energies.dual_density(spec.energy, spec.measure, roots[found], t2[found])
     _write_rows(outdir / "sweep.csv", "tau,root_count,zeta1,zeta2,zeta3,Pi_d_1,Pi_d_2,Pi_d_3",
-                [taus, counts, *roots.T, *pid.T], "%.17g,%d" + ",%.17g" * 6)
+                [taus, counts, *roots.T, *pid.T])
 
     # dual algebraic curve h(zeta) under both residual conventions
     try:

@@ -268,22 +268,41 @@ def principal_invariants(F: np.ndarray) -> tuple[float, float, float]:
 CSV_BLOCK_ROWS = 4096
 
 
-def write_csv(path, header: str, columns, row_format: str | None = None) -> None:
+def _block_field(col: np.ndarray) -> tuple[str, list]:
+    """(%-field, Python values) of one column's slice of a block.
+
+    Floats whose block holds repeated bit patterns are formatted once per
+    distinct pattern and indexed back to the rows as text (field "%s").
+    Bits, not values, tell them apart, so -0.0 stays apart from 0.0 and NaN
+    payloads from each other.  An all-distinct float block keeps "%.17g";
+    ints take "%d" and anything else "%s".
+    """
+    if col.dtype.kind == "f":
+        bits, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        if bits.size == col.size:
+            return _FMT, col.tolist()
+        text = np.array(list(map(_FMT.__mod__, bits.view(col.dtype).tolist())), dtype=object)
+        return "%s", text[inverse].tolist()
+    return ("%d" if col.dtype.kind in "iu" else "%s"), col.tolist()
+
+
+def write_csv(path, header: str, columns) -> None:
     """Write equal-length columns as CSV rows, streamed in row blocks.
 
-    row_format is one %-template for a whole row (default: "%.17g" for every
-    column).  Each block of CSV_BLOCK_ROWS rows is converted to Python values
-    with .tolist(), formatted and written before the next block, so memory
-    stays bounded by one block whatever the file size.
+    Floats are printed "%.17g", ints "%d" and anything else "%s".  Each block
+    of CSV_BLOCK_ROWS rows is formatted and written before the next is built,
+    so memory stays bounded by one block whatever the file size.  Within a
+    block each distinct float of a column is formatted once (_block_field):
+    the bytes are those of "%.17g" on every row.
     """
     cols = [np.asarray(c) for c in columns]
-    template = (row_format or ",".join([_FMT] * len(cols))) + "\n"
     n = len(cols[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            block = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols))
-            fh.write("".join(map(template.__mod__, block)))
+            fmts, values = zip(*(_block_field(c[start:start + CSV_BLOCK_ROWS]) for c in cols))
+            template = ",".join(fmts) + "\n"
+            fh.write("".join(map(template.__mod__, zip(*values))))
 
 
 def write_scalar_csv(f: ScalarField, path) -> None:

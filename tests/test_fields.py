@@ -1,6 +1,11 @@
-"""Grid fields: stream-function stress, divergence/curl, path reconstruction."""
+"""Grid fields: stream-function stress, divergence/curl, path reconstruction,
+and the CSV writer."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triality import (
     Grid2,
@@ -18,7 +23,13 @@ from triality import (
     stress_from_stream,
 )
 from triality import fields
-from triality.fields import path_discrepancy, reconstruct_interval, write_scalar_csv
+from triality.fields import (
+    CSV_BLOCK_ROWS,
+    path_discrepancy,
+    reconstruct_interval,
+    write_csv,
+    write_scalar_csv,
+)
 
 from conftest import read_csv
 
@@ -218,3 +229,87 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(data[:, 2].reshape(g.shape), vals)  # lossless at 17 digits
     X, Y = g.coords()
     assert np.array_equal(data[:, 0].reshape(g.shape), X)
+
+
+# ---------------------------------------------------------------------------
+# write_csv against a reference that formats every row with its own template
+# ---------------------------------------------------------------------------
+
+_NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0]
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf,
+                  5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
+
+
+def reference_csv(header, columns) -> str:
+    """Every row through one %-template: "%.17g" floats, "%d" ints, "%s" else."""
+    cols = [np.asarray(c) for c in columns]
+    fmt = {"f": "%.17g", "i": "%d", "u": "%d"}
+    template = ",".join(fmt.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    rows = zip(*(c.tolist() for c in cols))
+    return header + "\n" + "".join(template % row for row in rows)
+
+
+def _column(kind, n, pool, rng):
+    if kind == "repeats":
+        return np.asarray(pool, dtype=np.float64)[rng.integers(0, len(pool), n)]
+    if kind == "distinct":
+        return rng.standard_normal(n) * 10.0 ** int(rng.integers(-300, 300))
+    if kind == "float32":
+        with np.errstate(over="ignore"):  # pool values beyond float32 become inf
+            return np.asarray(pool, dtype=np.float32)[rng.integers(0, len(pool), n)]
+    if kind == "int":
+        return rng.integers(-2 ** 62, 2 ** 62, n, dtype=np.int64) // rng.choice([1, 2 ** 60], n)
+    if kind == "str":
+        return np.array(["local_min", "local_max", "saddle", "mixed"])[rng.integers(0, 4, n)]
+    return np.array(["a", "bb", "-0"], dtype=object)[rng.integers(0, 3, n)]  # object
+
+
+def _assert_same_bytes(path, header, columns):
+    write_csv(path, header, columns)
+    assert path.read_bytes() == reference_csv(header, columns).encode("utf-8")
+
+
+def test_write_csv_special_values_share_a_block(tmp_path):
+    vals = np.array(SPECIAL_FLOATS)
+    repeated = np.tile(vals, 3)
+    _assert_same_bytes(tmp_path / "r.csv", "v", [repeated])
+    assert b"\n-0\n" in (tmp_path / "r.csv").read_bytes()   # -0.0 keeps its sign
+    _assert_same_bytes(tmp_path / "d.csv", "v,k", [vals, np.arange(vals.size)])  # all distinct bits
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([0, 1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
+       kinds=st.lists(st.sampled_from(["repeats", "distinct", "float32", "int", "str", "object"]),
+                      min_size=1, max_size=4),
+       drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_matches_the_per_row_reference(tmp_path_factory, n, kinds, drawn, seed):
+    rng = np.random.default_rng(seed)
+    pool = drawn + SPECIAL_FLOATS
+    columns = [_column(kind, n, pool, rng) for kind in kinds]
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    _assert_same_bytes(tmp_path_factory.mktemp("csv") / "t.csv", header, columns)
+
+
+def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
+    """The traced peak of a 200k-row write exceeds that of a 20k-row write by
+    less than one block of formatted text, with and without repeated values."""
+    rng = np.random.default_rng(7)
+    for repeats in (True, False):
+        peaks = {}
+        for n in (20_000, 200_000):
+            if repeats:
+                cols = [np.tile(np.linspace(0.0, 1.0, 121), n // 121 + 1)[:n],
+                        np.repeat(np.linspace(0.0, 1.0, 121), n // 121 + 1)[:n], np.full(n, 0.18)]
+            else:
+                cols = [rng.standard_normal(n) for _ in range(3)]
+            path = tmp_path / f"m{n}.csv"
+            tracemalloc.start()
+            write_csv(path, "a,b,c", cols)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            with open(path, "rb") as fh:
+                lines = fh.readlines()
+            assert len(lines) == n + 1
+        block_text = sum(map(len, lines[1:CSV_BLOCK_ROWS + 1]))
+        assert abs(peaks[200_000] - peaks[20_000]) < block_text, (repeats, peaks, block_text)
