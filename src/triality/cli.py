@@ -50,20 +50,30 @@ PATH_RTOL = 1e-8
 
 @dataclasses.dataclass(eq=False)
 class InstanceSolution:
-    """Per-node dual solution of one configured instance, flattened."""
+    """Dual solution of one configured instance, over its flattened nodes.
+
+    A node's roots, residuals and labels depend on it only through its
+    tau^2, so they are held once per distinct load: loads are the distinct
+    tau^2 values, ascending, and node i has tau^2 = loads[load[i]].
+    """
 
     spec: ProblemSpec
     coords: np.ndarray      # (n, 2), y = 0 for intervals
     tau: np.ndarray         # (n, d)
-    tau_sq: np.ndarray      # (n,)
     weights: np.ndarray     # (n,) quadrature weights
-    roots: np.ndarray       # (n, 3) nan-padded
-    residuals: np.ndarray
-    degenerate: np.ndarray
-    counts: np.ndarray
-    labels: np.ndarray      # (n, 3) object
+    loads: np.ndarray       # (m,) distinct tau^2, ascending
+    load: np.ndarray        # (n,) index into loads
+    roots: np.ndarray       # (m, 3) nan-padded
+    residuals: np.ndarray   # (m, 3)
+    degenerate: np.ndarray  # (m, 3)
+    counts: np.ndarray      # (m,)
+    labels: np.ndarray      # (m, 3) object
     grid: fields.Grid2 | None
     x: np.ndarray | None
+
+    def node_roots(self, k: int) -> np.ndarray:
+        """Root of branch slot k at every node, (n,)."""
+        return self.roots[self.load, k]
 
 
 def solve_instance(spec: ProblemSpec) -> InstanceSolution:
@@ -88,10 +98,13 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
         tau_sq = np.sum(tau * tau, axis=-1)
     if not np.all(np.isfinite(tau_sq)):
         raise ConfigError("loading: the stress or tau^2 is not finite at every node")
-    roots, resid, degenerate, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, tau_sq)
-    labels = dualsolve.label_array(spec.energy, spec.measure, roots, tau_sq,
+    # the kernel and the labels work point by point, so the sorted distinct
+    # loads give every node the bits it would get on its own
+    loads, load = np.unique(tau_sq, return_inverse=True)
+    roots, resid, degenerate, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, loads)
+    labels = dualsolve.label_array(spec.energy, spec.measure, roots, loads,
                                    degenerate, spec.dim)
-    return InstanceSolution(spec, coords, tau, tau_sq, weights,
+    return InstanceSolution(spec, coords, tau, weights, loads, load,
                             roots, resid, degenerate, counts, labels, grid, x)
 
 
@@ -102,7 +115,7 @@ def full_branches(sol: InstanceSolution) -> list[int]:
 
 def branch_energy_report(sol: InstanceSolution, k: int) -> energies.EnergyReport:
     return energies.make_energy_report(sol.spec.energy, sol.spec.measure,
-                                       sol.roots[:, k], sol.tau, sol.weights)
+                                       sol.node_roots(k), sol.tau, sol.weights)
 
 
 def branch_label_name(sol: InstanceSolution, k: int) -> str:
@@ -120,7 +133,7 @@ def _label_text(labels: np.ndarray) -> np.ndarray:
 
 def _branch_fields(sol: InstanceSolution, k: int) -> tuple[ScalarField, VectorField2]:
     """(zeta, tau) of branch k as grid fields (rectangle instances)."""
-    return (ScalarField(sol.grid, sol.roots[:, k].reshape(sol.grid.shape)),
+    return (ScalarField(sol.grid, sol.node_roots(k).reshape(sol.grid.shape)),
             VectorField2(sol.grid, sol.tau.reshape(sol.grid.shape + (2,))))
 
 
@@ -129,7 +142,7 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> ScalarField | np.ndarra
     spec = sol.spec
     if sol.grid is None:
         anchor = 0 if spec.geometry.fixed_end == "left" else sol.x.size - 1
-        return fields.reconstruct_interval(sol.roots[:, k], sol.tau[:, 0], spec.measure,
+        return fields.reconstruct_interval(sol.node_roots(k), sol.tau[:, 0], spec.measure,
                                            sol.x, anchor)
     return fields.reconstruct_displacement(*_branch_fields(sol, k), spec.measure)
 
@@ -140,10 +153,11 @@ def _write_rows(path: Path, header: str, columns) -> None:
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
-    node, k = np.nonzero(~np.isnan(sol.roots))
+    node, k = np.nonzero(~np.isnan(sol.roots)[sol.load])
+    at = sol.load[node]
     _write_rows(path, "x,y,tau_sq,k,zeta,residual,label",
-                [sol.coords[node, 0], sol.coords[node, 1], sol.tau_sq[node], k + 1,
-                 sol.roots[node, k], sol.residuals[node, k], _label_text(sol.labels[node, k])])
+                [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
+                 sol.roots[at, k], sol.residuals[at, k], _label_text(sol.labels)[at, k]])
 
 
 def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyReport],
@@ -151,8 +165,8 @@ def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyRe
     """One row per full branch; names[k] is branch_label_name(sol, k)."""
     ks = sorted(reports)
     _write_rows(path, "tau_sq,zeta,label,primal,dual,gap",
-                [[float(np.mean(sol.tau_sq))] * len(ks),
-                 [float(np.mean(sol.roots[:, k])) for k in ks],
+                [[float(np.mean(sol.loads[sol.load]))] * len(ks),
+                 [float(np.mean(sol.node_roots(k))) for k in ks],
                  [names[k] for k in ks],
                  [reports[k].primal for k in ks], [reports[k].dual for k in ks],
                  [reports[k].gap for k in ks]])
@@ -183,7 +197,7 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
     except NotImplementedError:
         lines.append("fold: none (single-branch model)")
     cmin, cmax = int(sol.counts.min()), int(sol.counts.max())
-    lines.append(f"root counts over {sol.counts.size} nodes: min={cmin} max={cmax}")
+    lines.append(f"root counts over {sol.load.size} nodes: min={cmin} max={cmax}")
 
     write_roots_csv(sol, outdir / "roots.csv")
     reports = {k: branch_energy_report(sol, k) for k in full_branches(sol)}
@@ -195,7 +209,7 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
         gap_bad |= not ok
         lines.append(
             f"branch {k + 1}: label={names[k]} "
-            f"zeta_mean={format_float(float(np.mean(sol.roots[:, k])))} "
+            f"zeta_mean={format_float(float(np.mean(sol.node_roots(k))))} "
             f"Pi={format_float(rep.primal)} Pi_d={format_float(rep.dual)} "
             f"gap={rep.gap:.3e} point_mismatch={rep.point_mismatch:.3e}"
             + ("" if ok else "  << RED FLAG: duality gap exceeds tolerance"))
@@ -317,12 +331,12 @@ def run_verify(spec: ProblemSpec) -> int:
 
     # residual re-validation comes free with the gap check data
     worst = float(np.nanmax(np.abs(sol.residuals[~np.isnan(sol.roots)])))
-    tol = 1e-10 * max(1.0, float(sol.tau_sq.max()))
+    tol = 1e-10 * max(1.0, float(sol.loads[-1]))
     add("PASS" if worst <= tol else "FAIL", "root residuals",
         f"max |D(zeta)| = {worst:.3e} (tol {tol:.1e})")
 
     # 2 oracle agreement (constant loading only; exact match needs one basin)
-    single_basin = bool(np.all(sol.counts == 1)) and bool(np.all(sol.tau_sq > 0))
+    single_basin = bool(np.all(sol.counts == 1)) and bool(sol.loads[0] > 0)
     if isinstance(spec.loading, ConstantTau) and 0 in branches:
         pd1 = reports[0].dual
         try:
@@ -371,21 +385,20 @@ def run_verify(spec: ProblemSpec) -> int:
     else:
         add("SKIP", "curl/path audit", "no full branch to reconstruct")
 
-    # 5 quasiconvexity probe along the 1-D strain section at the
-    # weakest-loaded node (the section the fold threshold governs; composed
-    # 2-D energies carry a load-independent hump off the loading axis).
+    # 5 quasiconvexity probe along the 1-D strain section at the weakest
+    # load loads[0] (the section the fold threshold governs; composed 2-D
+    # energies carry a load-independent hump off the loading axis).
     # A nondegenerate negative root there is a second stationary basin, so
     # violations must be found; with none (or only the tangent fold root)
     # the section is quasiconvex and the probe must come back empty.
-    i_min = int(np.argmin(sol.tau_sq))
-    if sol.tau_sq[i_min] == 0.0:
+    if sol.loads[0] == 0.0:
         add("SKIP", "quasiconvexity probe",
             "unloaded node present: no load regime to check against")
     else:
-        tau_probe = np.array([np.sqrt(float(sol.tau_sq[i_min]))])
+        tau_probe = np.array([np.sqrt(float(sol.loads[0]))])
         second_basin = any(
-            sol.roots[i_min, k] < 0.0 and not sol.degenerate[i_min, k]
-            for k in range(3) if not np.isnan(sol.roots[i_min, k])
+            sol.roots[0, k] < 0.0 and not sol.degenerate[0, k]
+            for k in range(3) if not np.isnan(sol.roots[0, k])
         )
         viols = oracle.gquasiconvexity_probe(spec.energy, spec.measure, tau_probe,
                                              n_segments=10_000, seed=spec.oracle.seed)

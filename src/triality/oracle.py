@@ -27,10 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .canonical import CanonicalEnergy, QuadraticMeasure, closed_V
+from .canonical import CanonicalEnergy, QuadraticMeasure
 from .config import (IntervalGeometry, OracleOptions, ProblemSpec, build_grid,
                      build_tau_grid, build_tau_interval, interval_nodes)
-from .energies import trapezoid_weights_interval
+from .energies import primal_density, trapezoid_weights_interval
 from .errors import OracleError
 from .fields import boundary_traction, edge_slice
 
@@ -487,18 +487,6 @@ PROBE_THETAS = 33       # points per segment of the quasiconvexity probe
 PROBE_TOL = 1e-10       # energy excess that counts as a violation
 
 
-def _g_total(energy, m, gamma, tau):
-    """Primal density for probes, V on its closed domain (canonical.closed_V):
-    V's continuous limit at a finite xi_min, 0 for the log model, and +inf
-    below it (segment interpolates may leave the domain; an infinite midpoint
-    is a genuine quasiconvexity violation since the admissible set itself is
-    not convex there).
-    """
-    g = np.asarray(gamma, dtype=float)
-    v, _ = closed_V(energy, m, m.a * np.sum(g * g, axis=-1) + m.b)
-    return v - np.sum(g * np.asarray(tau, dtype=float), axis=-1)
-
-
 def _sample_box(rng, energy, m, n, d):
     """Uniform strain samples; endpoints keep Lambda 1e-6 above a finite xi_min."""
     pts = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(n, d))
@@ -516,7 +504,10 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     """Search for segments violating G(theta*g1 + (1-theta)*g2) <= max(G(g1), G(g2)).
 
     No row means no violation was found (a probe, not a proof); every row is
-    a constructive counterexample to G-quasiconvexity.
+    a constructive counterexample to G-quasiconvexity.  G is
+    energies.primal_density, V on its closed domain: segment points may
+    leave the domain, and an infinite one is a genuine violation, since the
+    admissible set itself is not convex there.
     """
     t = np.asarray(tau, dtype=float).ravel()
     d = t.size
@@ -524,9 +515,9 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     g1 = _sample_box(rng, energy, m, n_segments, d)
     g2 = _sample_box(rng, energy, m, n_segments, d)
     thetas = np.linspace(0.0, 1.0, PROBE_THETAS)
-    ends = np.maximum(_g_total(energy, m, g1, t), _g_total(energy, m, g2, t))
+    ends = np.maximum(primal_density(energy, m, g1, t), primal_density(energy, m, g2, t))
     seg = g1[:, None, :] * thetas[None, :, None] + g2[:, None, :] * (1.0 - thetas[None, :, None])
-    vals = _g_total(energy, m, seg, t)
+    vals = primal_density(energy, m, seg, t)
     excess = vals - ends[:, None] - PROBE_TOL
     i, k = np.nonzero(excess > 0.0)
     return ProbeViolations(g1[i], g2[i], thetas[k], excess[i, k] + PROBE_TOL)

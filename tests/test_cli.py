@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triality import config, dual_residual
-from triality.cli import main
+from triality import _kernels, config, dual_residual, dualsolve
+from triality.cli import main, solve_instance
 from triality.config import parse_config
 from triality.errors import ConfigError
 
@@ -94,6 +94,53 @@ def test_solve_byte_identical_reruns(tmp_path):
     ref = tmp_path / "d"
     assert run(["solve", CONFIGS / "log_1d_sub.cfg", "--out", ref]) == 0
     assert (out3 / "fields_u_1.csv").read_bytes() == (ref / "fields_u_1.csv").read_bytes()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["doublewell_rect_stream.cfg", "log_rect_const.cfg"])
+def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
+    # psi = s*(x^2 - y^2) on a square grid gives mirrored nodes the same
+    # tau^2; a constant load gives every node the same one
+    spec = parse_config(CONFIGS / name)
+    grid = config.build_grid(spec)
+    tau = config.build_tau_grid(spec, grid).values.reshape(-1, 2)
+    tau_sq = np.sum(tau * tau, axis=-1)
+    distinct = np.unique(tau_sq).size
+    assert distinct == 1 if name == "log_rect_const.cfg" else 1 < distinct < tau_sq.size
+    roots, resid, degenerate, counts = dualsolve.solve_roots_array(
+        spec.energy, spec.measure, tau_sq)
+    labels = dualsolve.label_array(spec.energy, spec.measure, roots, tau_sq, degenerate, spec.dim)
+
+    sizes = []
+    batch = _kernels.solve_roots_batch
+
+    def counted(energy, b, factor, t2, *curve):
+        sizes.append(t2.size)
+        return batch(energy, b, factor, t2, *curve)
+
+    monkeypatch.setattr(_kernels, "solve_roots_batch", counted)
+    sol = solve_instance(spec)
+    assert sizes == [distinct]
+    node = sol.load
+    assert np.array_equal(_bits(sol.loads[node]), _bits(tau_sq))
+    assert np.array_equal(_bits(sol.roots[node]), _bits(roots))
+    assert np.array_equal(_bits(sol.residuals[node]), _bits(resid))
+    assert np.array_equal(sol.degenerate[node], degenerate)
+    assert np.array_equal(sol.counts[node], counts)
+    assert np.array_equal(sol.labels[node], labels)
+
+    out = tmp_path / "o"
+    assert run(["solve", CONFIGS / name, "--out", out]) == 0
+    X, Y = grid.coords()
+    lines = ["x,y,tau_sq,k,zeta,residual,label"]
+    for i, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
+        lines += ["%.17g,%.17g,%.17g,%d,%.17g,%.17g,%s"
+                  % (x, y, tau_sq[i], k + 1, roots[i, k], resid[i, k], labels[i, k])
+                  for k in range(3) if not np.isnan(roots[i, k])]
+    assert (out / "roots.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_sweep_transition_and_rows(tmp_path):

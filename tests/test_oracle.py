@@ -471,15 +471,15 @@ def test_quasiconvexity_probe_expected_regimes(dw, log11):
 
 
 def test_probe_violations_are_genuine(dw):
-    from triality.oracle import _g_total
+    from triality.energies import primal_density
     viols = gquasiconvexity_probe(dw, DW_MEASURE, [0.0, 0.0], n_segments=2_000, seed=7)
     tau = np.zeros(2)
     rows = zip(viols.gamma1[:20], viols.gamma2[:20], viols.theta[:20], viols.excess[:20])
     for g1, g2, theta, excess in rows:
         mid = theta * g1 + (1.0 - theta) * g2
-        ends = max(_g_total(dw, DW_MEASURE, g1, tau), _g_total(dw, DW_MEASURE, g2, tau))
-        assert _g_total(dw, DW_MEASURE, mid, tau) > ends
-        assert _g_total(dw, DW_MEASURE, mid, tau) - ends == pytest.approx(excess, rel=1e-9)
+        ends = max(primal_density(dw, DW_MEASURE, g1, tau), primal_density(dw, DW_MEASURE, g2, tau))
+        assert primal_density(dw, DW_MEASURE, mid, tau) > ends
+        assert primal_density(dw, DW_MEASURE, mid, tau) - ends == pytest.approx(excess, rel=1e-9)
 
 
 def test_log_model_probe_respects_domain(log11):
