@@ -1,5 +1,7 @@
 """Problem configuration: flat key = value files, validation, and assembly
-of grids and loading fields for one instance.
+of the loading field for one instance.  A rectangle geometry is a
+``fields.Grid2``, which checks its own spacings and edge names; parsing adds
+the CLI's rules (nx, ny >= 3, MAX_NODES, a traction edge).
 
 Schema (unknown keys are rejected):
 
@@ -27,7 +29,7 @@ solver's and the oracle's single-valued settings are module constants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
 
@@ -40,7 +42,7 @@ from .canonical import (
     QuadraticMeasure,
 )
 from .errors import ConfigError, DomainError
-from .fields import EDGES, Grid2, VectorField2
+from .fields import EDGES, Grid2, ScalarField, VectorField2, stress_from_stream
 
 #: node cap of one instance (and of a sweep's steps)
 MAX_NODES = 10**6
@@ -64,18 +66,13 @@ class IntervalGeometry:
     n: int
     fixed_end: str = "left"  # left | right
 
-
-@dataclass(frozen=True)
-class RectangleGeometry:
-    lx: float
-    ly: float
-    nx: int
-    ny: int
-    origin: tuple[float, float] = (0.0, 0.0)
-    fixed_edges: frozenset[str] = field(default_factory=lambda: frozenset({"left"}))
+    @property
+    def x(self) -> np.ndarray:
+        """Node coordinates, from 0 at the left end."""
+        return np.linspace(0.0, self.length, self.n)
 
 
-Geometry = Union[IntervalGeometry, RectangleGeometry]
+Geometry = Union[IntervalGeometry, Grid2]
 
 
 @dataclass(frozen=True)
@@ -199,28 +196,17 @@ def parse_config(path) -> ProblemSpec:
             raise ConfigError("config keys 'nx'/'ny': need at least 3 nodes per direction")
         if nx * ny > MAX_NODES:
             raise ConfigError(f"config keys 'nx'/'ny': more than {MAX_NODES} nodes")
-        if not (lx / (nx - 1) > 0.0 and ly / (ny - 1) > 0.0):
-            raise ConfigError("config keys 'lx'/'ly': extents must be positive, "
-                              "with nonzero node spacings")
         fixed = frozenset(s.strip() for s in kv.get("fixed_edges", "left").split(",") if s.strip())
-        if not fixed:
-            raise ConfigError(
-                "config key 'fixed_edges': no fixed edge given; a pure-traction problem "
-                "is translation-invariant and has no unique solution (mixed boundary "
-                "conditions are required)"
-            )
-        if not fixed <= set(EDGES):
-            raise ConfigError(f"config key 'fixed_edges': unknown edge in {sorted(fixed)}; expected subset of {EDGES}")
         if fixed == set(EDGES):
             raise ConfigError(
                 "config key 'fixed_edges': all edges fixed; at least one traction edge "
                 "is required to load the body"
             )
-        geometry = RectangleGeometry(
-            lx=lx, ly=ly, nx=nx, ny=ny,
-            origin=(_get_float(kv, "origin_x", 0.0), _get_float(kv, "origin_y", 0.0)),
-            fixed_edges=fixed,
-        )
+        origin = (_get_float(kv, "origin_x", 0.0), _get_float(kv, "origin_y", 0.0))
+        try:  # Grid2 checks the spacings and the edge names
+            geometry = Grid2(lx=lx, ly=ly, nx=nx, ny=ny, origin=origin, fixed_edges=fixed)
+        except ValueError as exc:
+            raise ConfigError(f"rectangle geometry: {exc}") from exc
     else:
         raise ConfigError(f"config key 'geometry': expected interval or rectangle, got {geom_kind!r}")
 
@@ -260,47 +246,28 @@ def parse_config(path) -> ProblemSpec:
 # instance assembly
 # ---------------------------------------------------------------------------
 
-def build_grid(spec: ProblemSpec) -> Grid2:
-    g = spec.geometry
-    if not isinstance(g, RectangleGeometry):
-        raise TypeError("build_grid applies to rectangle geometry only")
-    return Grid2(
-        nx=g.nx, ny=g.ny, hx=g.lx / (g.nx - 1), hy=g.ly / (g.ny - 1),
-        origin=g.origin, fixed_edges=g.fixed_edges,
-    )
-
-
-def interval_nodes(spec: ProblemSpec) -> np.ndarray:
-    g = spec.geometry
-    if not isinstance(g, IntervalGeometry):
-        raise TypeError("interval_nodes applies to interval geometry only")
-    return np.linspace(0.0, g.length, g.n)
-
-
-def build_tau_grid(spec: ProblemSpec, grid: Grid2) -> VectorField2:
-    """Nodal stress field on a rectangle.
+def build_tau_grid(spec: ProblemSpec) -> VectorField2:
+    """Nodal stress field on the rectangle spec.geometry.
 
     Stream loadings go through the discrete curl construction, which is
     divergence-free by structure and stencil-exact for the polynomial
     catalog; constant loadings are written directly.
     """
-    load = spec.loading
+    grid, load = spec.geometry, spec.loading
     if isinstance(load, ConstantTau):
         vals = np.empty(grid.shape + (2,))
         vals[..., 0] = load.vec[0]
         vals[..., 1] = load.vec[1]
         return VectorField2(grid, vals)
-    from .fields import ScalarField, stress_from_stream
-
     X, Y = grid.coords()
     psi = STREAM_CATALOG[load.name](X, Y, load.scale)
     return stress_from_stream(ScalarField(grid, np.broadcast_to(psi, grid.shape).copy()))
 
 
-def build_tau_interval(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
+def build_tau_interval(spec: ProblemSpec) -> np.ndarray:
     """Constant 1-D stress from the end traction (statics on an interval)."""
     load = spec.loading
     if not isinstance(load, ConstantTau):
         raise ConfigError("interval geometry supports constant_tau loading only")
-    return np.full(x.size, load.vec[0])
+    return np.full(spec.geometry.n, load.vec[0])
 

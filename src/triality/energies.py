@@ -39,7 +39,6 @@ class EnergyReport:
 
     primal: float
     dual: float
-    complementary: float
     gap: float
     point_mismatch: float  # max over nodes of |primal density - dual density|
 
@@ -105,7 +104,7 @@ def trapezoid_weights_grid(grid: Grid2) -> np.ndarray:
 
 def make_energy_report(energy: CanonicalEnergy, m: QuadraticMeasure,
                        zeta, tau, weights) -> EnergyReport:
-    """Integrated primal/dual/complementary energies of one branch.
+    """Integrated primal and dual energies of one branch and their gap.
 
     zeta has shape (...,), tau (..., d), weights (...): quadrature weights
     including the cell measure.  The branch strain gamma = tau/(2a*zeta).
@@ -119,14 +118,10 @@ def make_energy_report(energy: CanonicalEnergy, m: QuadraticMeasure,
         gamma = t / (2.0 * m.a * z[..., None])
         pd = primal_density(energy, m, gamma, t)
         dd = dual_density(energy, m, z, t2)
-        xd = total_complementary_density(energy, m, gamma, z, t)
         primal = float(np.sum(w * pd))
         dual = float(np.sum(w * dd))
-        comp = float(np.sum(w * xd))
-        return EnergyReport(
-            primal=primal, dual=dual, complementary=comp, gap=primal - dual,
-            point_mismatch=float(np.max(np.abs(pd - dd))),
-        )
+        return EnergyReport(primal=primal, dual=dual, gap=primal - dual,
+                            point_mismatch=float(np.max(np.abs(pd - dd))))
 
 
 # ---------------------------------------------------------------------------

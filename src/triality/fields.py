@@ -31,25 +31,39 @@ _FMT = "%.17g"
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform rectangular node grid with Dirichlet/traction edge tags."""
+    """Uniform rectangular node grid with Dirichlet/traction edge tags: the
+    rectangle geometry of a configured instance.
 
+    The node spacings are hx = lx/(nx - 1) and hy = ly/(ny - 1).  Field
+    names match the config keys, and the validation messages name them.
+    """
+
+    lx: float
+    ly: float
     nx: int
     ny: int
-    hx: float
-    hy: float
     origin: tuple[float, float] = (0.0, 0.0)
     fixed_edges: frozenset[str] = field(default_factory=lambda: frozenset({"left"}))
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"grid needs at least 2 nodes per direction, got {self.nx}x{self.ny}")
+            raise ValueError(f"nx, ny: need at least 2 nodes per direction, got {self.nx}x{self.ny}")
         if not (self.hx > 0.0 and self.hy > 0.0):
-            raise ValueError(f"grid spacings must be positive, got hx={self.hx}, hy={self.hy}")
+            raise ValueError(f"lx, ly: extents must be positive, with nonzero node spacings, "
+                             f"got lx={self.lx}, ly={self.ly}")
         bad = set(self.fixed_edges) - set(EDGES)
         if bad:
-            raise ValueError(f"unknown edge names {sorted(bad)}; expected subset of {EDGES}")
+            raise ValueError(f"fixed_edges: unknown edge names {sorted(bad)}; expected subset of {EDGES}")
         if not self.fixed_edges:
-            raise ValueError("at least one fixed edge is required (mixed boundary conditions)")
+            raise ValueError("fixed_edges: at least one fixed edge is required (mixed boundary conditions)")
+
+    @property
+    def hx(self) -> float:
+        return self.lx / (self.nx - 1)
+
+    @property
+    def hy(self) -> float:
+        return self.ly / (self.ny - 1)
 
     @property
     def shape(self) -> tuple[int, int]:

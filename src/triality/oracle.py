@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .canonical import CanonicalEnergy, QuadraticMeasure
-from .config import (IntervalGeometry, OracleOptions, ProblemSpec, build_grid,
-                     build_tau_grid, build_tau_interval, interval_nodes)
+from .config import (IntervalGeometry, OracleOptions, ProblemSpec, build_tau_grid,
+                     build_tau_interval)
 from .energies import primal_density, trapezoid_weights_interval
 from .errors import OracleError
 from .fields import boundary_traction, edge_slice
@@ -210,8 +210,8 @@ def _thomas_pivots(lap, weights, c, lam):
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
     """Assemble the discrete instance (grid, Dirichlet mask, load vector)."""
     if isinstance(spec.geometry, IntervalGeometry):
-        x = interval_nodes(spec)
-        tau = build_tau_interval(spec, x)
+        x = spec.geometry.x
+        tau = build_tau_interval(spec)
         n = x.size
         fixed = np.zeros(n, dtype=bool)
         load = np.zeros(n)
@@ -222,8 +222,8 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
             fixed[-1] = True
             load[0] = -tau[0]           # outward normal -1
         return DiscreteProblem(spec.energy, spec.measure, 1, (n,), (float(x[1] - x[0]),), fixed, load)
-    grid = build_grid(spec)
-    tau = build_tau_grid(spec, grid)
+    grid = spec.geometry
+    tau = build_tau_grid(spec)
     load = np.zeros(grid.shape)
     t_edges = boundary_traction(tau)
     for edge, tvals in t_edges.items():

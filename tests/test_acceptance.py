@@ -179,7 +179,7 @@ def test_c06_fold_threshold():
 
 def test_c07_reconstruction_fidelity():
     n = 64
-    g = Grid2(nx=n, ny=n, hx=1.0 / (n - 1), hy=1.0 / (n - 1))
+    g = Grid2(lx=1.0, ly=1.0, nx=n, ny=n)
     tau0 = 0.8
     z1 = solve_all_roots(LOG, SHEAR_MEASURE, tau0 * tau0).roots[0].zeta
     zeta = ScalarField(g, np.full(g.shape, z1))

@@ -105,8 +105,7 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     # psi = s*(x^2 - y^2) on a square grid gives mirrored nodes the same
     # tau^2; a constant load gives every node the same one
     spec = parse_config(CONFIGS / name)
-    grid = config.build_grid(spec)
-    tau = config.build_tau_grid(spec, grid).values.reshape(-1, 2)
+    tau = config.build_tau_grid(spec).values.reshape(-1, 2)
     tau_sq = np.sum(tau * tau, axis=-1)
     distinct = np.unique(tau_sq).size
     assert distinct == 1 if name == "log_rect_const.cfg" else 1 < distinct < tau_sq.size
@@ -134,7 +133,7 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
 
     out = tmp_path / "o"
     assert run(["solve", CONFIGS / name, "--out", out]) == 0
-    X, Y = grid.coords()
+    X, Y = spec.geometry.coords()
     lines = ["x,y,tau_sq,k,zeta,residual,label"]
     for i, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
         lines += ["%.17g,%.17g,%.17g,%d,%.17g,%.17g,%s"
@@ -195,18 +194,31 @@ def test_generic_measure_override_end_to_end(tmp_path, capsys):
 
 
 def test_oracle_runs_where_two_fixed_edges_meet(tmp_path, capsys):
-    # the corner cell takes both differences along fixed lines, so xi = b = 0
-    # there for every field: the floor of the closed domain, not outside it
+    # where two fixed edges meet, the corner cell takes both differences
+    # along fixed lines, so xi = b = 0 there for every field: the floor of the
+    # closed domain, not outside it.  The constant-strain branch 1 meets
+    # u = 0 on every fixed node only when the load has no component along a
+    # fixed edge; otherwise the discrete minimum lies above Pi_d and only
+    # weak duality is checked.
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(
-        "model = log_neohookean\ngeometry = rectangle\nlx = 1\nly = 1\nnx = 9\nny = 9\n"
-        "fixed_edges = left,bottom\nloading = constant_tau\ntau_x = 0.8\ntau_y = 0.3\n"
-        "oracle_starts = 6\noracle_seed = 20240811\n")
-    run(["verify", cfg])  # the constant-strain branch cannot meet u = 0 on both edges
-    out = capsys.readouterr().out
-    converged = re.search(r"converged = (\d+)/6 starts", out)
-    assert converged and int(converged.group(1)) >= 1
-    assert "PASS gradient check" in out and "SKIP gradient check" not in out
+    for fixed, tau_x, tau_y, oracle_check in (
+            ("left,bottom", 0.8, 0.3, "PASS oracle weak duality"),
+            ("left", 0.8, 0.3, "PASS oracle weak duality"),
+            ("bottom", 0.8, 0.0, "PASS oracle weak duality"),
+            ("left,right", 0.8, 0.0, "PASS oracle weak duality"),
+            ("bottom", 0.0, 0.8, "PASS oracle agreement")):
+        cfg.write_text(
+            "model = log_neohookean\ngeometry = rectangle\nlx = 1\nly = 1\nnx = 9\nny = 9\n"
+            f"fixed_edges = {fixed}\nloading = constant_tau\ntau_x = {tau_x}\ntau_y = {tau_y}\n"
+            "oracle_starts = 6\noracle_seed = 20240811\n")
+        assert run(["verify", cfg]) == 0, fixed
+        out = capsys.readouterr().out
+        converged = re.search(r"converged = (\d+)/6 starts", out)
+        assert converged and int(converged.group(1)) >= 1, fixed
+        assert oracle_check in out, fixed
+        weak = oracle_check.endswith("weak duality")
+        assert ("on a fixed edge: exact match not required" in out) == weak, fixed
+        assert "PASS gradient check" in out and "SKIP gradient check" not in out, fixed
 
 
 def test_interval_fixed_right_end(tmp_path):
@@ -232,14 +244,36 @@ def test_sweep_two_rows(tmp_path):
     assert rows.shape[0] == 2
 
 
+#: "status check" of every verify line, in order, per shipped config
+_VERIFY_1D_TAIL = ("PASS gradient check", "SKIP curl/path audit", "PASS quasiconvexity probe")
+SHIPPED_VERDICTS = {
+    "doublewell_1d.cfg": ("PASS duality-gap branch 1", "PASS duality-gap branch 2",
+                          "PASS root residuals", "PASS oracle weak duality") + _VERIFY_1D_TAIL,
+    "doublewell_1d_sub.cfg": ("PASS duality-gap branch 1", "PASS duality-gap branch 2",
+                              "PASS duality-gap branch 3", "PASS root residuals",
+                              "PASS oracle weak duality") + _VERIFY_1D_TAIL,
+    "log_1d_sub.cfg": ("PASS duality-gap branch 1", "PASS duality-gap branch 2",
+                       "PASS duality-gap branch 3", "PASS root residuals",
+                       "PASS oracle weak duality") + _VERIFY_1D_TAIL,
+    "log_1d_super.cfg": ("PASS duality-gap branch 1", "PASS root residuals",
+                         "PASS oracle agreement") + _VERIFY_1D_TAIL,
+    # oracle: non-constant load; curl/path: the field is not integrable
+    "doublewell_rect_stream.cfg": ("PASS duality-gap branch 1", "PASS root residuals",
+                                   "SKIP oracle agreement", "PASS gradient check",
+                                   "SKIP curl/path audit", "PASS quasiconvexity probe"),
+    "log_rect_const.cfg": ("PASS duality-gap branch 1", "PASS root residuals",
+                           "PASS oracle agreement", "PASS gradient check",
+                           "PASS curl/path audit", "PASS quasiconvexity probe"),
+}
+
+
 def test_verify_shipped_configs_pass(capsys):
-    for name in ("doublewell_1d.cfg", "log_1d_super.cfg"):
-        assert run(["verify", CONFIGS / name]) == 0
-    # the stream instance exercises the SKIP paths: oracle (non-constant
-    # load) and reconstruction (field not integrable)
-    assert run(["verify", CONFIGS / "doublewell_rect_stream.cfg"]) == 0
-    out = capsys.readouterr().out
-    assert "SKIP oracle" in out and "SKIP curl/path" in out
+    assert sorted(SHIPPED_VERDICTS) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
+    for name, want in SHIPPED_VERDICTS.items():
+        assert run(["verify", CONFIGS / name]) == 0, name
+        out = capsys.readouterr().out
+        got = re.findall(r"^\[verify\] (PASS|FAIL|SKIP) ([^:]+):", out, flags=re.M)
+        assert tuple(f"{status} {check}" for status, check in got) == want, name
 
 
 def test_verify_rect_constant_load_passes_curl_audit(tmp_path, capsys):
@@ -300,7 +334,9 @@ def test_unknown_key_and_corrupt_config(tmp_path, capsys):
             (rect, "stream_scale = 1e308", "loading"), (base, "tau_x = nan", "tau_x"),
             (base, "tau_x = inf", "tau_x"), (base, "tau_x = 1e200", "loading"),
             (base, "length = inf", "length"), (base, "oracle_starts = 0", "oracle_starts"),
-            (rect, "lx = 5e-324", "lx"),
+            (rect, "lx = 5e-324", "lx"), (rect, "lx = -1", "lx"),
+            (rect, "fixed_edges = left,north", "fixed_edges"),
+            (rect, "fixed_edges = ,", "fixed_edges"),
             (base, "n = 1e12", "'n'"),
             # four real roots: a model outside the supported family
             (base, "measure_b = -0.001", "more than three")):

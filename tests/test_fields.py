@@ -35,19 +35,21 @@ from conftest import read_csv
 
 
 def unit_grid(n, fixed=("left",)):
-    return Grid2(nx=n, ny=n, hx=1.0 / (n - 1), hy=1.0 / (n - 1),
-                 fixed_edges=frozenset(fixed))
+    return Grid2(lx=1.0, ly=1.0, nx=n, ny=n, fixed_edges=frozenset(fixed))
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid2(nx=1, ny=4, hx=0.1, hy=0.1)
-    with pytest.raises(ValueError):
-        Grid2(nx=4, ny=4, hx=-0.1, hy=0.1)
-    with pytest.raises(ValueError):
-        Grid2(nx=4, ny=4, hx=0.1, hy=0.1, fixed_edges=frozenset())
-    with pytest.raises(ValueError):
-        Grid2(nx=4, ny=4, hx=0.1, hy=0.1, fixed_edges=frozenset({"north"}))
+    # each message names the offending fields, which are also the config keys
+    with pytest.raises(ValueError, match="nx, ny"):
+        Grid2(lx=0.3, ly=0.3, nx=1, ny=4)
+    with pytest.raises(ValueError, match="lx, ly"):
+        Grid2(lx=-0.3, ly=0.3, nx=4, ny=4)
+    with pytest.raises(ValueError, match="fixed_edges.*mixed boundary"):
+        Grid2(lx=0.3, ly=0.3, nx=4, ny=4, fixed_edges=frozenset())
+    with pytest.raises(ValueError, match="fixed_edges.*north"):
+        Grid2(lx=0.3, ly=0.3, nx=4, ny=4, fixed_edges=frozenset({"north"}))
+    g = Grid2(lx=0.3, ly=2.0, nx=4, ny=9)
+    assert (g.hx, g.hy) == (0.3 / 3, 2.0 / 8)
     g = unit_grid(5, fixed=("left", "bottom"))
     mask = g.fixed_mask()
     assert mask[:, 0].all() and mask[0, :].all()

@@ -18,9 +18,8 @@ from triality import (
     solve_all_roots,
 )
 from triality import _kernels, oracle
-from triality.config import (ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec,
-                             RectangleGeometry, parse_config)
-from triality.fields import EDGES
+from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
+from triality.fields import EDGES, Grid2
 from triality.oracle import descend, descend_batch, discretize
 
 from conftest import DW_MEASURE, SHEAR_MEASURE
@@ -64,7 +63,7 @@ def test_multistart_2d_supercritical_matches_dual(log11):
     # discrete optimum equals the dual prediction (linear solution is exact)
     spec = ProblemSpec(
         energy=log11, measure=SHEAR_MEASURE,
-        geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=9),
+        geometry=Grid2(lx=1.0, ly=1.0, nx=9, ny=9),
         loading=ConstantTau((0.8, 0.0)),
         oracle=OracleOptions(n_starts=4, seed=20240811),
     )
@@ -247,7 +246,7 @@ def assert_lone_starts_match(spec):
 def test_batched_descent_matches_lone_starts_2d(log11):
     assert_lone_starts_match(ProblemSpec(
         energy=log11, measure=SHEAR_MEASURE,
-        geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=9),
+        geometry=Grid2(lx=1.0, ly=1.0, nx=9, ny=9),
         loading=ConstantTau((0.8, 0.0)),
         oracle=OracleOptions(n_starts=3, seed=20240811),
     ))
@@ -258,7 +257,7 @@ def test_batched_descent_matches_lone_starts_2d_either_mode_axis(dw, nx, ny, fix
     # the preconditioner's eigenbasis spans y (13x7) and x (6x11)
     assert_lone_starts_match(ProblemSpec(
         energy=dw, measure=DW_MEASURE,
-        geometry=RectangleGeometry(lx=1.0, ly=2.0, nx=nx, ny=ny, fixed_edges=frozenset(fixed)),
+        geometry=Grid2(lx=1.0, ly=2.0, nx=nx, ny=ny, fixed_edges=frozenset(fixed)),
         loading=ConstantTau((0.8, 0.3)),
         oracle=OracleOptions(n_starts=3, seed=20240811),
     ))
@@ -329,13 +328,13 @@ STIFFNESS_CASES = (
                    geometry=IntervalGeometry(length=1.3, n=6, fixed_end="right"),
                    loading=ConstantTau((0.3,)))]
     + [ProblemSpec(energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
-                   geometry=RectangleGeometry(lx=lx, ly=ly, nx=nx, ny=ny, fixed_edges=frozenset(f)),
+                   geometry=Grid2(lx=lx, ly=ly, nx=nx, ny=ny, fixed_edges=frozenset(f)),
                    loading=ConstantTau((0.3, 0.1)))
        for nx, ny, lx, ly in ((6, 4, 1.0, 2.5), (4, 7, 1.7, 0.6)) for f in EDGE_SUBSETS]
     # no free node: two fixed edges two nodes apart
     + [ProblemSpec(energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
-                   geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=2, ny=5,
-                                              fixed_edges=frozenset({"left", "right"})),
+                   geometry=Grid2(lx=1.0, ly=1.0, nx=2, ny=5,
+                                  fixed_edges=frozenset({"left", "right"})),
                    loading=ConstantTau((0.3, 0.1)))])
 
 
@@ -356,7 +355,7 @@ def test_precondition_inverts_the_dense_stiffness(spec):
 def test_precondition_builds_no_matrix_along_a_long_axis():
     # 500000 x 2 rectangle: the eigenbasis spans the 2-node axis only
     spec = ProblemSpec(energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
-                       geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=500_000, ny=2),
+                       geometry=Grid2(lx=1.0, ly=1.0, nx=500_000, ny=2),
                        loading=ConstantTau((0.3, 0.0)))
     stiff = oracle.Stiffness.of(discretize(spec))
     assert stiff.basis.shape == (2, 2) and stiff.pivots.shape == (499_999, 2)
@@ -422,7 +421,7 @@ def test_gradient_check_outside_the_domain_compares_nothing(log11):
 def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
     spec = ProblemSpec(
         energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
-        geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=7),
+        geometry=Grid2(lx=1.0, ly=1.0, nx=9, ny=7),
         loading=ConstantTau((0.4, 0.1)),
     )
     prob = discretize(spec)
@@ -447,7 +446,7 @@ def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
 def test_gradient_check_2d(rng):
     spec = ProblemSpec(
         energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
-        geometry=RectangleGeometry(lx=1.0, ly=1.0, nx=9, ny=7),
+        geometry=Grid2(lx=1.0, ly=1.0, nx=9, ny=7),
         loading=ConstantTau((0.4, 0.1)),
     )
     prob = discretize(spec)
