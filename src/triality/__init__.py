@@ -11,25 +11,18 @@ from .canonical import (
     measure_eval,
 )
 from .dualsolve import (
-    DualRoot,
-    DualRootSet,
     FoldThreshold,
     TrialityLabel,
-    classify_root,
-    dual_residual,
     fold_threshold,
-    solve_all_roots,
+    label_array,
     solve_roots_array,
 )
 from .energies import (
     EnergyReport,
     dual_density,
-    gap_density,
     make_energy_report,
     primal_density,
     rotation_invariance_check,
-    tensor_reconstruct,
-    total_complementary_density,
 )
 from .errors import (
     ConfigError,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,27 +60,6 @@ class TrialityLabel(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DualRoot:
-    zeta: float
-    residual: float
-    label: TrialityLabel
-
-
-@dataclass(frozen=True)
-class DualRootSet:
-    """All real dual roots at one material point, descending in zeta."""
-
-    tau_sq: float
-    roots: tuple[DualRoot, ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def zetas(self) -> tuple[float, ...]:
-        return tuple(r.zeta for r in self.roots)
-
-
 class FoldThreshold(NamedTuple):
     zeta_c: float
     eta: float
@@ -94,16 +72,6 @@ def residual_factor(m: QuadraticMeasure, convention: str = "derived") -> float:
     if convention == "paper-eq45":
         return 1.0
     raise ValueError(f"unknown residual convention {convention!r}; expected one of {RESIDUAL_CONVENTIONS}")
-
-
-def dual_residual(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq,
-                  convention: str = "derived"):
-    """D(zeta) = factor*zeta^2*(dVstar(zeta) - b) - tau^2 (vectorized in zeta)."""
-    z = np.asarray(zeta, dtype=float)
-    if np.any(z == 0.0):
-        raise SingularDualError("dual residual is taken at zeta = 0; the dual density is singular there")
-    out = _kernels.residual(energy, m.b, residual_factor(m, convention), z, tau_sq)
-    return float(out) if out.ndim == 0 else out
 
 
 class _Curve(NamedTuple):
@@ -227,18 +195,6 @@ _NO_ROOT, _GLOBAL_MIN, _LOCAL_MIN, _LOCAL_MAX, _SADDLE, _DEGENERATE = range(6)
 _LABELS = np.array([None, *TrialityLabel], dtype=object)
 
 
-def classify_root(energy: CanonicalEnergy, m: QuadraticMeasure, zeta: float,
-                  tau_vec) -> TrialityLabel:
-    """Triality label of a verified root for the stress vector tau_vec.
-
-    zeta > 0 is a global minimizer outright; for zeta < 0 the label follows
-    the definiteness of the composed-energy Hessian at gamma = tau/(2a*zeta),
-    with a scale-aware zero tolerance on the eigenvalues (see label_array).
-    """
-    t = np.asarray(tau_vec, dtype=float).ravel()
-    return label_array(energy, m, [[float(zeta)]], [float(t @ t)], [[False]], t.size)[0, 0]
-
-
 def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
                       convention: str = "derived"):
     """Enumerate dual roots for an array of tau^2 values.
@@ -255,26 +211,6 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
                                       *_curve(energy, m, convention))
 
 
-def solve_all_roots(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq: float,
-                    dim: int = 1, convention: str = "derived") -> DualRootSet:
-    """All real dual roots at one material point, labeled and ordered.
-
-    Parameters
-    ----------
-    tau_sq : squared stress magnitude at the point (>= 0).
-    dim : dimension of the strain vector, used for the Hessian spectrum in
-        the labels (1 for bars, 2 for anti-plane sections, 9 for 3x3 tensors).
-    """
-    roots, resid, degenerate, _ = solve_roots_array(
-        energy, m, np.asarray([tau_sq], dtype=float), convention
-    )
-    labels = label_array(energy, m, roots, [tau_sq], degenerate, dim)
-    out = [DualRoot(float(z), float(r), lab)
-           for z, r, lab in zip(roots[0], resid[0], labels[0]) if not np.isnan(z)]
-    out.sort(key=lambda r: -r.zeta)
-    return DualRootSet(float(tau_sq), tuple(out))
-
-
 def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, tau_sq,
                 degenerate, dim: int) -> np.ndarray:
     """Labels of every slot of an (n, k) roots array with per-point tau_sq.
@@ -282,9 +218,11 @@ def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, tau_sq,
     Returns an object array of TrialityLabel, None at nan slots.  Flagged
     fold roots are DEGENERATE and zeta > 0 is a global minimizer outright.
     Every other root is labelled from the Hessian spectrum of _hessian_eigs
-    at gamma = tau/(2a*zeta), `along` once and `perp` dim-1 times, counting
-    eigenvalues within EIG_ZERO_RTOL*(1 + |2a*zeta|) of zero as zero.  Labels
-    are computed as integer codes over whole arrays and looked up once.
+    at gamma = tau/(2a*zeta), `along` once and `perp` dim-1 times (dim is the
+    strain dimension: 1 for bars, 2 for anti-plane sections, 9 for 3x3
+    tensors), counting eigenvalues within EIG_ZERO_RTOL*(1 + |2a*zeta|) of
+    zero as zero.  Labels are computed as integer codes over whole arrays
+    and looked up once.
     """
     z = np.asarray(roots, dtype=float)
     t2 = np.broadcast_to(np.asarray(tau_sq, dtype=float)[:, None], z.shape)

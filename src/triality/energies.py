@@ -1,12 +1,9 @@
-"""Energy functionals: primal, dual, total complementary, gap, and the
-tensor-level reconstruction and rotation-invariance checks.
+"""Energy densities, integrated energy reports and rotation-invariance checks.
 
 Pointwise densities (per unit volume, vectorized over leading axes):
 
     G(gamma)        = V(a|gamma|^2 + b) - <gamma, tau>
     G^d(zeta)       = b*zeta - V*(zeta) - tau^2 / (4a*zeta)
-    Xi(gamma, zeta) = (a|gamma|^2 + b)*zeta - V*(zeta) - <gamma, tau>
-    G_ap(d, zeta)   = a*zeta*|d|^2
 
 At any dual root, G evaluated at gamma = tau/(2a*zeta) equals G^d exactly;
 the integrated |primal - dual| gap is the primary self-consistency diagnostic
@@ -19,12 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalEnergy, QuadraticMeasure, closed_V, measure_eval
-from .dualsolve import TrialityLabel, solve_all_roots
 from .errors import InvalidRotationError, SingularDualError
 from .fields import Grid2
-
-#: measure used for 3x3 tensor-level checks: xi = tr(F^T F)
-TENSOR_MEASURE = QuadraticMeasure(a=1.0, b=0.0)
 
 #: duality-gap bound |Pi - Pi_d| <= GAP_RTOL*max(1, |Pi_d|)
 GAP_RTOL = 1e-8
@@ -70,23 +63,6 @@ def dual_density(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def total_complementary_density(energy: CanonicalEnergy, m: QuadraticMeasure,
-                                gamma, zeta, tau):
-    """Xi density = Lambda(gamma)*zeta - V*(zeta) - <gamma, tau>."""
-    g = np.asarray(gamma, dtype=float)
-    t = np.asarray(tau, dtype=float)
-    z = np.asarray(zeta, dtype=float)
-    out = _lam(m, g) * z - energy.Vstar(z) - np.sum(g * t, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def gap_density(m: QuadraticMeasure, delta_gamma, zeta):
-    """Complementary gap density a*zeta*|delta_gamma|^2; nonnegative iff zeta >= 0."""
-    d = np.asarray(delta_gamma, dtype=float)
-    out = m.a * np.asarray(zeta, dtype=float) * np.sum(d * d, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # trapezoid quadrature weights
 # ---------------------------------------------------------------------------
@@ -125,37 +101,8 @@ def make_energy_report(energy: CanonicalEnergy, m: QuadraticMeasure,
 
 
 # ---------------------------------------------------------------------------
-# tensor-level reconstruction and invariance
+# rotation invariance
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TensorBranch:
-    zeta: float
-    F: np.ndarray
-    sigma: np.ndarray
-    label: TrialityLabel
-
-
-def tensor_reconstruct(energy: CanonicalEnergy, T,
-                       m: QuadraticMeasure = TENSOR_MEASURE) -> list[TensorBranch]:
-    """All stationary deformation gradients for a constant 3x3 stress T.
-
-    Solves the dual equation at tau^2 = tr(T^T T) and reconstructs
-    F_k = T/(2a*zeta_k), where dW/dF = 2a*V'(Lambda(F))*F = T with
-    V'(Lambda(F_k)) = zeta_k, and sigma_k = 2a*zeta_k*F_k = T for each root.
-    """
-    T = np.asarray(T, dtype=float)
-    if T.shape != (3, 3):
-        raise ValueError(f"T must be a 3x3 matrix, got shape {T.shape}")
-    tau_sq = float(np.sum(T * T))
-    rs = solve_all_roots(energy, m, tau_sq, dim=9)
-    out = []
-    for r in rs.roots:
-        s = 2.0 * m.a * r.zeta
-        F = T / s
-        out.append(TensorBranch(zeta=r.zeta, F=F, sigma=s * F, label=r.label))
-    return out
-
 
 def check_rotation(R) -> None:
     R = np.asarray(R, dtype=float)

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own solution paths:
 roots come from dense sign scans refined by bisection (or numpy.roots for
-the cubic), conjugates from a brute-force sup over a fine grid.
+the cubic), conjugates from a brute-force sup over a fine grid, and the
+dual residual from the energy's dV* alone.  roots_at is the one exception:
+it runs the library's root path at a single load.
 """
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from triality import (
     QuadraticEnergy,
     QuadraticMeasure,
 )
-from triality.dualsolve import residual_factor
+from triality.dualsolve import label_array, residual_factor, solve_roots_array
 
 DW_MEASURE = QuadraticMeasure(a=0.5, b=-1.0)
 SHEAR_MEASURE = QuadraticMeasure(a=1.0, b=0.0)
@@ -47,12 +49,25 @@ def bisect(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def dual_residual(energy, m, zeta, tau_sq, convention="derived"):
+    """D(zeta) = factor*zeta^2*(dV*(zeta) - b) - tau^2, vectorized in zeta."""
+    return residual_factor(m, convention) * zeta * zeta * (energy.dVstar(zeta) - m.b) - tau_sq
+
+
+def roots_at(energy, m, tau_sq, dim=1, convention="derived"):
+    """(zetas, residuals, labels) of every dual root at one load, descending,
+    from solve_roots_array + label_array, the calls the pipelines make."""
+    roots, resid, degenerate, _ = solve_roots_array(energy, m, np.array([tau_sq], dtype=float),
+                                                    convention)
+    labels = label_array(energy, m, roots, [tau_sq], degenerate, dim)[0]
+    have = ~np.isnan(roots[0])
+    return roots[0][have], resid[0][have], labels[have]
+
+
 def scan_roots(energy, m, tau_sq, lo=-50.0, hi=50.0, n=400_001, convention="derived"):
     """All nonzero dual roots by dense sign scan + bisection (independent oracle)."""
-    f = residual_factor(m, convention)
-
     def D(z):
-        return f * z * z * (energy.dVstar(z) - m.b) - tau_sq
+        return dual_residual(energy, m, z, tau_sq, convention)
 
     grid = np.linspace(lo, hi, n)
     grid = grid[np.abs(grid) > 1e-9]

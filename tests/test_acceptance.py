@@ -17,12 +17,11 @@ from triality import (
     minimize_multistart,
     primal_density,
     rotation_invariance_check,
-    solve_all_roots,
     solve_roots_array,
 )
 from triality.cli import branch_energy_report, full_branches, solve_instance
 from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
-from triality.energies import TENSOR_MEASURE, random_rotation
+from triality.energies import random_rotation
 from triality.fields import (
     Grid2,
     ScalarField,
@@ -36,7 +35,7 @@ from triality.fields import (
 )
 from triality.oracle import descend, discretize
 
-from conftest import DW_MEASURE, SHEAR_MEASURE
+from conftest import DW_MEASURE, SHEAR_MEASURE, roots_at
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 DW = QuadraticEnergy(1.0)
@@ -59,22 +58,22 @@ def bar_spec(energy, measure, tau, n=3):
 def test_c01_cubic_branch_structure():
     counts = {}
     for t2 in (0.05, 0.1, 0.2, 0.3, 0.5, 1.0):
-        counts[t2] = len(solve_all_roots(DW, DW_MEASURE, t2))
+        counts[t2] = len(roots_at(DW, DW_MEASURE, t2)[0])
     ok = all(counts[t2] == 3 for t2 in (0.05, 0.1, 0.2))
     ok &= all(counts[t2] == 1 for t2 in (0.3, 0.5, 1.0))
-    rs = solve_all_roots(DW, DW_MEASURE, 8.0 / 27.0)
-    err1 = abs(rs.roots[0].zeta - 1.0 / 3.0)
-    err2 = abs(rs.roots[1].zeta + 2.0 / 3.0)
-    ok &= len(rs) == 2 and err1 <= 1e-10 and err2 <= 1e-10
-    ok &= rs.roots[1].label is TrialityLabel.DEGENERATE
+    z, _, labels = roots_at(DW, DW_MEASURE, 8.0 / 27.0)
+    err1 = abs(z[0] - 1.0 / 3.0)
+    err2 = abs(z[1] + 2.0 / 3.0)
+    ok &= len(z) == 2 and err1 <= 1e-10 and err2 <= 1e-10
+    ok &= labels[1] is TrialityLabel.DEGENERATE
     report("C01", ok, f"cubic branch counts {counts}; fold roots off by "
-                      f"({err1:.2e}, {err2:.2e}), fold label {rs.roots[1].label}")
+                      f"({err1:.2e}, {err2:.2e}), fold label {labels[1]}")
 
 
 def test_c02_complementary_dual_equality():
     # per-point densities at the fold load on a unit interval
     t2 = 8.0 / 27.0
-    z1 = solve_all_roots(DW, DW_MEASURE, t2).roots[0].zeta
+    z1 = roots_at(DW, DW_MEASURE, t2)[0][0]
     tau = np.array([math.sqrt(t2)])
     gam = tau / (2.0 * DW_MEASURE.a * z1)
     pd = primal_density(DW, DW_MEASURE, gam, tau)
@@ -112,9 +111,9 @@ def test_c04_global_minimizer_agreement():
     for energy, m, t2 in cases:
         spec = bar_spec(energy, m, math.sqrt(t2))
         res = minimize_multistart(discretize(spec), spec.oracle)
-        roots = solve_all_roots(energy, m, t2)
-        branch = {r.label: dual_density(energy, m, r.zeta, t2) for r in roots.roots}
-        pd1 = dual_density(energy, m, roots.roots[0].zeta, t2)
+        zetas, _, labels = roots_at(energy, m, t2)
+        branch = {lab: dual_density(energy, m, z, t2) for z, lab in zip(zetas, labels)}
+        pd1 = dual_density(energy, m, zetas[0], t2)
         diff = abs(res.energy - pd1)
         ok &= diff <= 1e-6
         # the global label marks the argmin of the branch energies
@@ -125,9 +124,8 @@ def test_c04_global_minimizer_agreement():
 
 def test_c05_triality_labels_vs_oracle():
     t2 = 0.2
-    rs = solve_all_roots(LOG, SHEAR_MEASURE, t2)
-    z1, z2, z3 = rs.zetas()
-    labels = [r.label for r in rs.roots]
+    (z1, z2, z3), _, labels = roots_at(LOG, SHEAR_MEASURE, t2)
+    labels = list(labels)
     ok = labels == [TrialityLabel.GLOBAL_MIN, TrialityLabel.LOCAL_MIN, TrialityLabel.LOCAL_MAX]
     hess3 = 2.0 * z3 + 4.0 * LOG.c2
     ok &= hess3 < 0.0
@@ -166,7 +164,7 @@ def test_c06_fold_threshold():
     ok &= abs(eta_45 - 2.0 * math.exp(-2.0)) <= 1e-12
     # only the derived convention satisfies the dual equality of C02
     t2 = 0.2
-    z45 = solve_all_roots(LOG, SHEAR_MEASURE, t2, convention="paper-eq45").roots[0].zeta
+    z45 = roots_at(LOG, SHEAR_MEASURE, t2, convention="paper-eq45")[0][0]
     tau = np.array([math.sqrt(t2)])
     gam = tau / (2.0 * z45)
     gap45 = abs(primal_density(LOG, SHEAR_MEASURE, gam, tau)
@@ -181,7 +179,7 @@ def test_c07_reconstruction_fidelity():
     n = 64
     g = Grid2(lx=1.0, ly=1.0, nx=n, ny=n)
     tau0 = 0.8
-    z1 = solve_all_roots(LOG, SHEAR_MEASURE, tau0 * tau0).roots[0].zeta
+    z1 = roots_at(LOG, SHEAR_MEASURE, tau0 * tau0)[0][0]
     zeta = ScalarField(g, np.full(g.shape, z1))
     tau = VectorField2(g, np.stack([np.full(g.shape, tau0), np.zeros(g.shape)], axis=-1))
     curl_resid = float(np.max(np.abs(curl2(strain_from_dual(zeta, tau, SHEAR_MEASURE)).values)))
@@ -219,7 +217,7 @@ def test_c10_rotation_invariance():
     for _ in range(100):
         F = rng.standard_normal((3, 3))
         T = rng.standard_normal((3, 3))
-        r1, r2 = rotation_invariance_check(TENSOR_MEASURE, F, T, random_rotation(rng))
+        r1, r2 = rotation_invariance_check(SHEAR_MEASURE, F, T, random_rotation(rng))
         worst = (max(worst[0], r1), max(worst[1], r2))
     ok = worst[0] <= 1e-12 and worst[1] <= 1e-12
     report("C10", ok, f"100 random rotations: measure residual {worst[0]:.2e}, "

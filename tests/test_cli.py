@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triality import _kernels, config, dual_residual, dualsolve
+from triality import _kernels, config, dualsolve
 from triality.cli import main, solve_instance
 from triality.config import parse_config
 from triality.errors import ConfigError
 
-from conftest import read_csv
+from conftest import dual_residual, read_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -286,6 +286,28 @@ def test_verify_rect_constant_load_passes_curl_audit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS curl/path audit" in out
     assert "OK: 6/6" in out
+
+
+@pytest.mark.parametrize("name,load", [("log_1d_super.cfg", "tau_x = 1.0"),
+                                       ("log_rect_const.cfg", "tau_x = 0.8")],
+                         ids=["interval", "rectangle"])
+def test_verify_unloaded_log_model_skips_with_reasons(tmp_path, capsys, name, load):
+    # tau = 0: the log model has no dual root at any node, so there is no
+    # residual to re-validate and no branch 1 for the oracle to match
+    text = (CONFIGS / name).read_text()
+    assert load in text
+    cfg = tmp_path / name
+    cfg.write_text(text.replace(load, "tau_x = 0.0"))
+    assert run(["verify", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    got = re.findall(r"^\[verify\] (PASS|FAIL|SKIP) ([^:]+): (.+)$", captured.out, flags=re.M)
+    assert [(status, check) for status, check, _ in got] == [
+        ("SKIP", "root residuals"), ("SKIP", "oracle agreement"), ("PASS", "gradient check"),
+        ("SKIP", "curl/path audit"), ("SKIP", "quasiconvexity probe")]
+    reasons = {check: reason for status, check, reason in got if status == "SKIP"}
+    assert reasons["root residuals"] == "no dual root at any node"
+    assert reasons["oracle agreement"].startswith("no branch 1 at every node")
 
 
 def test_residual_convention_is_a_sweep_flag_only(tmp_path, capsys):

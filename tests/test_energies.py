@@ -1,4 +1,11 @@
-"""Energy densities, quadrature, tensor reconstruction, rotation invariance."""
+"""Energy densities, quadrature, tensor reconstruction, rotation invariance.
+
+The total complementary density Xi and the complementary gap density G_ap of
+the paper are written out here, independent of the library:
+
+    Xi(gamma, zeta) = (a|gamma|^2 + b)*zeta - V*(zeta) - <gamma, tau>
+    G_ap(d, zeta)   = a*zeta*|d|^2
+"""
 import math
 
 import numpy as np
@@ -10,16 +17,11 @@ from triality import (
     SingularDualError,
     TrialityLabel,
     dual_density,
-    gap_density,
     primal_density,
     rotation_invariance_check,
-    solve_all_roots,
-    tensor_reconstruct,
-    total_complementary_density,
 )
 from triality.energies import (
     EnergyReport,
-    TENSOR_MEASURE,
     make_energy_report,
     random_rotation,
     trapezoid_weights_grid,
@@ -27,7 +29,16 @@ from triality.energies import (
 )
 from triality.fields import Grid2
 
-from conftest import DW_MEASURE, SHEAR_MEASURE
+from conftest import DW_MEASURE, SHEAR_MEASURE, roots_at
+
+
+def xi_density(energy, m, gamma, zeta, tau):
+    lam = m.a * np.sum(gamma * gamma, axis=-1) + m.b
+    return lam * zeta - energy.Vstar(zeta) - np.sum(gamma * tau, axis=-1)
+
+
+def gap_density(m, d, zeta):
+    return m.a * zeta * np.sum(d * d, axis=-1)
 
 
 def test_primal_density_hand_values(dw):
@@ -53,10 +64,10 @@ def test_total_complementary_consistency(dw, log11, rng):
     # at the stationary strain gamma = tau/(2 a zeta) with zeta a root: Xi = G^d
     for energy, m, t2 in ((dw, DW_MEASURE, 0.1), (log11, SHEAR_MEASURE, 0.2)):
         tau = np.array([math.sqrt(t2)])
-        for root in solve_all_roots(energy, m, t2).roots:
-            gam = tau / (2.0 * m.a * root.zeta)
-            xi_v = total_complementary_density(energy, m, gam, root.zeta, tau)
-            assert xi_v == pytest.approx(dual_density(energy, m, root.zeta, t2), abs=1e-12)
+        for z in roots_at(energy, m, t2)[0]:
+            gam = tau / (2.0 * m.a * z)
+            xi_v = xi_density(energy, m, gam, z, tau)
+            assert xi_v == pytest.approx(dual_density(energy, m, z, t2), abs=1e-12)
             assert xi_v == pytest.approx(primal_density(energy, m, gam, tau), abs=1e-12)
     # at zeta = dV(Lambda(gamma)): Xi = G (Legendre identity)
     for _ in range(100):
@@ -66,21 +77,28 @@ def test_total_complementary_consistency(dw, log11, rng):
         z = dw.dV(lam)
         if z == 0.0:
             continue
-        assert total_complementary_density(dw, DW_MEASURE, gam, z, tau) == pytest.approx(
+        assert xi_density(dw, DW_MEASURE, gam, z, tau) == pytest.approx(
             primal_density(dw, DW_MEASURE, gam, tau), abs=1e-12)
     # gamma = 0: b*zeta - V*(zeta)
     z = 0.7
-    assert total_complementary_density(dw, DW_MEASURE, np.zeros(2), z, tau) == pytest.approx(
+    assert xi_density(dw, DW_MEASURE, np.zeros(2), z, tau) == pytest.approx(
         DW_MEASURE.b * z - z * z / 2.0, abs=1e-14)
 
 
-def test_gap_density_values():
+def test_gap_density_values(dw):
     assert gap_density(QuadraticMeasure(1.0, 0.0), np.array([1.0, 0.0]), 1.0) == 1.0
     assert gap_density(DW_MEASURE, np.array([math.sqrt(2.0), 0.0]), -1.0) == pytest.approx(-1.0, abs=1e-14)
     rng = np.random.default_rng(3)
     for _ in range(100):
         d = rng.standard_normal(2)
         assert gap_density(DW_MEASURE, d, 0.8) >= 0.0
+    # Xi(gamma_k + d, zeta_k) = G^d(zeta_k) + G_ap(d, zeta_k) at every root
+    tau = np.array([math.sqrt(0.1), 0.0])
+    for z in roots_at(dw, DW_MEASURE, 0.1)[0]:
+        gam = tau / (2.0 * DW_MEASURE.a * z)
+        d = rng.uniform(-2.0, 2.0, size=(100, 2))
+        lhs = xi_density(dw, DW_MEASURE, gam + d, z, tau) - dual_density(dw, DW_MEASURE, z, 0.1)
+        assert np.allclose(lhs, gap_density(DW_MEASURE, d, z), atol=1e-12)
 
 
 def test_integrate_cases():
@@ -103,8 +121,8 @@ def test_energy_report_theorem_equalities(dw, log11):
         n = 21
         w = trapezoid_weights_interval(n, 1.0 / (n - 1))
         tau = np.full((n, 1), math.sqrt(t2))
-        for root in solve_all_roots(energy, m, t2).roots:
-            rep = make_energy_report(energy, m, np.full(n, root.zeta), tau, w)
+        for z in roots_at(energy, m, t2)[0]:
+            rep = make_energy_report(energy, m, np.full(n, z), tau, w)
             assert isinstance(rep, EnergyReport)
             assert abs(rep.gap) <= 1e-8 * max(1.0, abs(rep.dual))
             assert rep.point_mismatch <= 1e-12
@@ -114,7 +132,7 @@ def test_energy_report_theorem_equalities(dw, log11):
 def test_gao_strang_inequality_at_global_root(dw, log11, rng):
     # primal density at gamma_1 + d never drops below the root value
     for energy, m, t2 in ((dw, DW_MEASURE, 0.1), (log11, SHEAR_MEASURE, 0.2)):
-        z1 = solve_all_roots(energy, m, t2).roots[0].zeta
+        z1 = roots_at(energy, m, t2)[0][0]
         tau = np.array([math.sqrt(t2), 0.0])
         g1 = tau / (2.0 * m.a * z1)
         base = primal_density(energy, m, g1, tau)
@@ -127,24 +145,23 @@ def test_xi_stationarity_at_roots(dw):
     t2 = 0.1
     tau = np.array([math.sqrt(t2), 0.0])
     h = 1e-6
-    for root in solve_all_roots(dw, DW_MEASURE, t2).roots:
-        z = root.zeta
+    for z in roots_at(dw, DW_MEASURE, t2)[0]:
         gam = tau / (2.0 * DW_MEASURE.a * z)
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            d = (total_complementary_density(dw, DW_MEASURE, gam + e, z, tau)
-                 - total_complementary_density(dw, DW_MEASURE, gam - e, z, tau)) / (2 * h)
+            d = (xi_density(dw, DW_MEASURE, gam + e, z, tau)
+                 - xi_density(dw, DW_MEASURE, gam - e, z, tau)) / (2 * h)
             assert abs(d) <= 1e-6
-        dz = (total_complementary_density(dw, DW_MEASURE, gam, z + h, tau)
-              - total_complementary_density(dw, DW_MEASURE, gam, z - h, tau)) / (2 * h)
+        dz = (xi_density(dw, DW_MEASURE, gam, z + h, tau)
+              - xi_density(dw, DW_MEASURE, gam, z - h, tau)) / (2 * h)
         assert abs(dz) <= 1e-6
 
 
 def test_hessian_psd_at_global_root(dw, log11):
     # Legendre-Hadamard at the positive branch: both eigenvalues nonnegative
     for energy, m, t2 in ((dw, DW_MEASURE, 0.2), (log11, SHEAR_MEASURE, 0.2)):
-        z1 = solve_all_roots(energy, m, t2).roots[0].zeta
+        z1 = roots_at(energy, m, t2)[0][0]
         a = m.a
         gsq = t2 / (4 * a * a * z1 * z1)
         xi = energy.dVstar(z1)
@@ -152,52 +169,52 @@ def test_hessian_psd_at_global_root(dw, log11):
         assert along >= 0.0 and 2 * a * z1 >= 0.0
 
 
-def test_tensor_reconstruct_identity_case(log11):
-    zbar = log11.dV(3.0)  # dVstar(zbar) = 3, so T = 2 zbar I solves the dual equation
-    T = 2.0 * zbar * np.eye(3)
-    branches = tensor_reconstruct(log11, T)
-    match = [b for b in branches if abs(b.zeta - zbar) < 1e-9]
-    assert len(match) == 1
-    assert np.max(np.abs(match[0].F - np.eye(3))) <= 1e-14
-    assert match[0].label is TrialityLabel.GLOBAL_MIN
+def tensor_branches(energy, m, T):
+    """(zeta_k, F_k = T/(2a*zeta_k), label_k) for every root at tau^2 = tr(T^T T)."""
+    zetas, _, labels = roots_at(energy, m, float(np.sum(T * T)), dim=9)
+    return [(z, T / (2.0 * m.a * z), lab) for z, lab in zip(zetas, labels)]
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_tensor_reconstruct_contracts(log11, rng, a):
+    # every stationary deformation gradient of V(a|F|^2) - tr(F^T T) for a
+    # constant 3x3 stress T, the paper's 3-D constant-stress case
     m = QuadraticMeasure(a, 0.0)
     T = rng.standard_normal((3, 3))
     tau_sq = float(np.sum(T * T))
     scale = max(1.0, float(np.max(np.abs(T))))
-    branches = tensor_reconstruct(log11, T, m)
+    branches = tensor_branches(log11, m, T)
     assert branches
-    for b in branches:
-        assert np.max(np.abs(b.sigma - T)) <= 1e-14 * scale
-        lam = a * float(np.sum(b.F * b.F))
-        assert lam == pytest.approx(log11.dVstar(b.zeta), rel=1e-9)
-        assert b.zeta ** 2 * 4.0 * a * log11.dVstar(b.zeta) == pytest.approx(tau_sq, rel=1e-9)
+    for z, F, _ in branches:
+        assert np.max(np.abs(2.0 * a * z * F - T)) <= 1e-14 * scale
+        lam = a * float(np.sum(F * F))
+        assert lam == pytest.approx(log11.dVstar(z), rel=1e-9)
+        assert z ** 2 * 4.0 * a * log11.dVstar(z) == pytest.approx(tau_sq, rel=1e-9)
         # stationarity of V(a|F|^2) - tr(F^T T): dW/dF = 2a*V'(Lambda(F))*F = T
-        assert np.max(np.abs(2.0 * a * log11.dV(lam) * b.F - T)) <= 1e-9 * scale
-
-
-def test_tensor_reconstruct_unloaded(log11):
+        assert np.max(np.abs(2.0 * a * log11.dV(lam) * F - T)) <= 1e-9 * scale
+    # dVstar(zbar) = 3a = Lambda(I), so T = 2a zbar I has the branch F = I
+    zbar = log11.dV(3.0 * a)
+    match = [(F, lab) for z, F, lab in tensor_branches(log11, m, 2.0 * a * zbar * np.eye(3))
+             if abs(z - zbar) < 1e-9]
+    assert len(match) == 1
+    assert np.max(np.abs(match[0][0] - np.eye(3))) <= 1e-14
+    assert match[0][1] is TrialityLabel.GLOBAL_MIN
     # tau^2 = 0: no nontrivial branch exists for the log model
-    assert tensor_reconstruct(log11, np.zeros((3, 3))) == []
-    with pytest.raises(ValueError):
-        tensor_reconstruct(log11, np.eye(2))
+    assert tensor_branches(log11, m, np.zeros((3, 3))) == []
 
 
 def test_rotation_invariance(rng):
     T = rng.standard_normal((3, 3))
     F = rng.standard_normal((3, 3))
-    assert rotation_invariance_check(TENSOR_MEASURE, F, T, np.eye(3)) == (0.0, 0.0)
+    assert rotation_invariance_check(SHEAR_MEASURE, F, T, np.eye(3)) == (0.0, 0.0)
     Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # quarter turn
-    r1, r2 = rotation_invariance_check(TENSOR_MEASURE, F, T, Rz)
+    r1, r2 = rotation_invariance_check(SHEAR_MEASURE, F, T, Rz)
     assert r1 <= 1e-13 * (1.0 + abs(float(np.sum(F * F))))
     assert r2 <= 1e-12
     worst = (0.0, 0.0)
     for _ in range(100):
         R = random_rotation(rng)
-        r1, r2 = rotation_invariance_check(TENSOR_MEASURE, F, T, R)
+        r1, r2 = rotation_invariance_check(SHEAR_MEASURE, F, T, R)
         worst = (max(worst[0], r1), max(worst[1], r2))
     assert worst[0] <= 1e-12 and worst[1] <= 1e-12
 
@@ -205,6 +222,6 @@ def test_rotation_invariance(rng):
 def test_rotation_validation(rng):
     F = rng.standard_normal((3, 3))
     with pytest.raises(InvalidRotationError):
-        rotation_invariance_check(TENSOR_MEASURE, F, F, 2.0 * np.eye(3))
+        rotation_invariance_check(SHEAR_MEASURE, F, F, 2.0 * np.eye(3))
     with pytest.raises(InvalidRotationError):
-        rotation_invariance_check(TENSOR_MEASURE, F, F, -np.eye(3))  # det = -1
+        rotation_invariance_check(SHEAR_MEASURE, F, F, -np.eye(3))  # det = -1

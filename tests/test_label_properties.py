@@ -25,11 +25,10 @@ from triality import (
     QuadraticMeasure,
     SingularDualError,
     TrialityLabel,
-    classify_root,
     fold_threshold,
+    label_array,
     solve_roots_array,
 )
-from triality.dualsolve import label_array
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.filter_too_much])
@@ -109,7 +108,6 @@ def test_labels_match_fd_hessian(kind, p1, p2, log_ratio, theta):
             eigs = _fd_hessian(W, gamma, h)
             assume(np.all(np.abs(eigs) > 1e-6 * (1.0 + np.max(np.abs(eigs)))))
             assert label is _expected(zeta, eigs), (dim, zeta, eigs)
-            assert classify_root(energy, m, zeta, tau) is label
 
 
 def test_label_array_marks_missing_and_fold_slots():
@@ -125,5 +123,3 @@ def test_zero_root_is_singular():
     with pytest.raises(SingularDualError):
         label_array(energy, m, np.array([[0.5, 0.0, np.nan]]), np.array([0.2]),
                     np.zeros((1, 3), dtype=bool), 2)
-    with pytest.raises(SingularDualError):
-        classify_root(energy, m, 0.0, [0.2, 0.1])

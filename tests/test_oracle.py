@@ -15,14 +15,13 @@ from triality import (
     gquasiconvexity_probe,
     gradient_check,
     minimize_multistart,
-    solve_all_roots,
 )
 from triality import _kernels, oracle
 from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
 from triality.fields import EDGES, Grid2
 from triality.oracle import descend, descend_batch, discretize
 
-from conftest import DW_MEASURE, SHEAR_MEASURE
+from conftest import DW_MEASURE, SHEAR_MEASURE, roots_at
 
 
 def interval_spec(energy, measure, tau, n=3, starts=50, seed=20240811):
@@ -39,7 +38,7 @@ def multistart(spec):
 
 
 def dual_global_energy(energy, measure, tau_sq, length=1.0):
-    z1 = solve_all_roots(energy, measure, tau_sq).roots[0].zeta
+    z1 = roots_at(energy, measure, tau_sq)[0][0]
     return length * dual_density(energy, measure, z1, tau_sq)
 
 
@@ -85,8 +84,8 @@ def test_single_cell_basins_match_branch_energies(dw, log11):
     for energy, m, t2 in ((dw, DW_MEASURE, 0.1), (log11, SHEAR_MEASURE, 0.2)):
         spec = interval_spec(energy, m, math.sqrt(t2), n=2, starts=40)
         res = multistart(spec)
-        roots = solve_all_roots(energy, m, t2).roots
-        want = sorted(dual_density(energy, m, r.zeta, t2) for r in roots[:2])
+        zetas = roots_at(energy, m, t2)[0]
+        want = sorted(dual_density(energy, m, z, t2) for z in zetas[:2])
         assert res.distinct_basins == 2
         assert np.allclose(sorted(res.basin_energies), want, atol=1e-6)
 
@@ -112,8 +111,7 @@ def test_multistart_reproducible(log11):
 def test_descent_stays_in_local_basin(log11):
     # start within 1e-2 of the branch-2 strain: descent must not tunnel out
     t2 = 0.2
-    roots = solve_all_roots(log11, SHEAR_MEASURE, t2)
-    z2 = roots.roots[1].zeta
+    z2 = roots_at(log11, SHEAR_MEASURE, t2)[0][1]
     gamma2 = math.sqrt(t2) / (2.0 * SHEAR_MEASURE.a * z2)
     spec = interval_spec(log11, SHEAR_MEASURE, math.sqrt(t2), n=5)
     prob = discretize(spec)
