@@ -192,15 +192,24 @@ def test_tensor_reconstruct_contracts(log11, rng, a):
         assert z ** 2 * 4.0 * a * log11.dVstar(z) == pytest.approx(tau_sq, rel=1e-9)
         # stationarity of V(a|F|^2) - tr(F^T T): dW/dF = 2a*V'(Lambda(F))*F = T
         assert np.max(np.abs(2.0 * a * log11.dV(lam) * F - T)) <= 1e-9 * scale
-    # dVstar(zbar) = 3a = Lambda(I), so T = 2a zbar I has the branch F = I
-    zbar = log11.dV(3.0 * a)
-    match = [(F, lab) for z, F, lab in tensor_branches(log11, m, 2.0 * a * zbar * np.eye(3))
-             if abs(z - zbar) < 1e-9]
-    assert len(match) == 1
-    assert np.max(np.abs(match[0][0] - np.eye(3))) <= 1e-14
-    assert match[0][1] is TrialityLabel.GLOBAL_MIN
+
+
+def test_tensor_reconstruct_identity_case(log11):
+    for a in (0.5, 1.0, 2.0):
+        m = QuadraticMeasure(a, 0.0)
+        # dVstar(zbar) = 3a = Lambda(I), so T = 2a zbar I has the branch F = I
+        zbar = log11.dV(3.0 * a)
+        match = [(F, lab) for z, F, lab in tensor_branches(log11, m, 2.0 * a * zbar * np.eye(3))
+                 if abs(z - zbar) < 1e-9]
+        assert len(match) == 1
+        assert np.max(np.abs(match[0][0] - np.eye(3))) <= 1e-14
+        assert match[0][1] is TrialityLabel.GLOBAL_MIN
+
+
+def test_tensor_reconstruct_unloaded(log11):
     # tau^2 = 0: no nontrivial branch exists for the log model
-    assert tensor_branches(log11, m, np.zeros((3, 3))) == []
+    for a in (0.5, 1.0, 2.0):
+        assert tensor_branches(log11, QuadraticMeasure(a, 0.0), np.zeros((3, 3))) == []
 
 
 def test_rotation_invariance(rng):
