@@ -415,14 +415,15 @@ def run_verify(spec: ProblemSpec) -> int:
             sol.roots[0, k] < 0.0 and not sol.degenerate[0, k]
             for k in range(3) if not np.isnan(sol.roots[0, k])
         )
+        n_seg = oracle.PROBE_SEGMENTS
         viols = oracle.gquasiconvexity_probe(spec.energy, spec.measure, tau_probe,
-                                             n_segments=10_000, seed=spec.oracle.seed)
+                                             n_segments=n_seg, seed=spec.oracle.seed)
         if second_basin:
             add("PASS" if viols else "FAIL", "quasiconvexity probe",
-                f"multi-branch load: {len(viols)} violations in 10000 segments (want >= 1)")
+                f"multi-branch load: {len(viols)} violations in {n_seg} segments (want >= 1)")
         else:
             add("PASS" if not viols else "FAIL", "quasiconvexity probe",
-                f"single-branch load: {len(viols)} violations in 10000 segments (want 0)")
+                f"single-branch load: {len(viols)} violations in {n_seg} segments (want 0)")
 
     failed = sum(1 for s, _, _ in checks if s == "FAIL")
     print(f"[verify] {'OK' if failed == 0 else 'FAILED'}: "

@@ -43,8 +43,11 @@ GTOL = 1e-9          # gradient-norm stop
 STALL_LIMIT = 20     # accepted steps without a representable decrease
 #: multistart starts are uniform in [-START_SPAN, START_SPAN] per free node
 START_SPAN = 2.0
-#: nodal values per batch of starts (bounds the descent's working memory)
-_CHUNK_ELEMENTS = 1 << 16
+#: values per block of every batched evaluation here: the descent, the start
+#: redraw and the gradient check (nodal values per block of fields) and the
+#: quasiconvexity probe (strain components per block of segments); 1 << 14
+#: float64 values, 128 KiB per block array
+_CHUNK_ELEMENTS = 1 << 14
 
 #: energy clustering tolerance for the basin census
 CLUSTER_TOL = 1e-5
@@ -248,7 +251,10 @@ class DescentResult:
 
 
 def _chunks(n: int, shape: tuple[int, ...]):
-    """Slices of at most _CHUNK_ELEMENTS nodal values (one field at least)."""
+    """Slices of n items of the given shape with at most _CHUNK_ELEMENTS
+    values per slice (one item at least): the memory budget, 128 KiB per
+    float64 block array, of the descent, the start redraw, the gradient check
+    and the quasiconvexity probe."""
     per = max(1, _CHUNK_ELEMENTS // int(np.prod(shape)))
     return [slice(i, min(i + per, n)) for i in range(0, n, per)]
 
@@ -484,6 +490,7 @@ class ProbeViolations:
 _XI_EDGE_MARGIN = 1e-6  # sampled measure values within this of a finite xi_min are rejected
 PROBE_BOX = 3.0         # strain samples are uniform in [-PROBE_BOX, PROBE_BOX]^d
 PROBE_THETAS = 33       # points per segment of the quasiconvexity probe
+PROBE_SEGMENTS = 10_000  # segments per probe, unless the caller asks for another count
 PROBE_TOL = 1e-10       # energy excess that counts as a violation
 
 
@@ -500,14 +507,16 @@ def _sample_box(rng, energy, m, n, d):
 
 
 def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
-                          n_segments: int = 10_000, seed: int = 0) -> ProbeViolations:
+                          n_segments: int = PROBE_SEGMENTS, seed: int = 0) -> ProbeViolations:
     """Search for segments violating G(theta*g1 + (1-theta)*g2) <= max(G(g1), G(g2)).
 
     No row means no violation was found (a probe, not a proof); every row is
     a constructive counterexample to G-quasiconvexity.  G is
     energies.primal_density, V on its closed domain: segment points may
     leave the domain, and an infinite one is a genuine violation, since the
-    admissible set itself is not convex there.
+    admissible set itself is not convex there.  The segment points are
+    evaluated in blocks of segments under the _CHUNK_ELEMENTS budget; the
+    rows, in segment then theta order, do not depend on the block size.
     """
     t = np.asarray(tau, dtype=float).ravel()
     d = t.size
@@ -516,8 +525,13 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     g2 = _sample_box(rng, energy, m, n_segments, d)
     thetas = np.linspace(0.0, 1.0, PROBE_THETAS)
     ends = np.maximum(primal_density(energy, m, g1, t), primal_density(energy, m, g2, t))
-    seg = g1[:, None, :] * thetas[None, :, None] + g2[:, None, :] * (1.0 - thetas[None, :, None])
-    vals = primal_density(energy, m, seg, t)
-    excess = vals - ends[:, None] - PROBE_TOL
-    i, k = np.nonzero(excess > 0.0)
-    return ProbeViolations(g1[i], g2[i], thetas[k], excess[i, k] + PROBE_TOL)
+    none = np.empty(0, dtype=np.intp)
+    hits = [(none, none, np.empty(0))]  # (segment, theta index, excess); empty if no segment
+    for sl in _chunks(n_segments, (PROBE_THETAS, d)):
+        seg = (g1[sl, None, :] * thetas[None, :, None]
+               + g2[sl, None, :] * (1.0 - thetas[None, :, None]))
+        excess = primal_density(energy, m, seg, t) - ends[sl, None] - PROBE_TOL
+        i, k = np.nonzero(excess > 0.0)
+        hits.append((i + sl.start, k, excess[i, k] + PROBE_TOL))
+    i, k, excess = map(np.concatenate, zip(*hits))
+    return ProbeViolations(g1[i], g2[i], thetas[k], excess)

@@ -7,8 +7,9 @@ contract for all six shipped configs, with `solve` and with
 residual conventions (`solve` has only the derived one).  A seventh input,
 the log model of `log_1d_sub` with `measure_b = -0.5`, has no closed-form
 critical points and pins the models whose piece ends come from the
-critical-point scan.  Regenerate them only for a deliberate change of
-output format.
+critical-point scan.  `verify` writes no file; the digest of its stdout
+pins every check line, value and verdict of the six shipped configs.
+Regenerate them only for a deliberate change of output format.
 """
 import hashlib
 import re
@@ -173,6 +174,16 @@ GOLDEN_GENERIC = {
     }),
 }
 
+#: SHA-256 of the stdout of `verify` per shipped config (every one exits 0)
+GOLDEN_VERIFY = {
+    "doublewell_1d": "13dd35f128fcfd8e6f208e6b68b07ab771105f6a791e287bb544a17e40ecec5b",
+    "doublewell_1d_sub": "993b678c4a4c9c3800138522534cefc38404f0d8589182254811282752e12d40",
+    "doublewell_rect_stream": "70252ed2b4320e7ead029d25a6f6a7dc51abf1d3553ef4a3545001fcee4541bd",
+    "log_1d_sub": "0d5ee77c7ff9589075dd3b3e92661f98c73036f12bedabe0fd1f139ef59c0776",
+    "log_1d_super": "52f3f50de41ffdbdcbcc9f9b0972deb12d729d6a61eeb8c28800c9fa8c7d4d4f",
+    "log_rect_const": "5e75d3c75da1e6980e60bf33a8db98e33579bb22c9436af45422dd95ed37c508",
+}
+
 
 def _run_digests(cfg, command, convention, out):
     args = [command, str(cfg), "--out", str(out)]
@@ -201,6 +212,13 @@ def test_generic_path_digests(case, tmp_path, capsys):
     assert result == GOLDEN_GENERIC[case]
 
 
+@pytest.mark.parametrize("stem", sorted(GOLDEN_VERIFY))
+def test_verify_stdout_digests(stem, capsys):
+    assert main(["verify", str(CONFIGS / f"{stem}.cfg")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_VERIFY[stem]
+
+
 @pytest.mark.parametrize("tau_x", ["500", "2999", "1e4"])
 def test_large_load_strain_on_the_floor(tau_x, tmp_path, capsys):
     # the negative branch's strain, recomputed from its root, lands within the
@@ -217,4 +235,4 @@ def test_large_load_strain_on_the_floor(tau_x, tmp_path, capsys):
 
 
 def test_golden_covers_every_shipped_config():
-    assert {c[0] for c in GOLDEN} == {p.stem for p in CONFIGS.glob("*.cfg")}
+    assert {c[0] for c in GOLDEN} == set(GOLDEN_VERIFY) == {p.stem for p in CONFIGS.glob("*.cfg")}

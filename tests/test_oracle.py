@@ -1,6 +1,7 @@
 """Direct-minimization oracle, gradient checks, and the quasiconvexity probe."""
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,53 @@ def test_probe_violations_are_genuine(dw):
         ends = max(primal_density(dw, DW_MEASURE, g1, tau), primal_density(dw, DW_MEASURE, g2, tau))
         assert primal_density(dw, DW_MEASURE, mid, tau) > ends
         assert primal_density(dw, DW_MEASURE, mid, tau) - ends == pytest.approx(excess, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["mexican_hat", "log_domain_edge", "supercritical"])
+def test_probe_does_not_depend_on_block_size(case, dw, log11, monkeypatch):
+    energy, m, tau = {
+        "mexican_hat": (dw, DW_MEASURE, [0.0, 0.0]),  # violations
+        "log_domain_edge": (log11, QuadraticMeasure(1.0, -0.5), [0.6]),  # ends near xi_min
+        "supercritical": (dw, DW_MEASURE, [1.0]),  # no violation
+    }[case]
+    n, d = 2_000, len(tau)
+    default = gquasiconvexity_probe(energy, m, tau, n_segments=n, seed=7)
+    for budget, one_block in ((200, False), (1 << 20, True)):  # 3 or 6 segments; all of them
+        monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", budget)
+        assert (len(oracle._chunks(n, (oracle.PROBE_THETAS, d))) == 1) == one_block
+        got = gquasiconvexity_probe(energy, m, tau, n_segments=n, seed=7)
+        for field in ("gamma1", "gamma2", "theta", "excess"):
+            assert np.array_equal(getattr(got, field), getattr(default, field)), (budget, field)
+    if case == "supercritical":
+        assert default.gamma1.shape == default.gamma2.shape == (0, d)
+        assert default.theta.shape == default.excess.shape == (0,)
+    else:
+        assert len(default) >= 1
+
+
+def _traced_peak(fn):
+    fn()  # warm up: first-call caches are not the call's working memory
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_memory_is_bounded(log11):
+    # all 10^4 segments x 33 points at once would hold 13 MB
+    peak = _traced_peak(lambda: gquasiconvexity_probe(log11, SHEAR_MEASURE, [0.8],
+                                                      n_segments=10_000, seed=0))
+    assert peak < 4e6, peak
+
+
+def test_gradient_check_memory_is_bounded():
+    # all 100 perturbed copies of the 17x17 field in one block would hold 3.7 MB
+    prob = discretize(parse_config(CONFIGS / "log_rect_const.cfg"))
+    u = np.tile(0.5 * np.linspace(0.0, 1.0, prob.shape[1]), (prob.shape[0], 1))
+    peak = _traced_peak(lambda: gradient_check(prob, u))
+    assert peak < 3e6, peak
 
 
 def test_log_model_probe_respects_domain(log11):
