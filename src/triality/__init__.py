@@ -36,8 +36,6 @@ from .errors import (
 )
 from .fields import (
     Grid2,
-    ScalarField,
-    VectorField2,
     antiplane_deformation_gradient,
     boundary_traction,
     curl2,

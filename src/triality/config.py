@@ -24,7 +24,7 @@ Schema (unknown keys are rejected):
 
 Every number must be finite; a geometry has at most MAX_NODES nodes.  The
 solver's and the oracle's single-valued settings are module constants
-(``_kernels.TOL``, ``oracle.START_SPAN``, ...), not keys.
+(``canonical.TOL``, ``oracle.START_SPAN``, ...), not keys.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .canonical import (
     QuadraticMeasure,
 )
 from .errors import ConfigError, DomainError
-from .fields import EDGES, Grid2, ScalarField, VectorField2, stress_from_stream
+from .fields import EDGES, Grid2, stress_from_stream
 
 #: node cap of one instance (and of a sweep's steps)
 MAX_NODES = 10**6
@@ -246,8 +246,8 @@ def parse_config(path) -> ProblemSpec:
 # instance assembly
 # ---------------------------------------------------------------------------
 
-def build_tau_grid(spec: ProblemSpec) -> VectorField2:
-    """Nodal stress field on the rectangle spec.geometry.
+def build_tau_grid(spec: ProblemSpec) -> np.ndarray:
+    """Nodal stress field (ny, nx, 2) on the rectangle spec.geometry.
 
     Stream loadings go through the discrete curl construction, which is
     divergence-free by structure and stencil-exact for the polynomial
@@ -255,13 +255,9 @@ def build_tau_grid(spec: ProblemSpec) -> VectorField2:
     """
     grid, load = spec.geometry, spec.loading
     if isinstance(load, ConstantTau):
-        vals = np.empty(grid.shape + (2,))
-        vals[..., 0] = load.vec[0]
-        vals[..., 1] = load.vec[1]
-        return VectorField2(grid, vals)
+        return np.full(grid.shape + (2,), load.vec, dtype=float)
     X, Y = grid.coords()
-    psi = STREAM_CATALOG[load.name](X, Y, load.scale)
-    return stress_from_stream(ScalarField(grid, np.broadcast_to(psi, grid.shape).copy()))
+    return stress_from_stream(grid, STREAM_CATALOG[load.name](X, Y, load.scale))
 
 
 def build_tau_interval(spec: ProblemSpec) -> np.ndarray:

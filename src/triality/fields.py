@@ -1,13 +1,17 @@
 """Discrete fields on rectangular grids: stress construction, divergence,
 curl, and path-integral reconstruction of the displacement.
 
-All stencils are second order: central differences in the interior, 3-point
-one-sided at boundaries, so first derivatives of polynomials up to degree two
-are exact.  Statically admissible stress is built from a stream function,
+A grid field is a plain numpy array in grid shape, (ny, nx) for a scalar
+field and (ny, nx, 2) for a vector field; every operator takes the Grid2
+that gives the array its spacings and edges.  All stencils are second
+order: central differences in the interior, 3-point one-sided at
+boundaries, so first derivatives of polynomials up to degree two are exact.
+Statically admissible stress is built from a stream function,
 tau = (d psi/dy, -d psi/dx), which is divergence-free by construction.
 Displacement reconstruction integrates gamma = tau/(2a*zeta) along the
 canonical right-then-up lattice path after an explicit curl audit; a second
-(up-then-right) path provides the path-independence check.
+(up-then-right) path provides the path-independence check.  The interval
+counterpart integrates the same strain along its one axis.
 """
 from __future__ import annotations
 
@@ -103,34 +107,6 @@ def edge_slice(edge: str):
             "bottom": np.s_[0, :], "top": np.s_[-1, :]}[edge]
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    grid: Grid2
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar field contains non-finite entries")
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField2:
-    grid: Grid2
-    values: np.ndarray  # (ny, nx, 2)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != self.grid.shape + (2,):
-            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape + (2,)}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vector field contains non-finite entries")
-
-
 def _deriv(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative along one axis (needs >= 3 points)."""
     v = np.moveaxis(values, axis, 0)
@@ -143,90 +119,83 @@ def _deriv(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def stress_from_stream(psi: ScalarField) -> VectorField2:
-    """Divergence-free stress tau = (d psi/dy, -d psi/dx).
+def stress_from_stream(grid: Grid2, psi: np.ndarray) -> np.ndarray:
+    """Divergence-free stress tau = (d psi/dy, -d psi/dx), shape (ny, nx, 2).
 
     Exactly divergence-free (to roundoff) for stream functions of polynomial
     degree <= 2; O(h^2) otherwise.
     """
-    g = psi.grid
-    out = np.empty(g.shape + (2,))
-    out[..., 0] = _deriv(psi.values, g.hy, axis=0)
-    out[..., 1] = -_deriv(psi.values, g.hx, axis=1)
-    return VectorField2(g, out)
+    out = np.empty(grid.shape + (2,))
+    out[..., 0] = _deriv(psi, grid.hy, axis=0)
+    out[..., 1] = -_deriv(psi, grid.hx, axis=1)
+    return out
 
 
-def divergence(v: VectorField2) -> ScalarField:
-    g = v.grid
-    d = _deriv(v.values[..., 0], g.hx, axis=1) + _deriv(v.values[..., 1], g.hy, axis=0)
-    return ScalarField(g, d)
+def divergence(grid: Grid2, v: np.ndarray) -> np.ndarray:
+    """d v1/dx + d v2/dy of a (ny, nx, 2) field."""
+    return _deriv(v[..., 0], grid.hx, axis=1) + _deriv(v[..., 1], grid.hy, axis=0)
 
 
-def curl2(v: VectorField2) -> ScalarField:
-    """Scalar curl d v2/dx - d v1/dy."""
-    g = v.grid
-    c = _deriv(v.values[..., 1], g.hx, axis=1) - _deriv(v.values[..., 0], g.hy, axis=0)
-    return ScalarField(g, c)
+def curl2(grid: Grid2, v: np.ndarray) -> np.ndarray:
+    """Scalar curl d v2/dx - d v1/dy of a (ny, nx, 2) field."""
+    return _deriv(v[..., 1], grid.hx, axis=1) - _deriv(v[..., 0], grid.hy, axis=0)
 
 
-def boundary_traction(tau: VectorField2) -> dict[str, np.ndarray]:
+def boundary_traction(grid: Grid2, tau: np.ndarray) -> dict[str, np.ndarray]:
     """t = n . tau along each traction edge (full edge arrays)."""
-    g = tau.grid
     out = {}
-    for e in g.traction_edges:
+    for e in grid.traction_edges:
         n = _NORMALS[e]
         sl = edge_slice(e)
-        out[e] = n[0] * tau.values[..., 0][sl] + n[1] * tau.values[..., 1][sl]
+        out[e] = n[0] * tau[..., 0][sl] + n[1] * tau[..., 1][sl]
     return out
 
 
 def _cumtrapz_from(v: np.ndarray, h: float, k0: int, axis: int) -> np.ndarray:
-    """Trapezoid antiderivative along axis, zeroed at index k0."""
+    """Trapezoid antiderivative along axis, zeroed at index k0.  An overflow
+    is left as inf or nan for the caller to refuse."""
     v = np.moveaxis(v, axis, 0)
     out = np.zeros_like(v)
-    out[1:] = np.cumsum(0.5 * (v[1:] + v[:-1]) * h, axis=0)
-    out = out - out[k0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:] = np.cumsum(0.5 * (v[1:] + v[:-1]) * h, axis=0)
+        out = out - out[k0]
     return np.moveaxis(out, 0, axis)
 
 
 def _dual_strain(zeta: np.ndarray, tau: np.ndarray, m: QuadraticMeasure) -> np.ndarray:
-    """gamma = tau / (2a*zeta); refused where |zeta| < 1e-14."""
+    """gamma = tau / (2a*zeta), the reconstruction integrand; refused where
+    |zeta| < 1e-14.  zeta broadcasts against tau; an overflow is left as inf."""
     if np.any(np.abs(zeta) < 1e-14):
         raise SingularDualError("dual field zeta vanishes (|zeta| < 1e-14) at some node")
-    return tau / (2.0 * m.a * zeta)
+    with np.errstate(over="ignore"):
+        return tau / (2.0 * m.a * zeta)
 
 
-def strain_from_dual(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) -> VectorField2:
-    """gamma = tau / (2a*zeta), the reconstruction integrand."""
-    return VectorField2(tau.grid, _dual_strain(zeta.values[..., None], tau.values, m))
-
-
-def _two_path_integrals(gamma: VectorField2, anchor: tuple[int, int]):
-    g = gamma.grid
-    i0, j0 = anchor
-    gx = gamma.values[..., 0]
-    gy = gamma.values[..., 1]
-    x_along_row = _cumtrapz_from(gx[j0, :], g.hx, i0, axis=0)     # (nx,)
-    y_cols = _cumtrapz_from(gy, g.hy, j0, axis=0)                 # (ny, nx)
+def _two_path_integrals(grid: Grid2, gamma: np.ndarray):
+    i0, j0 = grid.first_fixed_node()
+    gx = gamma[..., 0]
+    gy = gamma[..., 1]
+    x_along_row = _cumtrapz_from(gx[j0, :], grid.hx, i0, axis=0)     # (nx,)
+    y_cols = _cumtrapz_from(gy, grid.hy, j0, axis=0)                 # (ny, nx)
     u_right_up = x_along_row[None, :] + y_cols
-    y_along_col = _cumtrapz_from(gy[:, i0], g.hy, j0, axis=0)     # (ny,)
-    x_rows = _cumtrapz_from(gx, g.hx, i0, axis=1)                 # (ny, nx)
+    y_along_col = _cumtrapz_from(gy[:, i0], grid.hy, j0, axis=0)     # (ny,)
+    x_rows = _cumtrapz_from(gx, grid.hx, i0, axis=1)                 # (ny, nx)
     u_up_right = y_along_col[:, None] + x_rows
     return u_right_up, u_up_right
 
 
-def reconstruct_displacement(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) -> ScalarField:
-    """Displacement from the dual pair by lattice path integration.
+def reconstruct_displacement(grid: Grid2, zeta: np.ndarray, tau: np.ndarray,
+                             m: QuadraticMeasure) -> np.ndarray:
+    """Displacement (ny, nx) from the dual pair by lattice path integration.
 
     Integrates gamma = tau/(2a*zeta) along the right-then-up path from the
     first fixed node.  The curl of gamma is audited first: a residual above
     CURL_RTOL * max|gamma| means the field is not a gradient and
     reconstruction is refused.
     """
-    g = zeta.grid
-    gamma = strain_from_dual(zeta, tau, m)
-    resid = np.abs(curl2(gamma).values)
-    scale = float(np.max(np.abs(gamma.values)))
+    gamma = _dual_strain(zeta[..., None], tau, m)
+    resid = np.abs(curl2(grid, gamma))
+    scale = float(np.max(np.abs(gamma)))
     tol = CURL_RTOL * max(scale, 1e-300)
     worst = float(resid.max())
     if worst > tol:
@@ -236,14 +205,12 @@ def reconstruct_displacement(zeta: ScalarField, tau: VectorField2, m: QuadraticM
             "the dual strain field is not a gradient",
             max_residual=worst, node=(int(i), int(j)),
         )
-    u, _ = _two_path_integrals(gamma, g.first_fixed_node())
-    return ScalarField(g, u)
+    return _two_path_integrals(grid, gamma)[0]
 
 
-def path_discrepancy(zeta: ScalarField, tau: VectorField2, m: QuadraticMeasure) -> float:
+def path_discrepancy(grid: Grid2, zeta: np.ndarray, tau: np.ndarray, m: QuadraticMeasure) -> float:
     """max |u_right-up - u_up-right|: the path-independence audit."""
-    gamma = strain_from_dual(zeta, tau, m)
-    u1, u2 = _two_path_integrals(gamma, zeta.grid.first_fixed_node())
+    u1, u2 = _two_path_integrals(grid, _dual_strain(zeta[..., None], tau, m))
     return float(np.max(np.abs(u1 - u2)))
 
 
@@ -322,9 +289,10 @@ def write_csv(path, header: str, columns) -> None:
             fh.write("".join(map(template.__mod__, zip(*values))))
 
 
-def write_scalar_csv(f: ScalarField, path) -> None:
-    X, Y = f.grid.coords()
-    _write_csv(path, "x,y,value", [X.ravel(), Y.ravel(), f.values.ravel()])
+def write_scalar_csv(path, coords: np.ndarray, values: np.ndarray) -> None:
+    """x,y,value rows of a nodal field: coords (n, 2), values n entries in
+    the same node order (a grid field ravelled row-major by y then x)."""
+    _write_csv(path, "x,y,value", [coords[:, 0], coords[:, 1], np.ravel(values)])
 
 
 def _write_csv(path, header: str, columns) -> None:

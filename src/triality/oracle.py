@@ -228,7 +228,7 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
     grid = spec.geometry
     tau = build_tau_grid(spec)
     load = np.zeros(grid.shape)
-    t_edges = boundary_traction(tau)
+    t_edges = boundary_traction(grid, tau)
     for edge, tvals in t_edges.items():
         h = grid.hy if edge in ("left", "right") else grid.hx
         w = trapezoid_weights_interval(tvals.size, h)

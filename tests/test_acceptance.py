@@ -24,14 +24,12 @@ from triality.config import ConstantTau, IntervalGeometry, OracleOptions, Proble
 from triality.energies import random_rotation
 from triality.fields import (
     Grid2,
-    ScalarField,
-    VectorField2,
+    _dual_strain,
     antiplane_deformation_gradient,
     curl2,
     path_discrepancy,
     principal_invariants,
     reconstruct_displacement,
-    strain_from_dual,
 )
 from triality.oracle import descend, discretize
 
@@ -180,13 +178,13 @@ def test_c07_reconstruction_fidelity():
     g = Grid2(lx=1.0, ly=1.0, nx=n, ny=n)
     tau0 = 0.8
     z1 = roots_at(LOG, SHEAR_MEASURE, tau0 * tau0)[0][0]
-    zeta = ScalarField(g, np.full(g.shape, z1))
-    tau = VectorField2(g, np.stack([np.full(g.shape, tau0), np.zeros(g.shape)], axis=-1))
-    curl_resid = float(np.max(np.abs(curl2(strain_from_dual(zeta, tau, SHEAR_MEASURE)).values)))
-    disc = path_discrepancy(zeta, tau, SHEAR_MEASURE)
-    u = reconstruct_displacement(zeta, tau, SHEAR_MEASURE)
+    zeta = np.full(g.shape, z1)
+    tau = np.stack([np.full(g.shape, tau0), np.zeros(g.shape)], axis=-1)
+    curl_resid = float(np.max(np.abs(curl2(g, _dual_strain(zeta[..., None], tau, SHEAR_MEASURE)))))
+    disc = path_discrepancy(g, zeta, tau, SHEAR_MEASURE)
+    u = reconstruct_displacement(g, zeta, tau, SHEAR_MEASURE)
     X, _ = g.coords()
-    err = float(np.max(np.abs(u.values - tau0 * X / (2.0 * z1))))
+    err = float(np.max(np.abs(u - tau0 * X / (2.0 * z1))))
     ok = curl_resid <= 1e-12 and disc <= 1e-8 and err <= 1e-10
     report("C07", ok, f"64x64 constant field: curl residual {curl_resid:.2e}, "
                       f"two-path discrepancy {disc:.2e}, closed-form error {err:.2e}")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triality import _kernels, config, dualsolve
+from triality import _kernels, config, dualsolve, fields
 from triality.cli import main, solve_instance
 from triality.config import parse_config
 from triality.errors import ConfigError
@@ -105,7 +105,7 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     # psi = s*(x^2 - y^2) on a square grid gives mirrored nodes the same
     # tau^2; a constant load gives every node the same one
     spec = parse_config(CONFIGS / name)
-    tau = config.build_tau_grid(spec).values.reshape(-1, 2)
+    tau = config.build_tau_grid(spec).reshape(-1, 2)
     tau_sq = np.sum(tau * tau, axis=-1)
     distinct = np.unique(tau_sq).size
     assert distinct == 1 if name == "log_rect_const.cfg" else 1 < distinct < tau_sq.size
@@ -308,6 +308,25 @@ def test_verify_unloaded_log_model_skips_with_reasons(tmp_path, capsys, name, lo
     reasons = {check: reason for status, check, reason in got if status == "SKIP"}
     assert reasons["root residuals"] == "no dual root at any node"
     assert reasons["oracle agreement"].startswith("no branch 1 at every node")
+    # the summary counts the checks that ran, not the SKIPs
+    assert captured.out.endswith("[verify] OK: 1/1 checks passed\n")
+
+
+def test_verify_falls_back_to_weak_duality_without_branch_1(tmp_path, capsys, monkeypatch):
+    # a refused branch-1 field (here an overflow, patched in) leaves the
+    # oracle check at weak duality with the reason, and SKIPs the path audit
+    monkeypatch.setattr(fields, "reconstruct_displacement",
+                        lambda grid, zeta, tau, m: np.full(grid.shape, np.inf))
+    cfg = tmp_path / "rect.cfg"
+    cfg.write_text((CONFIGS / "log_rect_const.cfg").read_text()
+                   .replace("oracle_starts = 6", "oracle_starts = 1"))
+    assert run(["verify", cfg]) == 0
+    out = capsys.readouterr().out
+    refused = "the path integral of the dual strain is not finite at every node"
+    assert re.search(rf"^\[verify\] PASS oracle weak duality: .*\(branch 1 not reconstructed "
+                     rf"\({refused}\): exact match not required\)$", out, flags=re.M)
+    assert f"SKIP curl/path audit: {refused}; reconstruction not applicable" in out
+    assert out.endswith("[verify] OK: 5/5 checks passed\n")
 
 
 def test_residual_convention_is_a_sweep_flag_only(tmp_path, capsys):
@@ -459,3 +478,33 @@ def test_extreme_constants_flag_the_gap_without_warnings(tmp_path, capsys, extra
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, **extra}.items()))
     assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
     assert "RED FLAG: duality gap exceeds tolerance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("geometry", [{"geometry": "interval", "length": "1e308", "n": "5"},
+                                      {"geometry": "rectangle", "lx": "1e308", "nx": "5", "ny": "5"}],
+                         ids=["interval", "rectangle"])
+def test_overflowing_displacement_is_skipped(tmp_path, capsys, geometry):
+    # u = gamma*x passes float64's range on either geometry: one rule refuses
+    # the field and writes no file, and filterwarnings = error turns any
+    # numpy RuntimeWarning into a failure
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+        "model": "double_well", **geometry, "loading": "constant_tau", "tau_x": "100"}.items()))
+    assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
+    assert ("branch 1: reconstruction skipped (the path integral of the dual strain is not "
+            "finite at every node)") in capsys.readouterr().out
+    assert not list((tmp_path / "o").glob("fields_u_*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_overflowed_stream_is_a_loading_error(tmp_path, capsys, command):
+    # psi = s*(x^2 - y^2) overflows on this rectangle: the tau^2 check
+    # refuses the load before any root is solved, without a numpy warning
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("model = double_well\ngeometry = rectangle\nlx = 1e308\nnx = 5\nny = 5\n"
+                   "loading = stream_function\nstream = quadratic\nstream_scale = 1e308\n")
+    out = ["--out", tmp_path / "o"] if command == "solve" else []
+    assert run([command, cfg, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: loading: ")
+    assert captured.out == ""

@@ -11,9 +11,7 @@ from triality import (
     Grid2,
     NonIntegrableFieldError,
     QuadraticMeasure,
-    ScalarField,
     SingularDualError,
-    VectorField2,
     antiplane_deformation_gradient,
     boundary_traction,
     curl2,
@@ -57,48 +55,39 @@ def test_grid_validation():
     assert g.traction_edges == ("right", "top")
 
 
-def test_field_validation():
-    g = unit_grid(4)
-    with pytest.raises(ValueError):
-        ScalarField(g, np.zeros((3, 3)))
-    bad = np.zeros(g.shape)
-    bad[1, 1] = np.nan
-    with pytest.raises(ValueError):
-        ScalarField(g, bad)
-
-
 def test_stream_constant_and_zero():
     g = unit_grid(9)
     X, Y = g.coords()
     c = 2.5
-    tau = stress_from_stream(ScalarField(g, c * Y))
-    assert np.allclose(tau.values[..., 0], c, atol=1e-13)
-    assert np.allclose(tau.values[..., 1], 0.0, atol=1e-13)
-    tau0 = stress_from_stream(ScalarField(g, np.zeros(g.shape)))
-    assert np.all(tau0.values == 0.0)
+    tau = stress_from_stream(g, c * Y)
+    assert tau.shape == g.shape + (2,)
+    assert np.allclose(tau[..., 0], c, atol=1e-13)
+    assert np.allclose(tau[..., 1], 0.0, atol=1e-13)
+    tau0 = stress_from_stream(g, np.zeros(g.shape))
+    assert np.all(tau0 == 0.0)
 
 
 def test_stream_bilinear_exact_divergence_free():
     g = unit_grid(9)
     X, Y = g.coords()
-    tau = stress_from_stream(ScalarField(g, X * Y))
-    assert np.allclose(tau.values[..., 0], X, atol=1e-13)
-    assert np.allclose(tau.values[..., 1], -Y, atol=1e-13)
-    assert np.max(np.abs(divergence(tau).values)) < 1e-12
+    tau = stress_from_stream(g, X * Y)
+    assert np.allclose(tau[..., 0], X, atol=1e-13)
+    assert np.allclose(tau[..., 1], -Y, atol=1e-13)
+    assert np.max(np.abs(divergence(g, tau))) < 1e-12
 
 
 def test_divergence_curl_hand_cases():
     g = unit_grid(7)
     X, Y = g.coords()
-    const = VectorField2(g, np.stack([np.full(g.shape, 3.0), np.full(g.shape, -2.0)], axis=-1))
-    assert np.max(np.abs(divergence(const).values)) < 1e-13
-    assert np.max(np.abs(curl2(const).values)) < 1e-13
-    radial = VectorField2(g, np.stack([X, Y], axis=-1))
-    assert np.allclose(divergence(radial).values, 2.0, atol=1e-12)
-    assert np.allclose(curl2(radial).values, 0.0, atol=1e-12)
-    rot = VectorField2(g, np.stack([-Y, X], axis=-1))
-    assert np.allclose(divergence(rot).values, 0.0, atol=1e-12)
-    assert np.allclose(curl2(rot).values, 2.0, atol=1e-12)
+    const = np.stack([np.full(g.shape, 3.0), np.full(g.shape, -2.0)], axis=-1)
+    assert np.max(np.abs(divergence(g, const))) < 1e-13
+    assert np.max(np.abs(curl2(g, const))) < 1e-13
+    radial = np.stack([X, Y], axis=-1)
+    assert np.allclose(divergence(g, radial), 2.0, atol=1e-12)
+    assert np.allclose(curl2(g, radial), 0.0, atol=1e-12)
+    rot = np.stack([-Y, X], axis=-1)
+    assert np.allclose(divergence(g, rot), 0.0, atol=1e-12)
+    assert np.allclose(curl2(g, rot), 2.0, atol=1e-12)
 
 
 def test_divergence_of_stream_under_refinement():
@@ -110,22 +99,22 @@ def test_divergence_of_stream_under_refinement():
         g = unit_grid(n)
         X, Y = g.coords()
         psi = np.sin(2 * X) * np.cos(Y)
-        tau = stress_from_stream(ScalarField(g, psi))
-        scale = max(1.0, float(np.max(np.abs(tau.values)))) / g.hx
-        assert np.max(np.abs(divergence(tau).values)) <= 1e-13 * scale
+        tau = stress_from_stream(g, psi)
+        scale = max(1.0, float(np.max(np.abs(tau)))) / g.hx
+        assert np.max(np.abs(divergence(g, tau))) <= 1e-13 * scale
 
 
 def test_boundary_traction_cases():
     g = unit_grid(6)
     X, Y = g.coords()
     c = 1.7
-    tau = VectorField2(g, np.stack([np.full(g.shape, c), np.zeros(g.shape)], axis=-1))
-    t = boundary_traction(tau)
+    tau = np.stack([np.full(g.shape, c), np.zeros(g.shape)], axis=-1)
+    t = boundary_traction(g, tau)
     assert set(t) == {"right", "bottom", "top"}
     assert np.allclose(t["right"], c)
     assert np.allclose(t["top"], 0.0)
-    tau2 = VectorField2(g, np.stack([X, -Y], axis=-1))
-    t2 = boundary_traction(tau2)
+    tau2 = np.stack([X, -Y], axis=-1)
+    t2 = boundary_traction(g, tau2)
     assert np.allclose(t2["right"], 1.0)   # n=(1,0), tau_x = x = 1
     assert np.allclose(t2["top"], -1.0)    # n=(0,1), tau_y = -y = -1
 
@@ -135,22 +124,21 @@ def test_reconstruct_constant_field_exact():
     g = unit_grid(64)
     X, _ = g.coords()
     tau0, zeta0 = 0.8, 0.7480
-    zeta = ScalarField(g, np.full(g.shape, zeta0))
-    tau = VectorField2(g, np.stack([np.full(g.shape, tau0), np.zeros(g.shape)], axis=-1))
-    u = reconstruct_displacement(zeta, tau, m)
+    zeta = np.full(g.shape, zeta0)
+    tau = np.stack([np.full(g.shape, tau0), np.zeros(g.shape)], axis=-1)
+    u = reconstruct_displacement(g, zeta, tau, m)
     exact = tau0 * X / (2.0 * zeta0)
-    assert np.max(np.abs(u.values - exact)) <= 1e-12
-    assert u.values[g.first_fixed_node()[1], g.first_fixed_node()[0]] == 0.0
-    assert path_discrepancy(zeta, tau, m) <= 1e-12
+    assert u.shape == g.shape
+    assert np.max(np.abs(u - exact)) <= 1e-12
+    assert u[g.first_fixed_node()[1], g.first_fixed_node()[0]] == 0.0
+    assert path_discrepancy(g, zeta, tau, m) <= 1e-12
 
 
 def test_reconstruct_zero_stress():
     m = QuadraticMeasure(0.5, -1.0)
     g = unit_grid(8)
-    zeta = ScalarField(g, np.full(g.shape, -1.0))
-    tau = VectorField2(g, np.zeros(g.shape + (2,)))
-    u = reconstruct_displacement(zeta, tau, m)
-    assert np.all(u.values == 0.0)
+    u = reconstruct_displacement(g, np.full(g.shape, -1.0), np.zeros(g.shape + (2,)), m)
+    assert np.all(u == 0.0)
 
 
 def test_reconstruct_convergence_on_analytic_gradient_field(monkeypatch):
@@ -163,12 +151,12 @@ def test_reconstruct_convergence_on_analytic_gradient_field(monkeypatch):
         g = unit_grid(n)
         X, Y = g.coords()
         uex = np.sin(X) * np.sin(Y)
-        zeta = ScalarField(g, 0.7 + 0.2 * np.cos(X + Y))
+        zeta = 0.7 + 0.2 * np.cos(X + Y)
         gx = np.cos(X) * np.sin(Y)
         gy = np.sin(X) * np.cos(Y)
-        tau = VectorField2(g, 2.0 * m.a * zeta.values[..., None] * np.stack([gx, gy], axis=-1))
-        u = reconstruct_displacement(zeta, tau, m)
-        errs.append(np.max(np.abs(u.values - uex)))
+        tau = 2.0 * m.a * zeta[..., None] * np.stack([gx, gy], axis=-1)
+        u = reconstruct_displacement(g, zeta, tau, m)
+        errs.append(np.max(np.abs(u - uex)))
     assert np.log2(errs[0] / errs[1]) >= 1.9
     assert np.log2(errs[1] / errs[2]) >= 1.9
 
@@ -177,14 +165,13 @@ def test_reconstruct_errors():
     m = QuadraticMeasure(1.0, 0.0)
     g = unit_grid(9)
     X, Y = g.coords()
-    tau = VectorField2(g, np.stack([np.ones(g.shape), np.zeros(g.shape)], axis=-1))
+    tau = np.stack([np.ones(g.shape), np.zeros(g.shape)], axis=-1)
     with pytest.raises(SingularDualError):
-        reconstruct_displacement(ScalarField(g, np.zeros(g.shape) + 1e-16), tau, m)
+        reconstruct_displacement(g, np.zeros(g.shape) + 1e-16, tau, m)
     # rotational field is not a gradient: audit must refuse and report a node
-    zeta = ScalarField(g, np.ones(g.shape))
-    rot = VectorField2(g, np.stack([-Y, X], axis=-1))
+    rot = np.stack([-Y, X], axis=-1)
     with pytest.raises(NonIntegrableFieldError) as exc:
-        reconstruct_displacement(zeta, rot, m)
+        reconstruct_displacement(g, np.ones(g.shape), rot, m)
     assert exc.value.node is not None
     assert exc.value.max_residual > 0.0
 
@@ -224,13 +211,14 @@ def test_antiplane_gradient_and_invariants(rng):
 def test_csv_round_trip(tmp_path, rng):
     g = unit_grid(5)
     vals = rng.standard_normal(g.shape)
-    write_scalar_csv(ScalarField(g, vals), tmp_path / "s.csv")
+    X, Y = g.coords()
+    write_scalar_csv(tmp_path / "s.csv", np.column_stack([X.ravel(), Y.ravel()]), vals)
     header, data = read_csv(tmp_path / "s.csv")
     assert header == ["x", "y", "value"]
     assert data.shape == (g.nx * g.ny, 3)
     assert np.array_equal(data[:, 2].reshape(g.shape), vals)  # lossless at 17 digits
-    X, Y = g.coords()
     assert np.array_equal(data[:, 0].reshape(g.shape), X)
+    assert np.array_equal(data[:, 1].reshape(g.shape), Y)
 
 
 # ---------------------------------------------------------------------------

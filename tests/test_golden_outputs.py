@@ -176,11 +176,11 @@ GOLDEN_GENERIC = {
 
 #: SHA-256 of the stdout of `verify` per shipped config (every one exits 0)
 GOLDEN_VERIFY = {
-    "doublewell_1d": "13dd35f128fcfd8e6f208e6b68b07ab771105f6a791e287bb544a17e40ecec5b",
-    "doublewell_1d_sub": "993b678c4a4c9c3800138522534cefc38404f0d8589182254811282752e12d40",
-    "doublewell_rect_stream": "70252ed2b4320e7ead029d25a6f6a7dc51abf1d3553ef4a3545001fcee4541bd",
-    "log_1d_sub": "0d5ee77c7ff9589075dd3b3e92661f98c73036f12bedabe0fd1f139ef59c0776",
-    "log_1d_super": "52f3f50de41ffdbdcbcc9f9b0972deb12d729d6a61eeb8c28800c9fa8c7d4d4f",
+    "doublewell_1d": "7df61d24e5ed991a26a60619a427b6eba87c0a4c13bde40963c2a3b88b2ce1db",
+    "doublewell_1d_sub": "68b63b1b41098b192190de0ee1f599fdcfeeb0e255f2f438d425bb4491634940",
+    "doublewell_rect_stream": "43260989cc2ec87e6222e22a7451667a251d7e6eea33f8a3cc5a432fea77b57a",
+    "log_1d_sub": "5a25dd12b6693c405c7ad75828d893af0d272a86491fb488e31bfd6eedfd444a",
+    "log_1d_super": "356472dc2bf69abb1e5e4842cd29398303c7fcb3bee57eadaf68ebdc07685dfb",
     "log_rect_const": "5e75d3c75da1e6980e60bf33a8db98e33579bb22c9436af45422dd95ed37c508",
 }
 
