@@ -149,17 +149,29 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> np.ndarray:
     return u
 
 
-def _write_rows(path: Path, header: str, columns) -> None:
-    """Pipeline CSV files: equal-length columns through fields.write_csv."""
-    fields.write_csv(path, header, columns)
+def _write_rows(path: Path, header: str, blocks) -> None:
+    """Pipeline CSV files: blocks of equal-length columns through fields.write_csv."""
+    fields.write_csv(path, header, blocks)
+
+
+def _roots_blocks(sol: InstanceSolution):
+    """roots.csv columns, one block per CSV_BLOCK_ROWS // 3 nodes: a node has
+    at most 3 roots, so a block fills at most one formatted piece, and only
+    one block is gathered at a time."""
+    found = ~np.isnan(sol.roots)
+    text = _label_text(sol.labels)
+    step = fields.CSV_BLOCK_ROWS // 3
+    for start in range(0, sol.load.size, step):
+        load = sol.load[start:start + step]
+        node, k = np.nonzero(found[load])
+        at = load[node]
+        node += start
+        yield [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
+               sol.roots[at, k], sol.residuals[at, k], text[at, k]]
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
-    node, k = np.nonzero(~np.isnan(sol.roots)[sol.load])
-    at = sol.load[node]
-    _write_rows(path, "x,y,tau_sq,k,zeta,residual,label",
-                [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
-                 sol.roots[at, k], sol.residuals[at, k], _label_text(sol.labels)[at, k]])
+    _write_rows(path, "x,y,tau_sq,k,zeta,residual,label", _roots_blocks(sol))
 
 
 def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyReport],
@@ -167,11 +179,11 @@ def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyRe
     """One row per full branch; names[k] is branch_label_name(sol, k)."""
     ks = sorted(reports)
     _write_rows(path, "tau_sq,zeta,label,primal,dual,gap",
-                [[float(np.mean(sol.loads[sol.load]))] * len(ks),
-                 [float(np.mean(sol.node_roots(k))) for k in ks],
-                 [names[k] for k in ks],
-                 [reports[k].primal for k in ks], [reports[k].dual for k in ks],
-                 [reports[k].gap for k in ks]])
+                [[[float(np.mean(sol.loads[sol.load]))] * len(ks),
+                  [float(np.mean(sol.node_roots(k))) for k in ks],
+                  [names[k] for k in ks],
+                  [reports[k].primal for k in ks], [reports[k].dual for k in ks],
+                  [reports[k].gap for k in ks]]])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +270,7 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     pid = np.full(roots.shape, np.nan)
     pid[found] = energies.dual_density(spec.energy, spec.measure, roots[found], t2[found])
     _write_rows(outdir / "sweep.csv", "tau,root_count,zeta1,zeta2,zeta3,Pi_d_1,Pi_d_2,Pi_d_3",
-                [taus, counts, *roots.T, *pid.T])
+                [[taus, counts, *roots.T, *pid.T]])
 
     # dual algebraic curve h(zeta) under both residual conventions
     try:
@@ -273,7 +285,7 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
         h2 = _kernels.residual(spec.energy, spec.measure.b,
                                dualsolve.residual_factor(spec.measure, conv), zgrid, 0.0)
         h.append(np.sqrt(np.where(h2 >= 0, h2, np.nan)))
-    _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", [zgrid, *h])
+    _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", [[zgrid, *h]])
     tau_mid = fold.eta if fold is not None else 0.5 * (taus[0] + taus[-1])
     _write_figure_curves(spec, outdir, (float(taus[0]), float(tau_mid), float(taus[-1])))
     print(f"wrote {outdir}/sweep.csv ({steps} rows), hcurve.csv, wcurve.csv, "
@@ -292,13 +304,13 @@ def _write_figure_curves(spec: ProblemSpec, outdir: Path, tau_marks) -> None:
     if below is not None:
         w[below] = np.nan  # a gap in the plots where W is +inf; dW is nan there
     dw = 2.0 * m.a * gamma * closed_V(energy, m, xi, slope=True)[0]
-    _write_rows(outdir / "wcurve.csv", "gamma,W,dW", [gamma, w, dw])
+    _write_rows(outdir / "wcurve.csv", "gamma,W,dW", [[gamma, w, dw]])
     _write_rows(outdir / "gcurve.csv", "gamma,G_tau_lo,G_tau_fold,G_tau_hi",
-                [gamma] + [w - gamma * t for t in tau_marks])
+                [[gamma] + [w - gamma * t for t in tau_marks]])
 
     zgrid = np.linspace(-6.0, 3.0, 1200)  # even count: skips zeta = 0 exactly
     gd = [energies.dual_density(energy, m, zgrid, t * t) for t in tau_marks]
-    _write_rows(outdir / "gdcurve.csv", "zeta,Gd_tau_lo,Gd_tau_fold,Gd_tau_hi", [zgrid, *gd])
+    _write_rows(outdir / "gdcurve.csv", "zeta,Gd_tau_lo,Gd_tau_fold,Gd_tau_hi", [[zgrid, *gd]])
 
 
 # ---------------------------------------------------------------------------

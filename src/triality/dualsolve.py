@@ -180,14 +180,15 @@ def _hessian_eigs(energy, m, zeta, tau_sq):
 
     d2V(xi) at xi = dV*(zeta) is taken as 1/d2V*(zeta), which stays defined
     (+inf) where d2V*(zeta) underflows; at gamma = 0 the term it scales is 0
-    however large d2V gets, and the Hessian is 2a*zeta*I.
+    however large d2V gets, and the Hessian is 2a*zeta*I.  The bend term
+    4a^2*d2V*|gamma|^2 is d2V*tau^2/zeta^2: the a factors cancel, so a tiny
+    a cannot underflow 4a^2*zeta^2 to 0 and turn it into 0*inf.
     """
-    a = m.a
-    gsq = tau_sq / (4.0 * a * a * zeta * zeta)
     with np.errstate(divide="ignore", over="ignore"):
+        g2 = tau_sq / (zeta * zeta)
         d2v = 1.0 / energy.d2Vstar(zeta)
-        bend = np.multiply(4.0 * a * a * d2v, gsq, out=np.zeros(np.shape(gsq)), where=gsq != 0.0)
-    return 2.0 * a * zeta + bend, 2.0 * a * zeta
+        bend = np.multiply(d2v, g2, out=np.zeros(np.shape(g2)), where=g2 != 0.0)
+    return 2.0 * m.a * zeta + bend, 2.0 * m.a * zeta
 
 
 #: label codes, 1-5 in TrialityLabel order; _LABELS[code] is the label (None: no root)

@@ -190,13 +190,15 @@ def reconstruct_displacement(grid: Grid2, zeta: np.ndarray, tau: np.ndarray,
 
     Integrates gamma = tau/(2a*zeta) along the right-then-up path from the
     first fixed node.  The curl of gamma is audited first: a residual above
-    CURL_RTOL * max|gamma| means the field is not a gradient and
-    reconstruction is refused.
+    max|gamma| * max(CURL_RTOL, 8*eps/min(hx, hy)) means the field is not a
+    gradient and reconstruction is refused.  The second bound is the
+    stencil's own rounding error on a constant strain, which outgrows
+    CURL_RTOL on very thin rectangles.
     """
     gamma = _dual_strain(zeta[..., None], tau, m)
     resid = np.abs(curl2(grid, gamma))
-    scale = float(np.max(np.abs(gamma)))
-    tol = CURL_RTOL * max(scale, 1e-300)
+    scale = max(float(np.max(np.abs(gamma))), 1e-300)
+    tol = scale * max(CURL_RTOL, 8.0 * np.finfo(float).eps / min(grid.hx, grid.hy))
     worst = float(resid.max())
     if worst > tol:
         j, i = np.unravel_index(int(np.argmax(resid)), resid.shape)
@@ -241,23 +243,23 @@ def principal_invariants(F: np.ndarray) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: equal-length columns at 17 significant digits for
+# CSV serialization: blocks of equal-length columns at 17 significant digits for
 # lossless round-trips; scalar fields as x,y,value rows, row-major by y then x.
 # ---------------------------------------------------------------------------
 
-#: rows formatted per block: each block is written before the next is built
+#: rows formatted at once: each piece is written before the next is built
 CSV_BLOCK_ROWS = 4096
 
 
 def _block_field(col: np.ndarray) -> tuple[str, list]:
-    """(%-field, Python values) of one column's slice of a block.
+    """(%-field, Python values) of one column's slice of a piece.
 
-    Floats whose block holds repeated bit patterns are formatted once per
+    Floats whose piece holds repeated bit patterns are formatted once per
     distinct pattern and indexed back to the rows as text (field "%s").
     Bits, not values, tell them apart, so -0.0 stays apart from 0.0 and NaN
-    payloads from each other.  An all-distinct float block keeps "%.17g":
+    payloads from each other.  An all-distinct float piece keeps "%.17g":
     it has nothing to share, and formatting in the row template never holds
-    a block of strings at once (on the 2e4-row sweep benchmark, about 8%
+    a piece of strings at once (on the 2e4-row sweep benchmark, about 8%
     less wall time and peak memory than the deduplicating path).  Ints take
     "%d" and anything else "%s".
     """
@@ -270,34 +272,38 @@ def _block_field(col: np.ndarray) -> tuple[str, list]:
     return ("%d" if col.dtype.kind in "iu" else "%s"), col.tolist()
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns as CSV rows, streamed in row blocks.
+def write_csv(path, header: str, blocks) -> None:
+    """Write CSV rows from an iterable of column blocks, streamed.
 
-    Floats are printed "%.17g", ints "%d" and anything else "%s".  Each block
-    of CSV_BLOCK_ROWS rows is formatted and written before the next is built,
-    so memory stays bounded by one block whatever the file size.  Within a
-    block each distinct float of a column is formatted once (_block_field):
-    the bytes are those of "%.17g" on every row.
+    Each block is a list of equal-length columns (blocks may differ in
+    length); its rows follow those of the block before.  Callers that hold
+    whole columns pass [columns]; a generator of blocks lets the caller
+    build each block only when the previous one is written.  Floats are
+    printed "%.17g", ints "%d" and anything else "%s".  Each block is
+    formatted and written in pieces of at most CSV_BLOCK_ROWS rows, so
+    memory stays bounded by one piece (and the caller's block) whatever the
+    file size.  Within a piece each distinct float of a column is formatted
+    once (_block_field): the bytes are those of "%.17g" on every row.
     """
-    cols = [np.asarray(c) for c in columns]
-    n = len(cols[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            fmts, values = zip(*(_block_field(c[start:start + CSV_BLOCK_ROWS]) for c in cols))
-            template = ",".join(fmts) + "\n"
-            fh.write("".join(map(template.__mod__, zip(*values))))
+        for columns in blocks:
+            cols = [np.asarray(c) for c in columns]
+            for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+                fmts, values = zip(*(_block_field(c[start:start + CSV_BLOCK_ROWS]) for c in cols))
+                template = ",".join(fmts) + "\n"
+                fh.write("".join(map(template.__mod__, zip(*values))))
 
 
 def write_scalar_csv(path, coords: np.ndarray, values: np.ndarray) -> None:
     """x,y,value rows of a nodal field: coords (n, 2), values n entries in
     the same node order (a grid field ravelled row-major by y then x)."""
-    _write_csv(path, "x,y,value", [coords[:, 0], coords[:, 1], np.ravel(values)])
+    _write_csv(path, "x,y,value", [[coords[:, 0], coords[:, 1], np.ravel(values)]])
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Field files: all-float columns through write_csv."""
-    write_csv(path, header, columns)
+def _write_csv(path, header: str, blocks) -> None:
+    """Field files: blocks of all-float columns through write_csv."""
+    write_csv(path, header, blocks)
 
 
 def format_float(v: float) -> str:

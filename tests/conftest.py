@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's own solution paths:
 roots come from dense sign scans refined by bisection (or numpy.roots for
-the cubic), conjugates from a brute-force sup over a fine grid, and the
-dual residual from the energy's dV* alone.  roots_at is the one exception:
-it runs the library's root path at a single load.
+the cubic), conjugates from a brute-force sup over a fine grid, the dual
+residual from the energy's dV* alone and CSV bytes from one per-row
+%-template.  roots_at is the one exception: it runs the library's root path
+at a single load.
 """
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         data = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
     return header, data
+
+
+def reference_csv(header, columns) -> str:
+    """Every row through one %-template: "%.17g" floats, "%d" ints, "%s" else."""
+    cols = [np.asarray(c) for c in columns]
+    fmt = {"f": "%.17g", "i": "%d", "u": "%d"}
+    template = ",".join(fmt.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    rows = zip(*(c.tolist() for c in cols))
+    return header + "\n" + "".join(template % row for row in rows)
 
 
 def conjugate_sup(energy, zeta, xi_lo, xi_hi, n=2_000_001):

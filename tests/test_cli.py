@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triality import _kernels, config, dualsolve, fields
-from triality.cli import main, solve_instance
+from triality.cli import main, solve_instance, write_roots_csv
 from triality.config import parse_config
 from triality.errors import ConfigError
 
-from conftest import dual_residual, read_csv
+from conftest import dual_residual, read_csv, reference_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -94,6 +95,63 @@ def test_solve_byte_identical_reruns(tmp_path):
     ref = tmp_path / "d"
     assert run(["solve", CONFIGS / "log_1d_sub.cfg", "--out", ref]) == 0
     assert (out3 / "fields_u_1.csv").read_bytes() == (ref / "fields_u_1.csv").read_bytes()
+
+
+def _roots_reference(sol) -> str:
+    """roots.csv through the full-length gather: every (node, slot) row at once."""
+    node, k = np.nonzero(~np.isnan(sol.roots)[sol.load])
+    at = sol.load[node]
+    labels = np.array([str(lab) for lab in sol.labels[at, k]], dtype=object)
+    return reference_csv("x,y,tau_sq,k,zeta,residual,label",
+                         [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
+                          sol.roots[at, k], sol.residuals[at, k], labels])
+
+
+def _resized(tmp_path, name, n, *edits):
+    text = (CONFIGS / name).read_text()
+    for old, new in (("nx = 17\nny = 17", f"nx = {n}\nny = {n}"), *edits):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / f"{n}_{name}"
+    cfg.write_text(text)
+    return cfg
+
+
+@pytest.mark.parametrize("name,edit", [("doublewell_rect_stream.cfg", ("origin_y = 1.0", "origin_y = 1.37")),
+                                       ("log_rect_const.cfg", ("tau_x = 0.8", "tau_x = 0.3"))],
+                         ids=["distinct-loads", "constant-load"])
+def test_multi_block_roots_csv_bytes(tmp_path, name, edit):
+    # 53x53 = 2809 nodes: two full blocks of CSV_BLOCK_ROWS // 3 nodes and a
+    # partial one, each written before the next is gathered
+    cfg = _resized(tmp_path, name, 53, edit)
+    sol = solve_instance(parse_config(cfg))
+    step = fields.CSV_BLOCK_ROWS // 3
+    assert sol.load.size > 2 * step and sol.load.size % step
+    counts = set(sol.counts[sol.load].tolist())
+    if name == "log_rect_const.cfg":
+        assert sol.loads.size == 1 and counts == {3}
+    else:
+        assert sol.loads.size == sol.load.size and counts == {1, 3}
+    assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
+    assert (tmp_path / "o" / "roots.csv").read_bytes() == _roots_reference(sol).encode("utf-8")
+
+
+def test_write_roots_csv_memory_does_not_grow_with_the_grid(tmp_path):
+    """The traced peak of write_roots_csv on a stream rectangle with 3x the
+    nodes differs from that of the smaller one by less than one block of
+    formatted text."""
+    peaks = {}
+    for n in (71, 123):
+        sol = solve_instance(parse_config(_resized(tmp_path, "doublewell_rect_stream.cfg", n)))
+        path = tmp_path / f"roots{n}.csv"
+        tracemalloc.start()
+        write_roots_csv(sol, path)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    block_text = sum(map(len, lines[1:fields.CSV_BLOCK_ROWS + 1]))
+    assert abs(peaks[123] - peaks[71]) < block_text, (peaks, block_text)
 
 
 def _bits(a):
@@ -286,6 +344,23 @@ def test_verify_rect_constant_load_passes_curl_audit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS curl/path audit" in out
     assert "OK: 6/6" in out
+
+
+def test_solve_reconstructs_the_linear_field_on_a_thin_rectangle(tmp_path):
+    # at ly = 1e-11 the stencil's rounding on a constant strain, about
+    # ulp(gamma)/hy, lies far above CURL_RTOL*max|gamma|; the audit's rounding
+    # floor accepts it, and the field is u = tau_x/(2a*zeta)*x
+    cfg = _resized(tmp_path, "log_rect_const.cfg", 5, ("ly = 1.0", "ly = 1e-11"))
+    out = tmp_path / "o"
+    assert run(["solve", cfg, "--out", out]) == 0
+    assert "branch 1: displacement written to fields_u_1.csv" in (out / "report.txt").read_text()
+    spec = parse_config(cfg)
+    _, rows = read_roots_csv(out / "roots.csv")
+    zeta = {r[4] for r in rows}
+    assert len(zeta) == 1 and {r[3] for r in rows} == {1.0}
+    _, data = read_csv(out / "fields_u_1.csv")
+    want = spec.loading.vec[0] / (2.0 * spec.measure.a * zeta.pop()) * data[:, 0]
+    assert np.max(np.abs(data[:, 2] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name,load", [("log_1d_super.cfg", "tau_x = 1.0"),

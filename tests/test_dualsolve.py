@@ -1,6 +1,7 @@
 """Dual algebraic equation: residuals, root enumeration, folds, triality."""
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from triality import (
     solve_roots_array,
 )
 from triality import _kernels
-from triality.dualsolve import residual_factor
+from triality.dualsolve import _hessian_eigs, residual_factor
 from triality.energies import dual_density
 
 from conftest import DW_MEASURE, SHEAR_MEASURE, dual_residual, roots_at, scan_roots
@@ -335,6 +336,20 @@ def test_labels_at_zero_strain_and_extreme_constants():
     assert label_array(energy, m, [[-743.49]], [0.0], [[False]], 1)[0, 0] is TrialityLabel.LOCAL_MAX
     # c2 = 1e308: 1/d2V*(zeta) overflows to +inf, without a warning
     _, _, labels = roots_at(LogNeoHookeanEnergy(1.0, 1e308), QuadraticMeasure(1.0, -1.0), 0.25)
+    assert list(labels) == [TrialityLabel.GLOBAL_MIN, TrialityLabel.LOCAL_MIN]
+
+
+def test_tiny_measure_a_bends_without_nan(log11):
+    # a = 1e-300 underflows 4a^2*zeta^2 to 0; the bend term d2V*tau^2/zeta^2
+    # never forms it, so d2V*(zeta) = 0 gives along = +inf (a local minimum)
+    # where 0*inf used to give nan and the label fell through to saddle
+    m = QuadraticMeasure(1e-300, -0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, _, labels = roots_at(log11, m, 0.25)
+        along, perp = _hessian_eigs(log11, m, z[1:], np.array([0.25]))
+    assert len(z) == 2 and z[1] < 0.0 and log11.d2Vstar(z[1]) == 0.0
+    assert not np.isnan(along[0]) and along[0] == math.inf and perp[0] < 0.0
     assert list(labels) == [TrialityLabel.GLOBAL_MIN, TrialityLabel.LOCAL_MIN]
 
 

@@ -29,7 +29,7 @@ from triality.fields import (
     write_scalar_csv,
 )
 
-from conftest import read_csv
+from conftest import read_csv, reference_csv
 
 
 def unit_grid(n, fixed=("left",)):
@@ -230,15 +230,6 @@ SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf,
                   5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
 
 
-def reference_csv(header, columns) -> str:
-    """Every row through one %-template: "%.17g" floats, "%d" ints, "%s" else."""
-    cols = [np.asarray(c) for c in columns]
-    fmt = {"f": "%.17g", "i": "%d", "u": "%d"}
-    template = ",".join(fmt.get(c.dtype.kind, "%s") for c in cols) + "\n"
-    rows = zip(*(c.tolist() for c in cols))
-    return header + "\n" + "".join(template % row for row in rows)
-
-
 def _column(kind, n, pool, rng):
     if kind == "repeats":
         return np.asarray(pool, dtype=np.float64)[rng.integers(0, len(pool), n)]
@@ -254,9 +245,14 @@ def _column(kind, n, pool, rng):
     return np.array(["a", "bb", "-0"], dtype=object)[rng.integers(0, 3, n)]  # object
 
 
-def _assert_same_bytes(path, header, columns):
-    write_csv(path, header, columns)
-    assert path.read_bytes() == reference_csv(header, columns).encode("utf-8")
+def _assert_same_bytes(path, header, columns, cut=0):
+    """The columns as one block, and split into two blocks at row cut, both
+    give the reference bytes."""
+    want = reference_csv(header, columns).encode("utf-8")
+    write_csv(path, header, [columns])
+    assert path.read_bytes() == want
+    write_csv(path, header, [[c[:cut] for c in columns], [c[cut:] for c in columns]])
+    assert path.read_bytes() == want
 
 
 def test_write_csv_special_values_share_a_block(tmp_path):
@@ -272,13 +268,13 @@ def test_write_csv_special_values_share_a_block(tmp_path):
        kinds=st.lists(st.sampled_from(["repeats", "distinct", "float32", "int", "str", "object"]),
                       min_size=1, max_size=4),
        drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_write_csv_matches_the_per_row_reference(tmp_path_factory, n, kinds, drawn, seed):
+       seed=st.integers(0, 2 ** 32 - 1), split=st.floats(0.0, 1.0))
+def test_write_csv_matches_the_per_row_reference(tmp_path_factory, n, kinds, drawn, seed, split):
     rng = np.random.default_rng(seed)
     pool = drawn + SPECIAL_FLOATS
     columns = [_column(kind, n, pool, rng) for kind in kinds]
     header = ",".join(f"c{i}" for i in range(len(columns)))
-    _assert_same_bytes(tmp_path_factory.mktemp("csv") / "t.csv", header, columns)
+    _assert_same_bytes(tmp_path_factory.mktemp("csv") / "t.csv", header, columns, int(split * n))
 
 
 def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
@@ -295,7 +291,7 @@ def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
                 cols = [rng.standard_normal(n) for _ in range(3)]
             path = tmp_path / f"m{n}.csv"
             tracemalloc.start()
-            write_csv(path, "a,b,c", cols)
+            write_csv(path, "a,b,c", [cols])
             peaks[n] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             with open(path, "rb") as fh:
