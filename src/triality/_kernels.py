@@ -15,19 +15,19 @@ below the floor gets +inf (or a zero gradient) without affecting the other
 starts.  In 2-D the four corner quadrature points are stacked, so each call
 evaluates V (or dV) once.
 
-Root solving: per material point the residual is
+Root solving: per material point the residual of the measure m = (a, b) is
 
-    D(zeta) = factor * zeta^2 * (dVstar(zeta) - b) - tau^2
+    D(zeta) = 4a * zeta^2 * (dVstar(zeta) - b) - tau^2
 
-with factor = 4a under the derived convention.  The caller splits the zeta
-axis at the critical points of the unloaded curve h = D + tau^2 (and at
-zero), so h is monotone on every piece and a piece holds at most one root.
-``solve_roots_batch`` loops over the pieces, not the points: ``expand``
-pushes an infinite piece end out until D takes its asymptotic sign and
-``refine`` solves all brackets of a piece at once by safeguarded Newton
-iteration (bisection fallback keeps iterates inside the bracket) under the
-one stop rule |D| <= TOL*max(1, tau^2).  Loads at a critical level give one
-fold root at that critical point.
+(the paper's single-factor eq. (45) is the measure a = 1/4).  The caller
+splits the zeta axis at the critical points of the unloaded curve
+h = D + tau^2 (and at zero), so h is monotone on every piece and a piece
+holds at most one root.  ``solve_roots_batch`` loops over the pieces, not
+the points: ``expand`` pushes an infinite piece end out until D takes its
+asymptotic sign and ``refine`` solves all brackets of a piece at once by
+safeguarded Newton iteration (bisection fallback keeps iterates inside the
+bracket) under the one stop rule |D| <= TOL*max(1, tau^2).  Loads at a
+critical level give one fold root at that critical point.
 """
 from __future__ import annotations
 
@@ -44,15 +44,10 @@ _DEGENERATE_RTOL = 1e-13  # |tau^2 - eta^2| window treated as the fold
 _EXPAND_LIMIT = 600       # bracket-expansion doublings before giving up
 
 
-def residual(energy, b, factor, z, t2):
-    """D(z) = factor*z^2*(dV*(z) - b) - t2, overflow to +-inf allowed."""
+def residual(energy, m, z, t2):
+    """D(z) = 4a*z^2*(dV*(z) - b) - t2, overflow to +-inf allowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return factor * z * z * (energy.dVstar(z) - b) - t2
-
-
-def _residual_prime(energy, b, factor, z):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return factor * (2.0 * z * (energy.dVstar(z) - b) + z * z * energy.d2Vstar(z))
+        return 4.0 * m.a * z * z * (energy.dVstar(z) - m.b) - t2
 
 
 def expand(fn, base, width, sign):
@@ -76,7 +71,7 @@ def expand(fn, base, width, sign):
     )
 
 
-def refine(energy, b, factor, lo, hi, t2):
+def refine(energy, m, lo, hi, t2):
     """Roots of D in per-point brackets [lo, hi] with a sign change.
 
     Safeguarded Newton: a step that leaves the bracket or is not finite is
@@ -87,9 +82,9 @@ def refine(energy, b, factor, lo, hi, t2):
     tol = TOL * np.maximum(1.0, t2)
     lo = lo.copy()
     hi = hi.copy()
-    fhi = residual(energy, b, factor, hi, t2)
+    fhi = residual(energy, m, hi, t2)
     x = 0.5 * (lo + hi)
-    fx = residual(energy, b, factor, x, t2)
+    fx = residual(energy, m, x, t2)
     done = np.abs(fx) <= tol
     for _ in range(MAX_ITER):
         if done.all():
@@ -101,13 +96,13 @@ def refine(energy, b, factor, lo, hi, t2):
         hi[upd_hi] = x[upd_hi]
         fhi[upd_hi] = fx[upd_hi]
         lo[upd_lo] = x[upd_lo]
-        fp = _residual_prime(energy, b, factor, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fp = 4.0 * m.a * (2.0 * x * (energy.dVstar(x) - m.b) + x * x * energy.d2Vstar(x))
             xn = x - fx / fp
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = np.where(act, xn, x)
-        fx = np.where(act, residual(energy, b, factor, x, t2), fx)
+        fx = np.where(act, residual(energy, m, x, t2), fx)
         done = done | (np.abs(fx) <= tol)
     if not done.all():
         z, r = float(x[~done][0]), float(fx[~done][0])
@@ -118,7 +113,7 @@ def refine(energy, b, factor, lo, hi, t2):
     return x, fx
 
 
-def solve_roots_batch(energy, b, factor, tau_sq, ends, levels, critical):
+def solve_roots_batch(energy, m, tau_sq, ends, levels, critical):
     """Every real root of D for an array of tau^2 values, one piece at a time.
 
     ends are the ascending finite ends (zero among them) of the pieces on
@@ -168,7 +163,7 @@ def solve_roots_batch(energy, b, factor, tau_sq, ends, levels, critical):
         at = np.flatnonzero(inside & ~fold[k] & ~fold[k + 1])
         if at.size:
             t2 = tau_sq[at]
-            D = partial(residual, energy, b, factor, t2=t2)
+            D = partial(residual, energy, m, t2=t2)
             if k == 0:
                 width = np.full(at.size, -max(1.0, abs(bounds[1])))
                 lo = expand(D, bounds[1], width, np.sign(llo - lhi))
@@ -178,11 +173,11 @@ def solve_roots_batch(energy, b, factor, tau_sq, ends, levels, critical):
                 hi = expand(D, end, np.full(at.size, max(1.0, abs(end))), np.sign(lhi - llo))
             else:
                 hi = np.full(at.size, bounds[k + 1])
-            put(at, end >= 0.0, *refine(energy, b, factor, lo, hi, t2))
+            put(at, end >= 0.0, *refine(energy, m, lo, hi, t2))
         if k > 0 and end != 0.0:
             at = np.flatnonzero(fold[k] if critical[k - 1] else tau_sq == llo)
             if at.size:
-                r = residual(energy, b, factor, end, tau_sq[at])
+                r = residual(energy, m, end, tau_sq[at])
                 put(at, end > 0.0, end, r, critical[k - 1])
 
     counts = np.sum(~np.isnan(roots), axis=1).astype(np.int64)

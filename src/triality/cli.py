@@ -4,6 +4,9 @@
     triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR] [--residual-convention C]
     triality verify <config>
 
+sweep's --residual-convention paper-eq45 solves the dual equation for the
+measure (1/4, b), the paper's single-factor eq. (45), not the configured one.
+
 Exit codes: 0 success, 1 failed verification check, 2 configuration error
 (malformed, non-finite or out-of-range values, or a model outside the
 supported family), 3 solver failure.  The oracle's start count and seed
@@ -25,7 +28,6 @@ from .canonical import closed_V
 from .config import (
     MAX_NODES,
     ConstantTau,
-    IntervalGeometry,
     ProblemSpec,
     build_tau_grid,
     build_tau_interval,
@@ -66,8 +68,6 @@ class InstanceSolution:
     degenerate: np.ndarray  # (m, 3)
     counts: np.ndarray      # (m,)
     labels: np.ndarray      # (m, 3) object
-    grid: fields.Grid2 | None
-    x: np.ndarray | None
 
     def node_roots(self, k: int) -> np.ndarray:
         """Root of branch slot k at every node, (n,)."""
@@ -75,12 +75,11 @@ class InstanceSolution:
 
 
 def solve_instance(spec: ProblemSpec) -> InstanceSolution:
-    if isinstance(spec.geometry, IntervalGeometry):
+    if spec.dim == 1:
         x = spec.geometry.x
         tau = build_tau_interval(spec)[:, None]
         coords = np.column_stack([x, np.zeros_like(x)])
         weights = energies.trapezoid_weights_interval(x.size, float(x[1] - x[0]))
-        grid = None
     else:
         grid = spec.geometry
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -88,7 +87,6 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
         X, Y = grid.coords()
         coords = np.column_stack([X.ravel(), Y.ravel()])
         weights = energies.trapezoid_weights_grid(grid).ravel()
-        x = None
     with np.errstate(over="ignore"):
         tau_sq = np.sum(tau * tau, axis=-1)
     if not np.all(np.isfinite(tau_sq)):
@@ -100,7 +98,7 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
     labels = dualsolve.label_array(spec.energy, spec.measure, roots, loads,
                                    degenerate, spec.dim)
     return InstanceSolution(spec, coords, tau, weights, loads, load,
-                            roots, resid, degenerate, counts, labels, grid, x)
+                            roots, resid, degenerate, counts, labels)
 
 
 def full_branches(sol: InstanceSolution) -> list[int]:
@@ -128,8 +126,8 @@ def _label_text(labels: np.ndarray) -> np.ndarray:
 
 def _branch_fields(sol: InstanceSolution, k: int) -> tuple[fields.Grid2, np.ndarray, np.ndarray]:
     """(grid, zeta, tau) of branch k in grid shape (rectangle instances)."""
-    return (sol.grid, sol.node_roots(k).reshape(sol.grid.shape),
-            sol.tau.reshape(sol.grid.shape + (2,)))
+    grid = sol.spec.geometry
+    return grid, sol.node_roots(k).reshape(grid.shape), sol.tau.reshape(grid.shape + (2,))
 
 
 def reconstruct_branch(sol: InstanceSolution, k: int) -> np.ndarray:
@@ -137,10 +135,9 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> np.ndarray:
     (ny, nx) on a rectangle; raises NonIntegrableFieldError if the strain is
     not a gradient or the path integral overflows."""
     spec = sol.spec
-    if sol.grid is None:
-        anchor = 0 if spec.geometry.fixed_end == "left" else sol.x.size - 1
-        u = fields.reconstruct_interval(sol.node_roots(k), sol.tau[:, 0], spec.measure,
-                                        sol.x, anchor)
+    if spec.dim == 1:
+        u = fields.reconstruct_interval(spec.geometry, sol.node_roots(k), sol.tau[:, 0],
+                                        spec.measure)
     else:
         u = fields.reconstruct_displacement(*_branch_fields(sol, k), spec.measure)
     if not np.all(np.isfinite(u)):
@@ -196,8 +193,8 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
     lines = ["residual convention: derived"]
     lines.append(_instance_summary(spec))
     try:
-        fold = dualsolve.fold_threshold(spec.energy, spec.measure, "derived")
-        fold45 = dualsolve.fold_threshold(spec.energy, spec.measure, "paper-eq45")
+        fold = dualsolve.fold_threshold(spec.energy, spec.measure)
+        fold45 = dualsolve.fold_threshold(spec.energy, dualsolve.paper_eq45(spec.measure))
         lines.append(f"fold: zeta_c={format_float(fold.zeta_c)} "
                      f"eta(derived)={format_float(fold.eta)} "
                      f"eta(paper-eq45)={format_float(fold45.eta)}")
@@ -243,7 +240,7 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
 
 def _instance_summary(spec: ProblemSpec) -> str:
     g = spec.geometry
-    if isinstance(g, IntervalGeometry):
+    if spec.dim == 1:
         geo = f"interval L={g.length} n={g.n} fixed={g.fixed_end}"
     else:
         geo = (f"rectangle {g.lx}x{g.ly} nodes {g.nx}x{g.ny} "
@@ -263,8 +260,9 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
         raise ConfigError("sweep needs 0 <= tau-min <= tau-max with tau-max^2 finite")
     outdir.mkdir(parents=True, exist_ok=True)
     taus = np.linspace(tau_min, tau_max, steps)
+    m45 = dualsolve.paper_eq45(spec.measure)
     roots, _, _, counts = dualsolve.solve_roots_array(
-        spec.energy, spec.measure, taus ** 2, convention)
+        spec.energy, m45 if convention == "paper-eq45" else spec.measure, taus ** 2)
     found = ~np.isnan(roots)
     t2 = np.broadcast_to((taus * taus)[:, None], roots.shape)
     pid = np.full(roots.shape, np.nan)
@@ -272,7 +270,7 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     _write_rows(outdir / "sweep.csv", "tau,root_count,zeta1,zeta2,zeta3,Pi_d_1,Pi_d_2,Pi_d_3",
                 [[taus, counts, *roots.T, *pid.T]])
 
-    # dual algebraic curve h(zeta) under both residual conventions
+    # dual algebraic curve h(zeta) of the measure and of its eq. (45) form
     try:
         fold = dualsolve.fold_threshold(spec.energy, spec.measure)
     except NotImplementedError:
@@ -280,11 +278,8 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     z_lo = 4.0 * fold.zeta_c - 1.0 if fold is not None else -3.0
     z_hi = max(1.5, 1.5 * float(roots[-1, 0])) if taus[-1] > 0 else 1.5
     zgrid = np.linspace(z_lo, z_hi, 1001)
-    h = []
-    for conv in ("derived", "paper-eq45"):
-        h2 = _kernels.residual(spec.energy, spec.measure.b,
-                               dualsolve.residual_factor(spec.measure, conv), zgrid, 0.0)
-        h.append(np.sqrt(np.where(h2 >= 0, h2, np.nan)))
+    h2 = [_kernels.residual(spec.energy, m, zgrid, 0.0) for m in (spec.measure, m45)]
+    h = [np.sqrt(np.where(v >= 0, v, np.nan)) for v in h2]
     _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", [[zgrid, *h]])
     tau_mid = fold.eta if fold is not None else 0.5 * (taus[0] + taus[-1])
     _write_figure_curves(spec, outdir, (float(taus[0]), float(tau_mid), float(taus[-1])))
@@ -361,13 +356,13 @@ def run_verify(spec: ProblemSpec) -> int:
         inexact = None
         if not (np.all(sol.counts == 1) and sol.loads[0] > 0):
             inexact = "multi-branch instance"
-        elif sol.grid is not None:
+        elif spec.dim == 2:
             try:
                 u1 = reconstruct_branch(sol, 0)
             except NonIntegrableFieldError as exc:
                 inexact = f"branch 1 not reconstructed ({exc})"
             else:
-                misfit = float(np.max(np.abs(u1[sol.grid.fixed_mask()])))
+                misfit = float(np.max(np.abs(u1[spec.geometry.fixed_mask()])))
                 if misfit > PATH_RTOL * max(1.0, float(np.max(np.abs(u1)))):
                     inexact = f"branch 1 has |u| = {misfit:.3e} on a fixed edge"
         try:
@@ -398,7 +393,7 @@ def run_verify(spec: ProblemSpec) -> int:
             f"max relative error = {err:.3e} (tol {GRAD_TOL:g})")
 
     # 4 curl / path-independence audit on branch 1
-    if sol.grid is None:
+    if spec.dim == 1:
         add("SKIP", "curl/path audit", "1-D path integration is unique")
     elif 0 in branches:
         try:
@@ -463,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("solve", "solve one instance and write roots/fields/energies", True)
     sp = command("sweep", "sweep the load magnitude and write sweep.csv/hcurve.csv", True)
-    sp.add_argument("--residual-convention", choices=list(dualsolve.RESIDUAL_CONVENTIONS),
+    sp.add_argument("--residual-convention", choices=["derived", "paper-eq45"],
                     default="derived",
                     help="dual residual convention of sweep.csv; paper-eq45 reproduces the "
                          "single-factor log-model curve (figure data only)")

@@ -20,11 +20,11 @@ the Hessian of the composed stored energy W(gamma) = V(Lambda(gamma)):
 
 whose spectrum is {2a*zeta (dim-1 times), 2a*zeta + 4a^2*d2V(xi)*|gamma|^2}.
 
-The residual convention is configurable: "derived" keeps the 4a factor that
-makes the primal and dual energies agree at every root; "paper-eq45" drops it
-and reproduces the single-factor form of the published log-model curve (the
-CLI uses it only for sweep's figure data; it does not satisfy the duality
-identity).
+The equation depends on the energy and the measure only.  The single-factor
+form of the paper's eq. (45), whose log-model curve is the published figure,
+is the same equation for the measure paper_eq45(m) = (1/4, b); the CLI uses
+it only for sweep's figure data, since its roots do not satisfy the duality
+identity of the instance's own measure.
 """
 from __future__ import annotations
 
@@ -42,8 +42,6 @@ from .canonical import (
     QuadraticMeasure,
 )
 from .errors import DomainError, SingularDualError
-
-RESIDUAL_CONVENTIONS = ("derived", "paper-eq45")
 
 #: scale-aware zero tolerance for Hessian eigenvalues
 EIG_ZERO_RTOL = 1e-12
@@ -65,13 +63,11 @@ class FoldThreshold(NamedTuple):
     eta: float
 
 
-def residual_factor(m: QuadraticMeasure, convention: str = "derived") -> float:
-    """Multiplier on zeta^2*(dVstar - b) in the dual residual."""
-    if convention == "derived":
-        return 4.0 * m.a
-    if convention == "paper-eq45":
-        return 1.0
-    raise ValueError(f"unknown residual convention {convention!r}; expected one of {RESIDUAL_CONVENTIONS}")
+def paper_eq45(m: QuadraticMeasure) -> QuadraticMeasure:
+    """The measure whose dual equation is the single-factor eq. (45) of the
+    paper, zeta^2*(dV*(zeta) - b) = tau^2: 4*0.25 == 1.0 exactly, so its
+    residual is that of eq. (45) bit for bit."""
+    return QuadraticMeasure(0.25, m.b)
 
 
 class _Curve(NamedTuple):
@@ -86,7 +82,7 @@ class _Curve(NamedTuple):
     critical: np.ndarray
 
 
-def _curve(energy: CanonicalEnergy, m: QuadraticMeasure, convention: str) -> _Curve:
+def _curve(energy: CanonicalEnergy, m: QuadraticMeasure) -> _Curve:
     """Closed form for the built-in models: the zero alpha*b for the quadratic
     energy with b != 0, and zeta_c = 2*b*alpha/3 for b < 0 (else no negative
     branch), and zeta_c = -2*c2 for the log model with b = 0; other
@@ -109,7 +105,7 @@ def _curve(energy: CanonicalEnergy, m: QuadraticMeasure, convention: str) -> _Cu
     # could round; towards -inf dV* tends to xi_min, so h takes the sign of
     # xi_min - b there (and decays to 0 where they agree)
     gap = energy.xi_min - m.b
-    h = _kernels.residual(energy, m.b, residual_factor(m, convention), ends, 0.0)
+    h = _kernels.residual(energy, m, ends, 0.0)
     levels = np.array([math.copysign(math.inf, gap) if gap else 0.0,
                        *np.where(critical, h, 0.0), math.inf])
     return _Curve(ends, levels, critical)
@@ -118,7 +114,7 @@ def _curve(energy: CanonicalEnergy, m: QuadraticMeasure, convention: str) -> _Cu
 def _critical_points(energy, m) -> np.ndarray:
     """Interior critical points of the dual curve, ascending.
 
-    The slope 2*(dV* - b) + zeta*d2V* (D' over factor*zeta) is scanned on a
+    The slope 2*(dV* - b) + zeta*d2V* (D' over 4a*zeta) is scanned on a
     logarithmic grid, 5000 points a side over 1e-8 <= |zeta| <= 1e3, whose
     ends double until the slope has its asymptotic sign, + at +inf and that
     of xi_min - b at -inf, so no critical point lies beyond; each sign
@@ -155,8 +151,7 @@ def _critical_points(energy, m) -> np.ndarray:
     return np.array(out)
 
 
-def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
-                   convention: str = "derived") -> FoldThreshold:
+def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure) -> FoldThreshold:
     """Negative critical point zeta_c and fold level eta.
 
     The root count of the dual equation drops from three to one as tau crosses
@@ -165,7 +160,7 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure,
     combinations fall back to the critical-point scan, which follows the
     curve as far out as its features go.
     """
-    curve = _curve(energy, m, convention)
+    curve = _curve(energy, m)
     neg = np.flatnonzero(curve.critical & (curve.ends < 0.0))
     if neg.size != 1:
         raise NotImplementedError(
@@ -196,8 +191,7 @@ _NO_ROOT, _GLOBAL_MIN, _LOCAL_MIN, _LOCAL_MAX, _SADDLE, _DEGENERATE = range(6)
 _LABELS = np.array([None, *TrialityLabel], dtype=object)
 
 
-def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
-                      convention: str = "derived"):
+def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq):
     """Enumerate dual roots for an array of tau^2 values.
 
     Returns (roots, residuals, degenerate, counts): roots is (n, 3) nan-padded
@@ -208,8 +202,7 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq,
     t2 = np.ascontiguousarray(tau_sq, dtype=float)
     if np.any(~np.isfinite(t2)) or np.any(t2 < 0.0):
         raise DomainError("tau^2 values must be finite and nonnegative")
-    return _kernels.solve_roots_batch(energy, m.b, residual_factor(m, convention), t2,
-                                      *_curve(energy, m, convention))
+    return _kernels.solve_roots_batch(energy, m, t2, *_curve(energy, m))
 
 
 def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, tau_sq,

@@ -216,12 +216,14 @@ def path_discrepancy(grid: Grid2, zeta: np.ndarray, tau: np.ndarray, m: Quadrati
     return float(np.max(np.abs(u1 - u2)))
 
 
-def reconstruct_interval(zeta: np.ndarray, tau: np.ndarray, m: QuadraticMeasure,
-                         x: np.ndarray, anchor: int = 0) -> np.ndarray:
-    """1-D counterpart: cumulative trapezoid of gamma = tau/(2a*zeta)."""
+def reconstruct_interval(interval, zeta: np.ndarray, tau: np.ndarray,
+                         m: QuadraticMeasure) -> np.ndarray:
+    """1-D counterpart on an IntervalGeometry: cumulative trapezoid of
+    gamma = tau/(2a*zeta), zero at the interval's fixed end."""
     gamma = _dual_strain(np.asarray(zeta, dtype=float), np.asarray(tau, dtype=float), m)
-    h = float(x[1] - x[0])
-    return _cumtrapz_from(gamma, h, anchor, axis=0)
+    x = interval.x
+    anchor = 0 if interval.fixed_end == "left" else x.size - 1
+    return _cumtrapz_from(gamma, float(x[1] - x[0]), anchor, axis=0)
 
 
 def antiplane_deformation_gradient(grad_u) -> np.ndarray:

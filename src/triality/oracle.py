@@ -68,11 +68,14 @@ class DiscreteProblem:
 
     energy: CanonicalEnergy
     measure: QuadraticMeasure
-    ndim: int                  # 1 or 2
     shape: tuple[int, ...]     # (n,) or (ny, nx)
     spacings: tuple[float, ...]
     fixed: np.ndarray          # boolean mask of Dirichlet nodes
     load: np.ndarray           # linear functional weights: Pi(u) = E_W(u) - sum(load*u)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
 
     def _total(self, ew, u):
         """Pi per start from the stored energies; +inf where ew is not finite."""
@@ -110,9 +113,9 @@ class DiscreteProblem:
 def _axis_stiffness(n: int, free: slice) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of the path-graph Laplacian (off-diagonal -1) and trapezoid
     weights (1/2, 1, ..., 1, 1/2) of an axis of n nodes, on its free nodes."""
-    lap, weights = np.full(n, 2.0), np.ones(n)
-    lap[[0, -1]], weights[[0, -1]] = 1.0, 0.5
-    return lap[free], weights[free]
+    lap = np.full(n, 2.0)
+    lap[[0, -1]] = 1.0
+    return lap[free], trapezoid_weights_interval(n, 1.0)[free]
 
 
 def _free_slice(free: np.ndarray) -> slice:
@@ -224,7 +227,7 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
         else:
             fixed[-1] = True
             load[0] = -tau[0]           # outward normal -1
-        return DiscreteProblem(spec.energy, spec.measure, 1, (n,), (float(x[1] - x[0]),), fixed, load)
+        return DiscreteProblem(spec.energy, spec.measure, (n,), (float(x[1] - x[0]),), fixed, load)
     grid = spec.geometry
     tau = build_tau_grid(spec)
     load = np.zeros(grid.shape)
@@ -235,8 +238,7 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
         load[edge_slice(edge)] += w * tvals
     fixed = grid.fixed_mask()
     load[fixed] = 0.0
-    return DiscreteProblem(spec.energy, spec.measure, 2, grid.shape,
-                           (grid.hx, grid.hy), fixed, load)
+    return DiscreteProblem(spec.energy, spec.measure, grid.shape, (grid.hx, grid.hy), fixed, load)
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,10 +515,10 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     No row means no violation was found (a probe, not a proof); every row is
     a constructive counterexample to G-quasiconvexity.  G is
     energies.primal_density, V on its closed domain: segment points may
-    leave the domain, and an infinite one is a genuine violation, since the
-    admissible set itself is not convex there.  The segment points are
-    evaluated in blocks of segments under the _CHUNK_ELEMENTS budget; the
-    rows, in segment then theta order, do not depend on the block size.
+    leave the domain; an infinite one is a genuine violation (the admissible
+    set is not convex there) unless an end is +inf too.  The segment points
+    are evaluated in blocks of segments under the _CHUNK_ELEMENTS budget;
+    the rows, in segment then theta order, do not depend on the block size.
     """
     t = np.asarray(tau, dtype=float).ravel()
     d = t.size
@@ -530,7 +532,9 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     for sl in _chunks(n_segments, (PROBE_THETAS, d)):
         seg = (g1[sl, None, :] * thetas[None, :, None]
                + g2[sl, None, :] * (1.0 - thetas[None, :, None]))
-        excess = primal_density(energy, m, seg, t) - ends[sl, None] - PROBE_TOL
+        gseg = primal_density(energy, m, seg, t)
+        with np.errstate(invalid="ignore"):  # inf - inf is nan: no violation
+            excess = gseg - ends[sl, None] - PROBE_TOL
         i, k = np.nonzero(excess > 0.0)
         hits.append((i + sl.start, k, excess[i, k] + PROBE_TOL))
     i, k, excess = map(np.concatenate, zip(*hits))

@@ -15,7 +15,7 @@ from triality import (
     QuadraticEnergy,
     QuadraticMeasure,
 )
-from triality.dualsolve import label_array, residual_factor, solve_roots_array
+from triality.dualsolve import label_array, solve_roots_array
 
 DW_MEASURE = QuadraticMeasure(a=0.5, b=-1.0)
 SHEAR_MEASURE = QuadraticMeasure(a=1.0, b=0.0)
@@ -50,25 +50,24 @@ def bisect(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def dual_residual(energy, m, zeta, tau_sq, convention="derived"):
-    """D(zeta) = factor*zeta^2*(dV*(zeta) - b) - tau^2, vectorized in zeta."""
-    return residual_factor(m, convention) * zeta * zeta * (energy.dVstar(zeta) - m.b) - tau_sq
+def dual_residual(energy, m, zeta, tau_sq):
+    """D(zeta) = 4a*zeta^2*(dV*(zeta) - b) - tau^2, vectorized in zeta."""
+    return 4.0 * m.a * zeta * zeta * (energy.dVstar(zeta) - m.b) - tau_sq
 
 
-def roots_at(energy, m, tau_sq, dim=1, convention="derived"):
+def roots_at(energy, m, tau_sq, dim=1):
     """(zetas, residuals, labels) of every dual root at one load, descending,
     from solve_roots_array + label_array, the calls the pipelines make."""
-    roots, resid, degenerate, _ = solve_roots_array(energy, m, np.array([tau_sq], dtype=float),
-                                                    convention)
+    roots, resid, degenerate, _ = solve_roots_array(energy, m, np.array([tau_sq], dtype=float))
     labels = label_array(energy, m, roots, [tau_sq], degenerate, dim)[0]
     have = ~np.isnan(roots[0])
     return roots[0][have], resid[0][have], labels[have]
 
 
-def scan_roots(energy, m, tau_sq, lo=-50.0, hi=50.0, n=400_001, convention="derived"):
+def scan_roots(energy, m, tau_sq, lo=-50.0, hi=50.0, n=400_001):
     """All nonzero dual roots by dense sign scan + bisection (independent oracle)."""
     def D(z):
-        return dual_residual(energy, m, z, tau_sq, convention)
+        return dual_residual(energy, m, z, tau_sq)
 
     grid = np.linspace(lo, hi, n)
     grid = grid[np.abs(grid) > 1e-9]

@@ -21,6 +21,7 @@ from triality import (
 )
 from triality.cli import branch_energy_report, full_branches, solve_instance
 from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
+from triality.dualsolve import paper_eq45
 from triality.energies import random_rotation
 from triality.fields import (
     Grid2,
@@ -156,13 +157,13 @@ def test_c06_fold_threshold():
         ok &= abs(three_max - eta_sq) <= step and abs(one_min - eta_sq) <= step
         details.append(f"{type(energy).__name__}: transition within one step of eta^2")
     zc, eta_d = fold_threshold(LOG, SHEAR_MEASURE)
-    _, eta_45 = fold_threshold(LOG, SHEAR_MEASURE, convention="paper-eq45")
+    _, eta_45 = fold_threshold(LOG, paper_eq45(SHEAR_MEASURE))
     ok &= abs(zc + 2.0 * LOG.c2) <= 1e-12
     ok &= abs(eta_d - 4.0 * math.exp(-2.0)) <= 1e-12
     ok &= abs(eta_45 - 2.0 * math.exp(-2.0)) <= 1e-12
     # only the derived convention satisfies the dual equality of C02
     t2 = 0.2
-    z45 = roots_at(LOG, SHEAR_MEASURE, t2, convention="paper-eq45")[0][0]
+    z45 = roots_at(LOG, paper_eq45(SHEAR_MEASURE), t2)[0][0]
     tau = np.array([math.sqrt(t2)])
     gam = tau / (2.0 * z45)
     gap45 = abs(primal_density(LOG, SHEAR_MEASURE, gam, tau)

@@ -174,9 +174,9 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     sizes = []
     batch = _kernels.solve_roots_batch
 
-    def counted(energy, b, factor, t2, *curve):
+    def counted(energy, m, t2, *curve):
         sizes.append(t2.size)
-        return batch(energy, b, factor, t2, *curve)
+        return batch(energy, m, t2, *curve)
 
     monkeypatch.setattr(_kernels, "solve_roots_batch", counted)
     sol = solve_instance(spec)
@@ -416,6 +416,12 @@ def test_residual_convention_is_a_sweep_flag_only(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     assert run(["sweep", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "s", "--tau-min", "0",
                 "--tau-max", "1", "--steps", "5", "--residual-convention", "paper-eq45"]) == 0
+    with pytest.raises(SystemExit) as info:
+        run(["sweep", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "n", "--tau-min", "0",
+             "--tau-max", "1", "--steps", "5", "--residual-convention", "nonsense"])
+    assert info.value.code == 2
+    assert "--residual-convention" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
 
 
 def test_missing_fixed_edge_rejected(tmp_path, capsys):
@@ -569,6 +575,24 @@ def test_overflowing_displacement_is_skipped(tmp_path, capsys, geometry):
     assert ("branch 1: reconstruction skipped (the path integral of the dual strain is not "
             "finite at every node)") in capsys.readouterr().out
     assert not list((tmp_path / "o").glob("fields_u_*.csv"))
+
+
+def test_probe_ignores_segments_infinite_at_both_ends(tmp_path, capsys):
+    # a = 1e-300 overflows the primal energy to +inf at segment points and
+    # at their larger end: inf - inf is no violation, and filterwarnings =
+    # error turns the invalid-value RuntimeWarning into a failure
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+        **FUZZ_BASE, "measure_a": "1e-300", "measure_b": "-0.5"}.items()))
+    assert run(["verify", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "[verify] FAIL duality-gap branch 1", "[verify] PASS duality-gap branch 2",
+        "[verify] PASS root residuals", "[verify] FAIL oracle agreement",
+        "[verify] SKIP gradient check", "[verify] SKIP curl/path audit",
+        "[verify] FAIL quasiconvexity probe", "[verify] FAILED"]
+    assert lines[-2].endswith("multi-branch load: 0 violations in 10000 segments (want >= 1)")
+    assert lines[-1] == "[verify] FAILED: 2/5 checks passed"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

@@ -21,7 +21,7 @@ from triality import (
     solve_roots_array,
 )
 from triality import _kernels
-from triality.dualsolve import _hessian_eigs, residual_factor
+from triality.dualsolve import _hessian_eigs, paper_eq45
 from triality.energies import dual_density
 
 from conftest import DW_MEASURE, SHEAR_MEASURE, dual_residual, roots_at, scan_roots
@@ -29,10 +29,7 @@ from conftest import DW_MEASURE, SHEAR_MEASURE, dual_residual, roots_at, scan_ro
 
 def test_dual_residual_values(dw, log11):
     # the test oracle and the kernel residual that the solver runs
-    def kernel(energy, m, zeta, tau_sq):
-        return _kernels.residual(energy, m.b, residual_factor(m), zeta, tau_sq)
-
-    for D in (dual_residual, kernel):
+    for D in (dual_residual, _kernels.residual):
         # double-well: D(z) = 2 z^2 (z + 1) - tau^2
         assert D(dw, DW_MEASURE, 1.0 / 3.0, 8.0 / 27.0) == pytest.approx(0.0, abs=1e-15)
         # log model: D(z) = 4 z^2 exp(z - 2) - tau^2
@@ -161,7 +158,7 @@ def test_fold_threshold_values(dw, log11):
     zc, eta = fold_threshold(log11, SHEAR_MEASURE)
     assert zc == -2.0
     assert eta == pytest.approx(4.0 * math.exp(-2.0), rel=1e-12)
-    zc45, eta45 = fold_threshold(log11, SHEAR_MEASURE, convention="paper-eq45")
+    zc45, eta45 = fold_threshold(log11, paper_eq45(SHEAR_MEASURE))
     assert zc45 == -2.0
     assert eta45 == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
     c2 = 1.7
@@ -205,11 +202,6 @@ def test_dual_density_concavity_around_positive_root(dw, log11, rng):
             lhs = dual_density(energy, m, mid, tau_sq)
             rhs = 0.5 * (dual_density(energy, m, za, tau_sq) + dual_density(energy, m, zb, tau_sq))
             assert lhs >= rhs - 1e-12
-
-
-def test_residual_convention_validation(dw):
-    with pytest.raises(ValueError):
-        residual_factor(DW_MEASURE, convention="nonsense")
 
 
 def test_generic_scan_geometry_log_nonzero_shift(log11):
@@ -322,7 +314,7 @@ def test_one_refine_call_per_piece(log11, monkeypatch):
     m = QuadraticMeasure(1.0, 0.01)  # no closed form, a fold near zeta = -2
     _, _, _, counts = solve_roots_array(log11, m, np.linspace(0.0, 1.0, 2000))
     assert set(counts.tolist()) >= {1, 3}
-    assert 0 < len(calls) <= len(_curve(log11, m, "derived").ends) + 1
+    assert 0 < len(calls) <= len(_curve(log11, m).ends) + 1
 
 
 def test_labels_at_zero_strain_and_extreme_constants():
@@ -353,12 +345,21 @@ def test_tiny_measure_a_bends_without_nan(log11):
     assert list(labels) == [TrialityLabel.GLOBAL_MIN, TrialityLabel.LOCAL_MIN]
 
 
-def test_paper_eq45_convention_log_roots(log11):
-    # single-factor curve: z^2 exp(z-2) = tau^2; at tau^2 = 4 e^{-2}... check
-    # via direct residual definition instead of the derived one
-    for z in roots_at(log11, SHEAR_MEASURE, 0.04, convention="paper-eq45")[0]:
-        lhs = z ** 2 * math.exp(z - 2.0)
-        assert lhs == pytest.approx(0.04, abs=1e-10)
+@pytest.mark.parametrize("energy,m,count", [
+    (QuadraticEnergy(1.0), DW_MEASURE, 3),
+    (LogNeoHookeanEnergy(1.0, 1.0), SHEAR_MEASURE, 3),
+    (LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, -0.5), 2),
+], ids=["double-well", "log", "generic-log"])
+def test_paper_eq45_convention_log_roots(energy, m, count):
+    # the single-factor curve of eq. (45), z^2*(dV*(z) - b) = tau^2, is the
+    # dual equation of the measure (1/4, b): its roots solve the residual
+    # written out here, and the scan oracle finds as many
+    tau_sq, m45 = 0.04, paper_eq45(m)
+    z = roots_at(energy, m45, tau_sq)[0]
+    assert np.all(np.abs(z * z * (energy.dVstar(z) - m.b) - tau_sq) <= 1e-10)
+    oracle = scan_roots(energy, m45, tau_sq)
+    assert len(z) == len(oracle) == count
+    assert np.allclose(z, oracle, rtol=1e-8, atol=1e-10)
 
 
 @pytest.mark.parametrize("energy,m", [(QuadraticEnergy(1.0), DW_MEASURE),

@@ -21,6 +21,7 @@ from triality import (
     stress_from_stream,
 )
 from triality import fields
+from triality.config import IntervalGeometry
 from triality.fields import (
     CSV_BLOCK_ROWS,
     path_discrepancy,
@@ -178,13 +179,14 @@ def test_reconstruct_errors():
 
 def test_reconstruct_interval_matches_closed_form():
     m = QuadraticMeasure(0.5, -1.0)
-    x = np.linspace(0.0, 1.0, 21)
+    interval = IntervalGeometry(length=1.0, n=21)
+    x = interval.x
     zeta = np.full(x.size, 1.0 / 3.0)
     tau = np.full(x.size, np.sqrt(8.0 / 27.0))
-    u = reconstruct_interval(zeta, tau, m, x, anchor=0)
+    u = reconstruct_interval(interval, zeta, tau, m)
     gamma = tau[0] / (2.0 * m.a * zeta[0])
     assert np.max(np.abs(u - gamma * x)) < 1e-14
-    u_r = reconstruct_interval(zeta, tau, m, x, anchor=x.size - 1)
+    u_r = reconstruct_interval(IntervalGeometry(1.0, 21, fixed_end="right"), zeta, tau, m)
     assert abs(u_r[-1]) == 0.0
 
 
