@@ -1,6 +1,8 @@
 """Canonical-dual solutions of nonconvex variational problems of generalized
 neo-Hookean type: dual algebraic root enumeration, triality classification,
-primal field reconstruction, and brute-force verification oracles."""
+and primal field reconstruction.  The brute-force verification oracles
+(multistart descent, gradient check, quasiconvexity probe) live in
+triality.oracle, which only `triality verify` loads."""
 
 from .canonical import (
     CanonicalEnergy,
@@ -8,7 +10,6 @@ from .canonical import (
     QuadraticEnergy,
     QuadraticMeasure,
     closed_V,
-    measure_eval,
 )
 from .dualsolve import (
     FoldThreshold,
@@ -22,12 +23,10 @@ from .energies import (
     dual_density,
     make_energy_report,
     primal_density,
-    rotation_invariance_check,
 )
 from .errors import (
     ConfigError,
     DomainError,
-    InvalidRotationError,
     NonIntegrableFieldError,
     OracleError,
     RootSolveError,
@@ -36,14 +35,10 @@ from .errors import (
 )
 from .fields import (
     Grid2,
-    antiplane_deformation_gradient,
     boundary_traction,
     curl2,
-    divergence,
-    principal_invariants,
     reconstruct_displacement,
     stress_from_stream,
 )
-from .oracle import gquasiconvexity_probe, gradient_check, minimize_multistart
 
 __version__ = "0.1.0"

@@ -159,8 +159,3 @@ def closed_V(energy: CanonicalEnergy, m: QuadraticMeasure, xi, slope: bool = Fal
     inside = f(np.where(low, energy.xi_min + 1.0, xi))
     return np.where(low, edge, inside), (below if np.any(below) else None)
 
-
-def measure_eval(m: QuadraticMeasure, gamma):
-    """Lambda(gamma) = a*|gamma|^2 + b for a vector or matrix gamma."""
-    g = np.asarray(gamma, dtype=float)
-    return m.a * float(np.sum(g * g)) + m.b

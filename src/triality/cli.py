@@ -13,17 +13,27 @@ supported family), 3 solver failure.  The oracle's start count and seed
 come from the config file; every other solver, oracle and check setting is
 a module constant.  All CSV output uses 17 significant digits; runs are
 serial and deterministic for a fixed config.
+
+Only verify loads the oracle module; solve and sweep never import it.  The
+process entry (``entry``, behind ``python -m triality.cli`` and the
+``triality`` script) runs main() and then freezes the cyclic GC, after
+every output file is closed: interpreter shutdown then skips its final
+collections over the numpy and triality module objects, about 20 ms per
+process.  main() itself leaves the GC alone, so tests and other in-process
+callers keep their collector state.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from . import _kernels, dualsolve, energies, fields, oracle
+from . import _kernels, dualsolve, energies, fields
 from .canonical import closed_V
 from .config import (
     MAX_NODES,
@@ -313,6 +323,8 @@ def _write_figure_curves(spec: ProblemSpec, outdir: Path, tau_marks) -> None:
 # ---------------------------------------------------------------------------
 
 def run_verify(spec: ProblemSpec) -> int:
+    from . import oracle  # only verify pays for compiling the oracle
+
     checks: list[tuple[str, str, str]] = []  # (status, name, detail)
 
     def add(status, name, detail):
@@ -424,14 +436,15 @@ def run_verify(spec: ProblemSpec) -> int:
             for k in range(3) if not np.isnan(sol.roots[0, k])
         )
         n_seg = oracle.PROBE_SEGMENTS
-        viols = oracle.gquasiconvexity_probe(spec.energy, spec.measure, tau_probe,
-                                             n_segments=n_seg, seed=spec.oracle.seed)
-        if second_basin:
-            add("PASS" if viols else "FAIL", "quasiconvexity probe",
-                f"multi-branch load: {len(viols)} violations in {n_seg} segments (want >= 1)")
+        try:
+            viols = oracle.gquasiconvexity_probe(spec.energy, spec.measure, tau_probe,
+                                                 n_segments=n_seg, seed=spec.oracle.seed)
+        except OracleError as exc:
+            add("SKIP", "quasiconvexity probe", str(exc))
         else:
-            add("PASS" if not viols else "FAIL", "quasiconvexity probe",
-                f"single-branch load: {len(viols)} violations in {n_seg} segments (want 0)")
+            load, want = ("multi-branch", ">= 1") if second_basin else ("single-branch", "0")
+            add("PASS" if bool(viols) == second_basin else "FAIL", "quasiconvexity probe",
+                f"{load} load: {len(viols)} violations in {n_seg} segments (want {want})")
 
     ran = [s for s, _, _ in checks if s != "SKIP"]
     failed = ran.count("FAIL")
@@ -491,5 +504,14 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> NoReturn:
+    """Process entry: main(), then gc.freeze() (see the module docstring),
+    then exit with main's code through SystemExit, so stdio is flushed and
+    atexit handlers run as usual."""
+    rc = main()
+    gc.freeze()
+    raise SystemExit(rc)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -1,4 +1,4 @@
-"""Energy densities, integrated energy reports and rotation-invariance checks.
+"""Energy densities and integrated energy reports.
 
 Pointwise densities (per unit volume, vectorized over leading axes):
 
@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalEnergy, QuadraticMeasure, closed_V, measure_eval
-from .errors import InvalidRotationError, SingularDualError
+from .canonical import CanonicalEnergy, QuadraticMeasure, closed_V
+from .errors import SingularDualError
 from .fields import Grid2
 
 #: duality-gap bound |Pi - Pi_d| <= GAP_RTOL*max(1, |Pi_d|)
 GAP_RTOL = 1e-8
-
-#: orthonormality and det = 1 tolerance of a rotation matrix
-ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,39 +95,3 @@ def make_energy_report(energy: CanonicalEnergy, m: QuadraticMeasure,
         dual = float(np.sum(w * dd))
         return EnergyReport(primal=primal, dual=dual, gap=primal - dual,
                             point_mismatch=float(np.max(np.abs(pd - dd))))
-
-
-# ---------------------------------------------------------------------------
-# rotation invariance
-# ---------------------------------------------------------------------------
-
-def check_rotation(R) -> None:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise InvalidRotationError(f"rotation must be 3x3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > ROTATION_TOL or abs(np.linalg.det(R) - 1.0) > ROTATION_TOL:
-        raise InvalidRotationError(f"matrix fails orthonormality / det = 1 check (tol {ROTATION_TOL:g})")
-
-
-def rotation_invariance_check(m: QuadraticMeasure, F, T, R) -> tuple[float, float]:
-    """(|Lambda(RF) - Lambda(F)|, |tr((RF)^T (RT)) - tr(F^T T)|).
-
-    Both vanish for any rotation R: the measure is objective and the loading
-    work is invariant under a common rotation of stress and deformation.
-    """
-    check_rotation(R)
-    F = np.asarray(F, dtype=float)
-    T = np.asarray(T, dtype=float)
-    lam_res = abs(measure_eval(m, R @ F) - measure_eval(m, F))
-    work_res = abs(float(np.sum((R @ F) * (R @ T))) - float(np.sum(F * T)))
-    return lam_res, work_res
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random rotation from a QR-orthonormalized Gaussian matrix."""
-    A = rng.standard_normal((3, 3))
-    Q, Rm = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(Rm))
-    if np.linalg.det(Q) < 0.0:
-        Q[:, 0] = -Q[:, 0]
-    return Q

@@ -22,10 +22,6 @@ class NonIntegrableFieldError(TrialityError):
         self.node = node
 
 
-class InvalidRotationError(TrialityError, ValueError):
-    """Matrix fails the orthonormality / unit-determinant check."""
-
-
 class RootSolveError(TrialityError, RuntimeError):
     """Dual-root iteration failed; carries the best iterate found."""
 
@@ -36,7 +32,8 @@ class RootSolveError(TrialityError, RuntimeError):
 
 
 class OracleError(TrialityError, RuntimeError):
-    """Direct minimization produced no usable descent result."""
+    """An oracle produced no usable result: no descent start converged, or
+    the quasiconvexity probe found no strain sample inside the domain."""
 
 
 class ConfigError(TrialityError, ValueError):

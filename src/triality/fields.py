@@ -1,5 +1,5 @@
-"""Discrete fields on rectangular grids: stress construction, divergence,
-curl, and path-integral reconstruction of the displacement.
+"""Discrete fields on rectangular grids: stress construction, curl, and
+path-integral reconstruction of the displacement.
 
 A grid field is a plain numpy array in grid shape, (ny, nx) for a scalar
 field and (ny, nx, 2) for a vector field; every operator takes the Grid2
@@ -131,11 +131,6 @@ def stress_from_stream(grid: Grid2, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergence(grid: Grid2, v: np.ndarray) -> np.ndarray:
-    """d v1/dx + d v2/dy of a (ny, nx, 2) field."""
-    return _deriv(v[..., 0], grid.hx, axis=1) + _deriv(v[..., 1], grid.hy, axis=0)
-
-
 def curl2(grid: Grid2, v: np.ndarray) -> np.ndarray:
     """Scalar curl d v2/dx - d v1/dy of a (ny, nx, 2) field."""
     return _deriv(v[..., 1], grid.hx, axis=1) - _deriv(v[..., 0], grid.hy, axis=0)
@@ -224,24 +219,6 @@ def reconstruct_interval(interval, zeta: np.ndarray, tau: np.ndarray,
     x = interval.x
     anchor = 0 if interval.fixed_end == "left" else x.size - 1
     return _cumtrapz_from(gamma, float(x[1] - x[0]), anchor, axis=0)
-
-
-def antiplane_deformation_gradient(grad_u) -> np.ndarray:
-    """3x3 deformation gradient of an axial shear with in-plane gradient grad_u."""
-    g1, g2 = (float(v) for v in np.asarray(grad_u, dtype=float).ravel())
-    F = np.eye(3)
-    F[2, 0] = g1
-    F[2, 1] = g2
-    return F
-
-
-def principal_invariants(F: np.ndarray) -> tuple[float, float, float]:
-    """(I1, I2, I3) of C = F^T F."""
-    C = F.T @ F
-    i1 = float(np.trace(C))
-    i2 = 0.5 * (i1 * i1 - float(np.trace(C @ C)))
-    i3 = float(np.linalg.det(C))
-    return i1, i2, i3
 
 
 # ---------------------------------------------------------------------------

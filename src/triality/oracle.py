@@ -494,18 +494,25 @@ PROBE_BOX = 3.0         # strain samples are uniform in [-PROBE_BOX, PROBE_BOX]^
 PROBE_THETAS = 33       # points per segment of the quasiconvexity probe
 PROBE_SEGMENTS = 10_000  # segments per probe, unless the caller asks for another count
 PROBE_TOL = 1e-10       # energy excess that counts as a violation
+PROBE_REDRAWS = 1000    # redraws of the samples below xi_min before the probe gives up
 
 
 def _sample_box(rng, energy, m, n, d):
-    """Uniform strain samples; endpoints keep Lambda 1e-6 above a finite xi_min."""
+    """Uniform strain samples; endpoints keep Lambda 1e-6 above a finite
+    xi_min.  Raises OracleError when PROBE_REDRAWS redraws still leave a
+    sample below that: the probe would test segments outside the domain."""
     pts = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(n, d))
-    if np.isfinite(energy.xi_min):
-        for _ in range(1000):
-            bad = m.a * np.sum(pts * pts, axis=-1) + m.b < energy.xi_min + _XI_EDGE_MARGIN
-            if not bad.any():
-                break
-            pts[bad] = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(int(bad.sum()), d))
-    return pts
+    if not np.isfinite(energy.xi_min):
+        return pts
+    for redraw in range(PROBE_REDRAWS + 1):
+        bad = m.a * np.sum(pts * pts, axis=-1) + m.b < energy.xi_min + _XI_EDGE_MARGIN
+        if not bad.any():
+            return pts
+        if redraw == PROBE_REDRAWS:
+            raise OracleError(
+                f"{int(bad.sum())} of {n} strain samples in [-{PROBE_BOX:g}, {PROBE_BOX:g}]^{d} "
+                f"stay below Lambda = xi_min + {_XI_EDGE_MARGIN:g} after {PROBE_REDRAWS} redraws")
+        pts[bad] = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(int(bad.sum()), d))
 
 
 def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
@@ -519,6 +526,8 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
     set is not convex there) unless an end is +inf too.  The segment points
     are evaluated in blocks of segments under the _CHUNK_ELEMENTS budget;
     the rows, in segment then theta order, do not depend on the block size.
+    Raises OracleError when the box holds too few strains inside the domain
+    to draw the segment ends from (see _sample_box).
     """
     t = np.asarray(tau, dtype=float).ravel()
     d = t.size

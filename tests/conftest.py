@@ -101,3 +101,71 @@ def conjugate_sup(energy, zeta, xi_lo, xi_hi, n=2_000_001):
     """Brute-force Legendre conjugate sup_xi (xi*zeta - V(xi)) on a grid."""
     xi = np.linspace(xi_lo, xi_hi, n)
     return float(np.max(xi * zeta - energy.V(xi)))
+
+
+# ---------------------------------------------------------------------------
+# 3-D measure, rotation and axial-shear geometry behind C10 and C11
+# ---------------------------------------------------------------------------
+
+#: orthonormality and det = 1 tolerance of a rotation matrix
+ROTATION_TOL = 1e-12
+
+
+class InvalidRotationError(ValueError):
+    """Matrix fails the orthonormality / unit-determinant check."""
+
+
+def measure_eval(m, gamma):
+    """Lambda(gamma) = a*|gamma|^2 + b for a vector or matrix gamma."""
+    g = np.asarray(gamma, dtype=float)
+    return m.a * float(np.sum(g * g)) + m.b
+
+
+def check_rotation(R) -> None:
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        raise InvalidRotationError(f"rotation must be 3x3, got {R.shape}")
+    if np.max(np.abs(R.T @ R - np.eye(3))) > ROTATION_TOL or abs(np.linalg.det(R) - 1.0) > ROTATION_TOL:
+        raise InvalidRotationError(f"matrix fails orthonormality / det = 1 check (tol {ROTATION_TOL:g})")
+
+
+def rotation_invariance_check(m, F, T, R):
+    """(|Lambda(RF) - Lambda(F)|, |tr((RF)^T (RT)) - tr(F^T T)|).
+
+    Both vanish for any rotation R: the measure is objective and the loading
+    work is invariant under a common rotation of stress and deformation.
+    """
+    check_rotation(R)
+    F = np.asarray(F, dtype=float)
+    T = np.asarray(T, dtype=float)
+    lam_res = abs(measure_eval(m, R @ F) - measure_eval(m, F))
+    work_res = abs(float(np.sum((R @ F) * (R @ T))) - float(np.sum(F * T)))
+    return lam_res, work_res
+
+
+def random_rotation(rng):
+    """Haar-ish random rotation from a QR-orthonormalized Gaussian matrix."""
+    A = rng.standard_normal((3, 3))
+    Q, Rm = np.linalg.qr(A)
+    Q = Q * np.sign(np.diag(Rm))
+    if np.linalg.det(Q) < 0.0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def antiplane_deformation_gradient(grad_u):
+    """3x3 deformation gradient of an axial shear with in-plane gradient grad_u."""
+    g1, g2 = (float(v) for v in np.asarray(grad_u, dtype=float).ravel())
+    F = np.eye(3)
+    F[2, 0] = g1
+    F[2, 1] = g2
+    return F
+
+
+def principal_invariants(F):
+    """(I1, I2, I3) of C = F^T F."""
+    C = F.T @ F
+    i1 = float(np.trace(C))
+    i2 = 0.5 * (i1 * i1 - float(np.trace(C @ C)))
+    i3 = float(np.linalg.det(C))
+    return i1, i2, i3

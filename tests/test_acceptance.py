@@ -12,29 +12,36 @@ from triality import (
     TrialityLabel,
     dual_density,
     fold_threshold,
-    gquasiconvexity_probe,
-    gradient_check,
-    minimize_multistart,
     primal_density,
-    rotation_invariance_check,
     solve_roots_array,
 )
 from triality.cli import branch_energy_report, full_branches, solve_instance
 from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
 from triality.dualsolve import paper_eq45
-from triality.energies import random_rotation
 from triality.fields import (
     Grid2,
     _dual_strain,
-    antiplane_deformation_gradient,
     curl2,
     path_discrepancy,
-    principal_invariants,
     reconstruct_displacement,
 )
-from triality.oracle import descend, discretize
+from triality.oracle import (
+    descend,
+    discretize,
+    gquasiconvexity_probe,
+    gradient_check,
+    minimize_multistart,
+)
 
-from conftest import DW_MEASURE, SHEAR_MEASURE, roots_at
+from conftest import (
+    DW_MEASURE,
+    SHEAR_MEASURE,
+    antiplane_deformation_gradient,
+    principal_invariants,
+    random_rotation,
+    roots_at,
+    rotation_invariance_check,
+)
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 DW = QuadraticEnergy(1.0)

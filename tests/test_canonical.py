@@ -10,11 +10,10 @@ from triality import (
     QuadraticEnergy,
     QuadraticMeasure,
     closed_V,
-    measure_eval,
 )
 from triality.canonical import TOL
 
-from conftest import conjugate_sup
+from conftest import conjugate_sup, measure_eval, random_rotation
 
 
 def test_log_values(log11):
@@ -137,7 +136,6 @@ def test_measure_eval_values():
 
 
 def test_measure_objectivity(rng):
-    from triality.energies import random_rotation
     m = QuadraticMeasure(1.0, 0.0)
     for _ in range(100):
         F = rng.standard_normal((3, 3))

@@ -12,24 +12,28 @@ import numpy as np
 import pytest
 
 from triality import (
-    InvalidRotationError,
     QuadraticMeasure,
     SingularDualError,
     TrialityLabel,
     dual_density,
     primal_density,
-    rotation_invariance_check,
 )
 from triality.energies import (
     EnergyReport,
     make_energy_report,
-    random_rotation,
     trapezoid_weights_grid,
     trapezoid_weights_interval,
 )
 from triality.fields import Grid2
 
-from conftest import DW_MEASURE, SHEAR_MEASURE, roots_at
+from conftest import (
+    DW_MEASURE,
+    SHEAR_MEASURE,
+    InvalidRotationError,
+    random_rotation,
+    roots_at,
+    rotation_invariance_check,
+)
 
 
 def xi_density(energy, m, gamma, zeta, tau):

@@ -13,14 +13,18 @@ from triality import (
     QuadraticEnergy,
     QuadraticMeasure,
     dual_density,
-    gquasiconvexity_probe,
-    gradient_check,
-    minimize_multistart,
 )
 from triality import _kernels, oracle
 from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
 from triality.fields import EDGES, Grid2
-from triality.oracle import descend, descend_batch, discretize
+from triality.oracle import (
+    descend,
+    descend_batch,
+    discretize,
+    gquasiconvexity_probe,
+    gradient_check,
+    minimize_multistart,
+)
 
 from conftest import DW_MEASURE, SHEAR_MEASURE, roots_at
 
