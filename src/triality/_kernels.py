@@ -32,7 +32,6 @@ critical level give one fold root at that critical point.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -50,15 +49,15 @@ def residual(energy, m, z, t2):
         return 4.0 * m.a * z * z * (energy.dVstar(z) - m.b) - t2
 
 
-def expand(fn, base, width, sign):
+def expand(energy, m, base, width, sign, t2):
     """Ends base + width*2^k, per entry the fewest doublings k >= 0 at which
-    fn (an array function of zeta, usually D) takes the sign `sign`; raises
-    RootSolveError after _EXPAND_LIMIT doublings rather than leave a root
-    beyond the last end unbracketed."""
+    D with the loads t2 takes the sign `sign`; raises RootSolveError after
+    _EXPAND_LIMIT doublings rather than leave a root beyond the last end
+    unbracketed."""
     width = np.array(width, dtype=float)
     for _ in range(_EXPAND_LIMIT + 1):
         z = base + width
-        f = fn(z)
+        f = residual(energy, m, z, t2)
         bad = np.sign(f) != sign
         if not bad.any():
             return z
@@ -163,14 +162,14 @@ def solve_roots_batch(energy, m, tau_sq, ends, levels, critical):
         at = np.flatnonzero(inside & ~fold[k] & ~fold[k + 1])
         if at.size:
             t2 = tau_sq[at]
-            D = partial(residual, energy, m, t2=t2)
             if k == 0:
                 width = np.full(at.size, -max(1.0, abs(bounds[1])))
-                lo = expand(D, bounds[1], width, np.sign(llo - lhi))
+                lo = expand(energy, m, bounds[1], width, np.sign(llo - lhi), t2)
             else:
                 lo = np.full(at.size, end)
             if k == len(bounds) - 2:
-                hi = expand(D, end, np.full(at.size, max(1.0, abs(end))), np.sign(lhi - llo))
+                width = np.full(at.size, max(1.0, abs(end)))
+                hi = expand(energy, m, end, width, np.sign(lhi - llo), t2)
             else:
                 hi = np.full(at.size, bounds[k + 1])
             put(at, end >= 0.0, *refine(energy, m, lo, hi, t2))

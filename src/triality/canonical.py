@@ -11,7 +11,8 @@ Each energy class holds its formulas as array methods (V, dV, d2V, Vstar,
 dVstar, d2Vstar) and the lower end xi_min of its xi domain.  The methods do
 not test the domain; closed_V is the one rule for V and dV at a measure
 value, wherever it lies: the closed extension of V, with V's continuous
-limit at the floor xi_min and +inf below it.
+limit at the floor xi_min and +inf below it.  lambertw, the real Lambert W,
+gives the log model's closed forms (the critical points of its dual curve).
 """
 from __future__ import annotations
 
@@ -159,3 +160,46 @@ def closed_V(energy: CanonicalEnergy, m: QuadraticMeasure, xi, slope: bool = Fal
     inside = f(np.where(low, energy.xi_min + 1.0, xi))
     return np.where(low, edge, inside), (below if np.any(below) else None)
 
+
+#: 1/e = _INV_E + _INV_E_LO, so that x + 1/e is exact near the branch point
+_INV_E, _INV_E_LO = math.exp(-1.0), -1.2428753672788363e-17
+#: 1 - (1 - v)*e^v = sum over k >= 2 of (k - 1)/k! * v^k, in np.polyval order
+_BRANCH_SERIES = [(k - 1) / math.factorial(k) for k in range(20, 1, -1)] + [0.0, 0.0]
+
+
+def lambertw(x: float, branch: int = 0, log_abs_x: Union[float, None] = None) -> float:
+    """Real Lambert W, w*e^w = x for x >= -1/e, within 2 ulps: W0 (branch=0,
+    w >= -1) or W-1 (branch=-1, w <= -1, x < 0).
+
+    Halley steps from the starts of Corless et al. (Adv. Comput. Math. 5,
+    1996).  Near -1/e they solve 1 - (1 - v)*e^v = e*x + 1 for v = w + 1,
+    the left side as a series and e*x + 1 free of cancellation; elsewhere
+    w*e^w = x.  An x that has over- or underflowed (to +-inf, or below the
+    normal floats) may come with log|x| as log_abs_x; x then gives the sign.
+    """
+    if log_abs_x is None or 2.0 ** -1022 <= abs(x) < math.inf:
+        log_abs_x = math.log(abs(x)) if x else -math.inf
+    L, t = log_abs_x, math.e * ((x + _INV_E) + _INV_E_LO)  # t = e*x + 1
+    if t < 0.0 or branch not in (0, -1) or (
+            branch and (math.copysign(1.0, x) > 0.0 or L == -math.inf)):
+        raise DomainError(f"W{branch} is not real at x={x!r}")
+    if L == math.inf:
+        return x  # W0(inf)
+    if t < 0.2:  # from p = +-sqrt(2(e*x + 1))
+        p = math.copysign(math.sqrt(2.0 * t), branch + 0.5)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        w = L - math.log(abs(L)) + math.log(abs(L)) / L if branch or L > 1.0 else math.log1p(x)
+    far = L > 700.0 or (branch and L < -700.0)  # x*e^-w from log|x|
+    for _ in range(8):  # w -= r/(1 - r*c/2), with r = f/f' and c = f''/f'
+        if t < 0.2:
+            v = w + 1.0
+            r, c = (np.polyval(_BRANCH_SERIES, v) - t) * math.exp(-v) / v, (1.0 + v) / v
+        else:
+            xe = math.copysign(math.exp(L - w), x) if far else x * math.exp(-w)
+            r, c = (w - xe) / (1.0 + w), (2.0 + w) / (1.0 + w)
+        step = r / (1.0 - 0.5 * r * c)
+        w -= step
+        if abs(step) <= 2.0 ** -50 * abs(w):
+            break
+    return float(w)

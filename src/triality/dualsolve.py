@@ -6,15 +6,17 @@ equation per material point,
 
     D(zeta) = 4a * zeta^2 * (dVstar(zeta) - b) - tau^2 = 0.
 
-The left-hand side vanishes at zeta = 0 and grows monotonically to +inf on
-zeta > 0, so exactly one positive root exists for any tau^2 > 0.  For the
-built-in models the negative side carries at most one interior maximum (the
-fold at zeta_c with level eta^2) giving zero, one (tau = eta) or two
-negative roots.  Every model is solved the same way: its critical points
-(closed forms for the built-in models, one scan otherwise) cut the zeta axis
-into monotone pieces, and the batch kernel refines each piece's roots at
-once.  Each root is classified from the sign of zeta and the eigenvalues of
-the Hessian of the composed stored energy W(gamma) = V(Lambda(gamma)):
+The left-hand side vanishes at zeta = 0 and ends at +inf as zeta -> +inf,
+so one positive root exists for any tau^2 > 0.  The critical points of the
+unloaded curve, in closed form for both built-in models (the log model's
+from Lambert W), cut the zeta axis into monotone pieces, and the batch
+kernel refines each piece's roots at once.  Where the negative side carries
+one interior maximum (the fold at zeta_c with level eta^2) it holds zero,
+one (tau = eta) or two roots; for -e^(-4 - c1/c2)/2 < b < 0 the log model's
+negative side has a minimum too, and a load between the two levels has
+four real roots, which solve_roots_array refuses (NotImplementedError).
+Each root is classified from the sign of zeta and the eigenvalues of the
+Hessian of the composed stored energy W(gamma) = V(Lambda(gamma)):
 
     H = 2a*zeta*I + 4a^2*d2V(xi) * gamma x gamma,   gamma = tau / (2a*zeta),
 
@@ -40,11 +42,13 @@ from .canonical import (
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
+    lambertw,
 )
-from .errors import DomainError, SingularDualError
+from .errors import DomainError, RootSolveError, SingularDualError
 
 #: scale-aware zero tolerance for Hessian eigenvalues
 EIG_ZERO_RTOL = 1e-12
+_LOG_MAX = 709.782712893384  # log of the largest float
 
 
 class TrialityLabel(enum.Enum):
@@ -83,82 +87,71 @@ class _Curve(NamedTuple):
 
 
 def _curve(energy: CanonicalEnergy, m: QuadraticMeasure) -> _Curve:
-    """Closed form for the built-in models: the zero alpha*b for the quadratic
-    energy with b != 0, and zeta_c = 2*b*alpha/3 for b < 0 (else no negative
-    branch), and zeta_c = -2*c2 for the log model with b = 0; other
-    combinations take their critical points from one scan."""
+    """Closed form for the built-in models: for the quadratic energy the zero
+    alpha*b (b != 0) and zeta_c = 2*b*alpha/3 (b < 0, else no negative
+    branch), for the log model the points of _log_critical_w.  A critical
+    point below -max float is no piece end: the piece that reaches -inf
+    takes its level.  Any other end beyond the float range or nan level
+    raises RootSolveError, an energy of another class NotImplementedError."""
     zeros = crit = ()
+    # towards -inf dV* tends to xi_min, so h takes the sign of xi_min - b
+    # there (and decays to 0 where they agree)
+    gap = energy.xi_min - m.b
+    far = math.copysign(math.inf, gap) if gap else 0.0
     if isinstance(energy, QuadraticEnergy):
         if m.b != 0.0:
             zeros = (energy.alpha * m.b,)
         if m.b < 0.0:
             crit = (2.0 * m.b * energy.alpha / 3.0,)
-    elif isinstance(energy, LogNeoHookeanEnergy) and m.b == 0.0:
-        crit = (-2.0 * energy.c2,)
+    elif isinstance(energy, LogNeoHookeanEnergy):
+        ws = _log_critical_w(energy, m)
+        crit = [energy.c2 * (w - 2.0) for w in ws]
+        n = crit.count(-math.inf)  # no piece ends; the last borders the float range
+        if n:  # h = 2a*c2^2*(2 - w)^3*e^(w - 3 - c1/c2) there, from its log
+            log_h = (math.log(2.0 * m.a) + 2.0 * math.log(energy.c2)
+                     + 3.0 * math.log(2.0 - ws[n - 1]) + ws[n - 1] - 3.0 - energy.c1 / energy.c2)
+            far = math.exp(log_h) if log_h < _LOG_MAX else math.inf
+        crit = crit[n:]
     else:
-        crit = tuple(_critical_points(energy, m))
+        raise NotImplementedError(f"no closed-form dual curve for {type(energy).__name__}")
     ends = np.array([*zeros, *crit, 0.0])
     critical = np.array([False] * len(zeros) + [True] * len(crit) + [False])
     order = np.argsort(ends)
     ends, critical = ends[order], critical[order]
     # h is exactly 0 at the non-critical ends 0 and alpha*b, where the residual
-    # could round; towards -inf dV* tends to xi_min, so h takes the sign of
-    # xi_min - b there (and decays to 0 where they agree)
-    gap = energy.xi_min - m.b
+    # could round
     h = _kernels.residual(energy, m, ends, 0.0)
-    levels = np.array([math.copysign(math.inf, gap) if gap else 0.0,
-                       *np.where(critical, h, 0.0), math.inf])
+    levels = np.array([far, *np.where(critical, h, 0.0), math.inf])
+    if not np.all(np.isfinite(ends)) or np.any(np.isnan(levels)):
+        raise RootSolveError(f"dual curve ends {ends.tolist()}, levels {levels.tolist()}: "
+                             "a piece end beyond the float range cannot be bracketed")
     return _Curve(ends, levels, critical)
 
 
-def _critical_points(energy, m) -> np.ndarray:
-    """Interior critical points of the dual curve, ascending.
-
-    The slope 2*(dV* - b) + zeta*d2V* (D' over 4a*zeta) is scanned on a
-    logarithmic grid, 5000 points a side over 1e-8 <= |zeta| <= 1e3, whose
-    ends double until the slope has its asymptotic sign, + at +inf and that
-    of xi_min - b at -inf, so no critical point lies beyond; each sign
-    change between nonzero slope values is bisected down to adjacent floats.
-    """
-    def slope(z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return 2.0 * (energy.dVstar(z) - m.b) + z * energy.d2Vstar(z)
-
-    def doublings(end, sign):
-        if sign == 0.0:  # the slope decays to 0: that end stays
-            return np.empty(0)
-        z = _kernels.expand(slope, 0.0, [end], sign)[0]
-        return np.ldexp(end, np.arange(1, round(math.log2(z / end)) + 1))
-
-    mags = np.logspace(-8.0, 3.0, 5000)
-    grid = np.concatenate([doublings(-mags[-1], np.sign(energy.xi_min - m.b))[::-1],
-                           -mags[::-1], mags, doublings(mags[-1], 1.0)])
-    g = slope(grid)
-    grid, g = grid[g != 0.0], g[g != 0.0]  # an underflowed slope of 0.0 holds no sign
-    out = []
-    for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
-        lo, hi = grid[i], grid[i + 1]
-        if lo < 0.0 < hi:
-            continue  # the join across zero is not an interior point
-        ref = g[i]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if (slope(mid) > 0) == (ref > 0):
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return np.array(out)
+def _log_critical_w(energy: LogNeoHookeanEnergy, m: QuadraticMeasure) -> list:
+    """w = 2 + zeta/c2 at the critical points of the log model's curve,
+    ascending.  Away from zero h' = 0 means dV*(zeta)*(2 + zeta/c2) = 2b,
+    so w*e^w = x = 2b*e^(3 + c1/c2): w = 0 (zeta = -2*c2) for b = 0, W0(x)
+    for b > 0, W-1(x) and W0(x) for b < 0 with x > -1/e, none otherwise.
+    Where x over- or underflows, lambertw works from log|x|."""
+    if m.b == 0.0:
+        return [0.0]
+    s = 3.0 + energy.c1 / energy.c2
+    log_x = math.log(abs(m.b)) + math.log(2.0) + s
+    if s < _LOG_MAX:
+        x = m.b * math.exp(s) * 2.0  # +-inf where it overflows
+    else:
+        x = math.copysign(math.exp(log_x) if log_x < _LOG_MAX else math.inf, m.b)
+    branches = (0,) if m.b > 0.0 else (-1, 0) if x > -math.exp(-1.0) else ()
+    return [lambertw(x, k, log_x) for k in branches]
 
 
 def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure) -> FoldThreshold:
-    """Negative critical point zeta_c and fold level eta.
+    """Negative critical point zeta_c and fold level eta, from _curve.
 
     The root count of the dual equation drops from three to one as tau crosses
-    eta.  Closed form for the built-in models: zeta_c = -2*c2 for the log
-    model, zeta_c = 2*b*alpha/3 for the quadratic one (b < 0 required); other
-    combinations fall back to the critical-point scan, which follows the
-    curve as far out as its features go.
+    eta.  NotImplementedError where the negative side has no critical point
+    or two (or where it lies beyond the float range).
     """
     curve = _curve(energy, m)
     neg = np.flatnonzero(curve.critical & (curve.ends < 0.0))

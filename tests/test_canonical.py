@@ -1,6 +1,7 @@
 """Canonical energies, conjugates, and the quadratic measure family."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from triality import (
     QuadraticMeasure,
     closed_V,
 )
-from triality.canonical import TOL
+from triality.canonical import TOL, lambertw
 
 from conftest import conjugate_sup, measure_eval, random_rotation
 
@@ -151,3 +152,55 @@ def test_measure_directional_split(rng):
         lhs = measure_eval(m, g + d)
         rhs = measure_eval(m, g) + 2.0 * m.a * float(g @ d) + m.a * float(d @ d)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _ulps(got, want):
+    return abs(got - want) / math.ulp(want) if want else abs(got)
+
+
+def _mp_lambertw(x, branch, log_abs_x=None):
+    """W of the float x (or of sign(x)*e^log_abs_x) at 40 digits, rounded."""
+    with mpmath.workdps(40):
+        arg = mpmath.mpf(x) if log_abs_x is None else math.copysign(1.0, x) * mpmath.exp(log_abs_x)
+        return float(mpmath.lambertw(arg, branch).real)
+
+
+@pytest.mark.parametrize("x,branch", [
+    (-math.exp(-1.0) * (1.0 - 1e-12), 0), (-math.exp(-1.0) * (1.0 - 1e-12), -1),
+    (1e-300, 0), (-1e-300, 0), (-1e-300, -1), (5e-324, 0), (-5e-324, -1),
+    (1.7976931348623157e308, 0), (1.0, 0), (math.e, 0), (-0.3, 0), (-0.3, -1), (-0.05, -1),
+])
+def test_lambertw_matches_mpmath(x, branch):
+    # both real branches, near the branch point -1/e, at tiny |x| and at the
+    # top of the float range, within 2 ulps of the 40-digit value
+    assert _ulps(lambertw(x, branch), _mp_lambertw(x, branch)) <= 2.0
+
+
+def test_lambertw_over_its_range():
+    # log-spaced over every regime of the iteration: distances to -1/e from
+    # 1e-16 to 1/e on both branches, and |x| over the whole float range
+    near = -math.exp(-1.0) * (1.0 - np.logspace(-16.0, 0.0, 400)[:-1])
+    cases = [(x, k) for x in near for k in (0, -1)]
+    cases += [(x, 0) for x in np.logspace(-320.0, 308.0, 400)]
+    cases += [(-x, k) for x in np.logspace(-320.0, -0.5, 400) for k in (0, -1)]
+    worst = max(_ulps(lambertw(float(x), k), _mp_lambertw(float(x), k)) for x, k in cases)
+    assert worst <= 2.0
+
+
+@pytest.mark.parametrize("log_abs_x,branch", [(math.log(2.0) + 3.0 + 1e3, 0), (-1e3, -1),
+                                               (-800.0, 0)])
+def test_lambertw_log_form(log_abs_x, branch):
+    # an x that over- or underflows comes with log|x| (here that of
+    # 2*e^(3 + c1/c2) at c1/c2 = 1e3, and a tiny negative x on both branches)
+    x = math.inf if log_abs_x > 0.0 else -0.0
+    got = lambertw(x, branch, log_abs_x)
+    assert _ulps(got, _mp_lambertw(x, branch, log_abs_x)) <= 2.0
+
+
+def test_lambertw_domain():
+    for x, branch in ((-0.5, 0), (-0.5, -1), (0.1, -1), (0.0, -1), (-math.inf, 0)):
+        with pytest.raises(DomainError):
+            lambertw(x, branch)
+    with pytest.raises(ValueError):
+        lambertw(0.5, 1)
+    assert lambertw(0.0) == 0.0 and lambertw(math.inf) == math.inf

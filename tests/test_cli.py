@@ -238,8 +238,8 @@ def test_sweep_transition_and_rows(tmp_path):
 
 
 def test_generic_measure_override_end_to_end(tmp_path, capsys):
-    # log model with a shifted measure has no closed-form dual geometry:
-    # with critical points from the scan, solve and verify must still exit 0
+    # log model with a shifted measure, b = -0.5: its curve has no critical
+    # point (x = -e^4 < -1/e), and solve and verify must still exit 0
     cfg = tmp_path / "g.cfg"
     cfg.write_text(
         "model = log_neohookean\nmeasure_b = -0.5\ngeometry = interval\n"
@@ -563,6 +563,26 @@ def test_extreme_constants_flag_the_gap_without_warnings(tmp_path, capsys, extra
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, **extra}.items()))
     assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
     assert "RED FLAG: duality gap exceeds tolerance" in capsys.readouterr().out
+
+
+def test_fold_beyond_the_float_range_keeps_both_roots(tmp_path, capsys):
+    # c2 = 1e308 puts the log model's fold at -2*c2, beyond the float range:
+    # solve reports no fold and keeps the negative root at every node
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, "c2": "1e308"}.items()))
+    assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
+    out = capsys.readouterr().out
+    assert "fold: none (single-branch model)" in out
+    assert "root counts over 5 nodes: min=2 max=2" in out
+
+
+def test_four_real_roots_exit_2(tmp_path, capsys):
+    # measure_b = -1e-30 lies in (-e^(-4 - c1/c2)/2, 0): the load of
+    # log_1d_sub has four real dual roots, which solve refuses with exit 2
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text((CONFIGS / "log_1d_sub.cfg").read_text() + "measure_b = -1e-30\n")
+    assert run(["solve", cfg, "--out", tmp_path / "o"]) == 2
+    assert "more than three real dual roots" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("geometry", [{"geometry": "interval", "length": "1e308", "n": "5"},

@@ -4,6 +4,7 @@ import re
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from triality import (
     solve_roots_array,
 )
 from triality import _kernels
-from triality.dualsolve import _hessian_eigs, paper_eq45
+from triality.dualsolve import _curve, _hessian_eigs, paper_eq45
 from triality.energies import dual_density
 
 from conftest import DW_MEASURE, SHEAR_MEASURE, dual_residual, roots_at, scan_roots
@@ -204,11 +205,11 @@ def test_dual_density_concavity_around_positive_root(dw, log11, rng):
             assert lhs >= rhs - 1e-12
 
 
-def test_generic_scan_geometry_log_nonzero_shift(log11):
-    # no closed form for the log model with b != 0: with critical points
-    # from the scan the piece loop must still enumerate correctly.  b < 0
-    # turns the negative branch into a monotone descent from +inf (one extra
-    # root); b > 0 kills it.
+def test_log_nonzero_shift_geometry(log11):
+    # b != 0: the log model's critical points come from Lambert W, and the
+    # piece loop must still enumerate correctly.  b < 0 (x = -e^4 < -1/e: no
+    # critical point) turns the negative branch into a monotone descent from
+    # +inf (one extra root); b > 0 kills it.
     for b, want in ((-0.5, 2), (0.5, 1)):
         m = QuadraticMeasure(1.0, b)
         for t2 in (0.3, 2.0):
@@ -219,7 +220,7 @@ def test_generic_scan_geometry_log_nonzero_shift(log11):
             assert np.all(np.abs(resid) <= 1e-10 * max(1.0, t2))
 
 
-def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
+def test_log_negative_shift_keeps_far_roots(log11, monkeypatch):
     # log model, b = -0.5: the negative root sits near -sqrt(tau^2/2), beyond
     # |zeta| = 1e3 once tau^2 > 2e6, where expand has to find it
     m = QuadraticMeasure(1.0, -0.5)
@@ -239,8 +240,8 @@ def test_generic_scan_keeps_roots_beyond_the_base_grid(log11, monkeypatch):
 
 
 def test_fold_beyond_the_base_scan_grid():
-    # log model, c2 = 1000, b = 0.001: the fold sits at zeta_c = -1961.3,
-    # outside |zeta| <= 1e3; the critical-point scan follows the curve out
+    # log model, c2 = 1000, b = 0.001: the fold sits far out, at
+    # zeta_c = -1961.3, from W0 of x = 0.002*e^3.001
     energy, m = LogNeoHookeanEnergy(1.0, 1000.0), QuadraticMeasure(1.0, 0.001)
     zc, eta = fold_threshold(energy, m)
     assert zc == pytest.approx(-1961.31, abs=0.01)
@@ -254,9 +255,8 @@ def test_fold_beyond_the_base_scan_grid():
         assert np.all(np.abs(dual_residual(energy, m, found, t2)) <= 1e-10 * t2)
 
 
-class _Scanned:
-    """A built-in energy's formulas behind another class: no closed form
-    applies, so the piece ends come from the critical-point scan."""
+class _Wrapped:
+    """A built-in energy's formulas behind another class."""
 
     def __init__(self, energy):
         self.energy = energy
@@ -265,38 +265,122 @@ class _Scanned:
         return getattr(self.energy, name)
 
 
-def test_generic_path_agrees_with_kernel_on_builtins(dw, log11, rng):
-    # one piece loop, on ends from the critical-point scan and from the
-    # closed forms, gives the same roots
-    for energy, m in ((dw, DW_MEASURE), (log11, SHEAR_MEASURE)):
-        assert fold_threshold(_Scanned(energy), m).zeta_c == pytest.approx(
-            fold_threshold(energy, m).zeta_c, abs=1e-12)
-        t2 = np.array([0.0, *rng.uniform(0.0, 1.5, size=25)])
-        want, _, _, want_counts = solve_roots_array(energy, m, t2)
-        got, _, _, counts = solve_roots_array(_Scanned(energy), m, t2)
-        assert np.array_equal(counts, want_counts)
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-12, equal_nan=True)
-    # the tangent fold root is reported once, as degenerate, by both
-    for energy in (dw, _Scanned(dw)):
-        z, _, labels = roots_at(energy, DW_MEASURE, 8.0 / 27.0)
-        assert [str(lab) for lab in labels] == ["global_min", "degenerate"]
-        assert z[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
-    # near-fold root pairs are resolved however close they lie
-    eta_sq = 16.0 * math.exp(-4.0)
-    for gap in (1e-9, 1e-7, 1e-5):
-        t2 = eta_sq * (1.0 - gap)
-        got = roots_at(_Scanned(log11), SHEAR_MEASURE, t2)[0]
-        ref = roots_at(log11, SHEAR_MEASURE, t2)[0]
-        assert len(got) == len(ref) == 3
-        assert np.allclose(got, ref, atol=1e-7)
+def test_folds_on_the_builtin_models(dw):
+    # the tangent fold root is reported once, as degenerate
+    z, _, labels = roots_at(dw, DW_MEASURE, 8.0 / 27.0)
+    assert [str(lab) for lab in labels] == ["global_min", "degenerate"]
+    assert z[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
+    # so is the log model's, in closed form at b = 0 and from W0 at b = 0.01
+    for b, want_zc in ((0.0, -2.0), (0.01, -1.40045)):
+        energy, m = LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, b)
+        zc, eta = fold_threshold(energy, m)
+        assert zc == pytest.approx(want_zc, abs=1e-5)
+        z, _, labels = roots_at(energy, m, eta * eta)
+        assert [str(lab) for lab in labels] == ["global_min", "degenerate"] and z[1] == zc
+        # near-fold root pairs are resolved however close they lie: they
+        # straddle zeta_c and solve D, and the scan oracle agrees where its
+        # grid separates them
+        for gap in (1e-9, 1e-7, 1e-5):
+            t2 = eta * eta * (1.0 - gap)
+            z = roots_at(energy, m, t2)[0]
+            assert len(z) == 3 and z[2] < zc < z[1] < 0.0
+            assert np.all(np.abs(dual_residual(energy, m, z, t2)) <= 1e-10)
+            if gap == 1e-5:
+                assert np.allclose(z, scan_roots(energy, m, t2), atol=1e-7)
+
+
+def _mp_log_critical_points(c1, c2, b):
+    """The log model's critical points zeta = c2*(w - 2), w*e^w = 2b*e^(3 + c1/c2),
+    from the float constants at 40 digits."""
+    with mpmath.workdps(40):
+        c1, c2, b = map(mpmath.mpf, (c1, c2, b))
+        x = 2 * b * mpmath.exp(3 + c1 / c2)
+        branches = [0] if b >= 0 else [-1, 0] if x > -1 / mpmath.e else []
+        return [float(c2 * (mpmath.lambertw(x, k).real - 2)) for k in branches]
+
+
+@pytest.mark.parametrize("c1,c2,b", [
+    *[(1.0, 1.0, b) for b in (1e-30, -1e-30, 1e-6, -1e-6, 1e-3, -1e-3, -3e-3, 0.01, 0.5, 1e3,
+                              5e-324, -5e-324, 1e308)],
+    (700.0, 1.0, 0.5), (1.0, 0.01, 0.5), (1.0, 0.01, -1e-50), (1e3, 1.0, 1.0),
+    (1.0, 1e3, 0.001), (0.9, 1.7, -0.004),
+])
+def test_log_critical_points_match_mpmath(c1, c2, b):
+    # the closed-form piece ends of the log model: as many critical points as
+    # the 40-digit Lambert W gives, each within 2 ulps; at b = 1e308 the one
+    # point lies at 705.33 although 2b and 2b*e^4 overflow
+    curve = _curve(LogNeoHookeanEnergy(c1, c2), QuadraticMeasure(1.0, b))
+    got = curve.ends[curve.critical].tolist()
+    want = _mp_log_critical_points(c1, c2, b)
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 2.0 * math.ulp(w) for g, w in zip(got, want)), (got, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(log_c1=st.floats(-3.0, 3.0), log_c2=st.floats(-3.0, 3.0), log_b=st.floats(-323.0, 308.0),
+       sign=st.sampled_from((-1.0, 1.0)))
+def test_log_critical_points_over_parameter_space(log_c1, log_c2, log_b, sign):
+    # as many critical points as the 40-digit Lambert W gives, each as close
+    # as the rounding of 3 + c1/c2 in e^(3 + c1/c2) allows: that error in x
+    # moves w by up to (c1/c2 + 8)*eps*|w/(1 + w)|
+    c1, c2, b = 10.0 ** log_c1, 10.0 ** log_c2, sign * 10.0 ** log_b
+    curve = _curve(LogNeoHookeanEnergy(c1, c2), QuadraticMeasure(1.0, b))
+    got = curve.ends[curve.critical].tolist()
+    with mpmath.workdps(40):
+        x = 2 * mpmath.mpf(b) * mpmath.exp(3 + mpmath.mpf(c1) / mpmath.mpf(c2))
+        branches = [0] if b > 0.0 else [-1, 0] if x > -1 / mpmath.e else []
+        ws = [float(mpmath.lambertw(x, k).real) for k in branches]
+    ws = [w for w in ws if c2 * (w - 2.0) > -math.inf]
+    assert len(got) == len(ws)
+    eps = math.ulp(1.0)
+    for zeta, w in zip(got, ws):
+        tol = c2 * eps * (4.0 * max(1.0, abs(w)) + (c1 / c2 + 8.0) * abs(w / (1.0 + w)))
+        assert abs(zeta - c2 * (w - 2.0)) <= tol + 2.0 * math.ulp(c2 * (w - 2.0))
+
+
+def test_critical_point_beyond_the_float_range():
+    # c2 = 1e308 puts the fold at -2*c2 = -inf: the negative side is then one
+    # monotone piece from +inf down to 0, and its root is kept
+    energy, m = LogNeoHookeanEnergy(1.0, 1e308), QuadraticMeasure(1.0, 0.0)
+    roots, _, _, counts = solve_roots_array(energy, m, np.array([0.25]))
+    assert counts.tolist() == [2]
+    assert roots[0, :2] == pytest.approx([0.412180318, -0.412180318], rel=1e-9)
+    assert np.all(np.abs(dual_residual(energy, m, roots[0, :2], 0.25)) <= 1e-15)
+    with pytest.raises(NotImplementedError):
+        fold_threshold(energy, m)
+    # an end beyond the float range that no such rule covers is an error
+    for energy, m in ((LogNeoHookeanEnergy(1.0, 1e308), QuadraticMeasure(1.0, 1e3)),
+                      (QuadraticEnergy(1e308), QuadraticMeasure(1.0, -2.0))):
+        with pytest.raises(RootSolveError):
+            solve_roots_array(energy, m, np.array([0.25]))
+
+
+def test_four_real_roots_are_refused():
+    # for -e^(-4 - c1/c2)/2 < b < 0 the log model has two negative critical
+    # points; a load between their levels has three negative roots and a
+    # positive one, which solve_roots_array refuses rather than truncates
+    energy, m = LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, -1e-30)
+    curve = _curve(energy, m)
+    assert curve.critical.sum() == 2
+    with pytest.raises(NotImplementedError, match="more than three real dual roots"):
+        solve_roots_array(energy, m, np.array([0.2]))
+
+
+def test_other_energy_classes_raise(log11):
+    # only the two built-in models have a closed-form curve: another class,
+    # even with the same formulas, is refused rather than scanned
+    with pytest.raises(NotImplementedError):
+        solve_roots_array(_Wrapped(log11), SHEAR_MEASURE, np.array([0.1]))
+    with pytest.raises(NotImplementedError):
+        fold_threshold(_Wrapped(log11), SHEAR_MEASURE)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(c1=st.floats(0.5, 2.0), c2=st.floats(0.5, 2.0), a=st.floats(0.5, 2.0),
        b=st.floats(0.05, 1.0), b_sign=st.sampled_from((-1.0, 1.0)), tau_sq=st.floats(0.01, 5.0))
 def test_log_model_shifted_measure_matches_scan_oracle(c1, c2, a, b, b_sign, tau_sq):
-    # b != 0: the piece ends come from the critical-point scan; every root
-    # lies well inside the oracle's scan window [-50, 50]
+    # b != 0: the piece ends come from Lambert W; every root lies well
+    # inside the oracle's scan window [-50, 50]
     energy, m = LogNeoHookeanEnergy(c1, c2), QuadraticMeasure(a, b_sign * b)
     z, _, _ = roots_at(energy, m, tau_sq)
     oracle = scan_roots(energy, m, tau_sq)
@@ -311,7 +395,7 @@ def test_one_refine_call_per_piece(log11, monkeypatch):
     calls = []
     refine = _kernels.refine
     monkeypatch.setattr(_kernels, "refine", lambda *args: calls.append(1) or refine(*args))
-    m = QuadraticMeasure(1.0, 0.01)  # no closed form, a fold near zeta = -2
+    m = QuadraticMeasure(1.0, 0.01)  # a fold from W0, near zeta = -1.4
     _, _, _, counts = solve_roots_array(log11, m, np.linspace(0.0, 1.0, 2000))
     assert set(counts.tolist()) >= {1, 3}
     assert 0 < len(calls) <= len(_curve(log11, m).ends) + 1
@@ -364,7 +448,7 @@ def test_paper_eq45_convention_log_roots(energy, m, count):
 
 @pytest.mark.parametrize("energy,m", [(QuadraticEnergy(1.0), DW_MEASURE),
                                       (LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, -0.5))],
-                         ids=["closed-form", "generic-scan"])
+                         ids=["closed-form", "log-shifted"])
 def test_newton_nonconvergence_raises_with_best_iterate(energy, m, monkeypatch):
     # with no Newton steps allowed no bracket converges; the error carries
     # the bracket midpoint and its residual, both finite

@@ -4,11 +4,12 @@ Emitted files are a byte-identical contract: a fixed config and seed must
 reproduce every CSV and report byte for byte.  The digests below pin that
 contract for all six shipped configs, with `solve` and with
 `sweep --tau-min 0 --tau-max 1.1 --steps 500`, the sweep under both
-residual conventions (`solve` has only the derived one).  A seventh input,
-the log model of `log_1d_sub` with `measure_b = -0.5`, has no closed-form
-critical points and pins the models whose piece ends come from the
-critical-point scan.  `verify` writes no file; the digest of its stdout
-pins every check line, value and verdict of the six shipped configs.
+residual conventions (`solve` has only the derived one).  Two more inputs
+shift the measure of `log_1d_sub`: with `measure_b = -0.5` the log model's
+curve has no critical point (GOLDEN_GENERIC), with `measure_b = 0.01` its
+fold zeta_c = -1.40045 comes from Lambert W (GOLDEN_FOLD).  `verify` writes
+no file; the digest of its stdout pins every check line, value and verdict
+of the six shipped configs.
 Regenerate them only for a deliberate change of output format.
 """
 import hashlib
@@ -174,6 +175,30 @@ GOLDEN_GENERIC = {
     }),
 }
 
+#: (command, convention) -> (exit code, digests) for log_1d_sub with measure_b = 0.01
+GOLDEN_FOLD = {
+    ("solve", "derived"): (0, {
+        "energy_report.csv": "e750b4c212e22534ff1f838f83e58504d42b32d6586baf7db2125cced49a9f1e",
+        "fields_u_1.csv": "c56672a9fe9d5618345da89b93e397edbeaf9c6f001d05c7599b2e6c1d21e44f",
+        "report.txt": "e2b6a427ccb5de0b36a21445d1b5330cdc005c25c62e5649cbb3be2b7e183c9a",
+        "roots.csv": "f6921c8c5dddef097e99bb90982bdda92158248691de349bc7a832b1cfc5ad0c",
+    }),
+    ("sweep", "derived"): (0, {
+        "gcurve.csv": "33189556cee9acfa032c0fec94588c54e0cc90c75ef4fcb3883a10ace0ac7f20",
+        "gdcurve.csv": "5cf6acb31d9b32b38c0079cf22aac0b9bc237ae24fc76bc672480f107fb6e1d5",
+        "hcurve.csv": "bf7550a8af5fb9e1862329a28793b519f8adda4b7b265603ada50b1acf7b0eca",
+        "sweep.csv": "fff98c0bfaa8e876d7a73d29da5354f6777626b156dfcee13268807658e5c17f",
+        "wcurve.csv": "5084f497e68d7f2a44bbf87a9f9482722528387e72f27c47d91939fc601256c6",
+    }),
+    ("sweep", "paper-eq45"): (0, {
+        "gcurve.csv": "33189556cee9acfa032c0fec94588c54e0cc90c75ef4fcb3883a10ace0ac7f20",
+        "gdcurve.csv": "5cf6acb31d9b32b38c0079cf22aac0b9bc237ae24fc76bc672480f107fb6e1d5",
+        "hcurve.csv": "4e640d3e3cf1c6a0c6923958420b3bae77a7ab3a5e7a1cd702908183ded47208",
+        "sweep.csv": "de4537525bc32b9072c30d99a44708afc97624aca68bd28a3aab1c26c24d18a3",
+        "wcurve.csv": "5084f497e68d7f2a44bbf87a9f9482722528387e72f27c47d91939fc601256c6",
+    }),
+}
+
 #: SHA-256 of the stdout of `verify` per shipped config (every one exits 0)
 GOLDEN_VERIFY = {
     "doublewell_1d": "7df61d24e5ed991a26a60619a427b6eba87c0a4c13bde40963c2a3b88b2ce1db",
@@ -202,14 +227,25 @@ def test_output_digests(case, tmp_path, capsys):
     assert digests == GOLDEN[case]
 
 
+def _shifted_digests(b, case, tmp_path):
+    cfg = tmp_path / "log_1d_sub_shifted.cfg"
+    cfg.write_text((CONFIGS / "log_1d_sub.cfg").read_text(encoding="utf-8")
+                   + f"measure_b = {b}\n", encoding="utf-8")
+    return _run_digests(cfg, *case, tmp_path / "out")
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_GENERIC), ids=lambda c: "-".join(c))
 def test_generic_path_digests(case, tmp_path, capsys):
-    cfg = tmp_path / "log_1d_sub_b_neg.cfg"
-    cfg.write_text((CONFIGS / "log_1d_sub.cfg").read_text(encoding="utf-8")
-                   + "measure_b = -0.5\n", encoding="utf-8")
-    result = _run_digests(cfg, *case, tmp_path / "out")
+    result = _shifted_digests("-0.5", case, tmp_path)
     capsys.readouterr()
     assert result == GOLDEN_GENERIC[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FOLD), ids=lambda c: "-".join(c))
+def test_lambert_fold_digests(case, tmp_path, capsys):
+    result = _shifted_digests("0.01", case, tmp_path)
+    capsys.readouterr()
+    assert result == GOLDEN_FOLD[case]
 
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_VERIFY))
