@@ -1,11 +1,12 @@
 """Command-line pipelines: solve one instance, sweep the load, or verify.
 
     triality solve  <config> [--out DIR]
-    triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR] [--residual-convention C]
+    triality sweep  <config> --tau-min A --tau-max B --steps N [--out DIR]
     triality verify <config>
 
-sweep's --residual-convention paper-eq45 solves the dual equation for the
-measure (1/4, b), the paper's single-factor eq. (45), not the configured one.
+Every command solves the dual equation of the configured measure (a, b).
+The paper's single-factor eq. (45) is that equation for the measure
+(1/4, b): its sweep is a sweep of a config with measure_a = 0.25.
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration error
 (malformed, non-finite or out-of-range values, or a model outside the
@@ -262,17 +263,14 @@ def _instance_summary(spec: ProblemSpec) -> str:
 # sweep
 # ---------------------------------------------------------------------------
 
-def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
-              tau_min: float, tau_max: float, steps: int) -> int:
+def run_sweep(spec: ProblemSpec, outdir: Path, tau_min: float, tau_max: float, steps: int) -> int:
     if not 2 <= steps <= MAX_NODES:
         raise ConfigError(f"sweep needs 2 <= steps <= {MAX_NODES}")
     if not (0.0 <= tau_min <= tau_max and np.isfinite(tau_max * tau_max)):
         raise ConfigError("sweep needs 0 <= tau-min <= tau-max with tau-max^2 finite")
     outdir.mkdir(parents=True, exist_ok=True)
     taus = np.linspace(tau_min, tau_max, steps)
-    m45 = dualsolve.paper_eq45(spec.measure)
-    roots, _, _, counts = dualsolve.solve_roots_array(
-        spec.energy, m45 if convention == "paper-eq45" else spec.measure, taus ** 2)
+    roots, _, _, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, taus ** 2)
     found = ~np.isnan(roots)
     t2 = np.broadcast_to((taus * taus)[:, None], roots.shape)
     pid = np.full(roots.shape, np.nan)
@@ -288,7 +286,8 @@ def run_sweep(spec: ProblemSpec, outdir: Path, convention: str,
     z_lo = 4.0 * fold.zeta_c - 1.0 if fold is not None else -3.0
     z_hi = max(1.5, 1.5 * float(roots[-1, 0])) if taus[-1] > 0 else 1.5
     zgrid = np.linspace(z_lo, z_hi, 1001)
-    h2 = [_kernels.residual(spec.energy, m, zgrid, 0.0) for m in (spec.measure, m45)]
+    h2 = [_kernels.residual(spec.energy, m, zgrid, 0.0)
+          for m in (spec.measure, dualsolve.paper_eq45(spec.measure))]
     h = [np.sqrt(np.where(v >= 0, v, np.nan)) for v in h2]
     _write_rows(outdir / "hcurve.csv", "zeta,h_derived,h_paper45", [[zgrid, *h]])
     tau_mid = fold.eta if fold is not None else 0.5 * (taus[0] + taus[-1])
@@ -444,7 +443,7 @@ def run_verify(spec: ProblemSpec) -> int:
         else:
             load, want = ("multi-branch", ">= 1") if second_basin else ("single-branch", "0")
             add("PASS" if bool(viols) == second_basin else "FAIL", "quasiconvexity probe",
-                f"{load} load: {len(viols)} violations in {n_seg} segments (want {want})")
+                f"{load} load: {np.unique(viols.segment).size} violations in {n_seg} segments (want {want})")
 
     ran = [s for s, _, _ in checks if s != "SKIP"]
     failed = ran.count("FAIL")
@@ -471,10 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("solve", "solve one instance and write roots/fields/energies", True)
     sp = command("sweep", "sweep the load magnitude and write sweep.csv/hcurve.csv", True)
-    sp.add_argument("--residual-convention", choices=["derived", "paper-eq45"],
-                    default="derived",
-                    help="dual residual convention of sweep.csv; paper-eq45 reproduces the "
-                         "single-factor log-model curve (figure data only)")
     sp.add_argument("--tau-min", type=float, required=True)
     sp.add_argument("--tau-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
@@ -491,8 +486,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out) if args.out else Path(Path(args.config).stem + "_out")
         if args.command == "solve":
             return run_solve(spec, outdir)
-        return run_sweep(spec, outdir, args.residual_convention,
-                         args.tau_min, args.tau_max, args.steps)
+        return run_sweep(spec, outdir, args.tau_min, args.tau_max, args.steps)
     except (ConfigError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,9 +24,9 @@ whose spectrum is {2a*zeta (dim-1 times), 2a*zeta + 4a^2*d2V(xi)*|gamma|^2}.
 
 The equation depends on the energy and the measure only.  The single-factor
 form of the paper's eq. (45), whose log-model curve is the published figure,
-is the same equation for the measure paper_eq45(m) = (1/4, b); the CLI uses
-it only for sweep's figure data, since its roots do not satisfy the duality
-identity of the instance's own measure.
+is the same equation for the measure paper_eq45(m) = (1/4, b).  The CLI
+draws only its fold level and its curve next to the configured measure's;
+its roots are those of a config with measure_a = 0.25.
 """
 from __future__ import annotations
 

@@ -52,11 +52,13 @@ def primal_density(energy: CanonicalEnergy, m: QuadraticMeasure, gamma, tau):
 
 
 def dual_density(energy: CanonicalEnergy, m: QuadraticMeasure, zeta, tau_sq):
-    """G^d(zeta) = b*zeta - V*(zeta) - tau^2/(4a*zeta)."""
+    """G^d(zeta) = b*zeta - V*(zeta) - tau^2/(4a*zeta); an overflow gives an
+    inf or nan density, not a RuntimeWarning."""
     z = np.asarray(zeta, dtype=float)
     if np.any(z == 0.0):
         raise SingularDualError("dual density is singular at zeta = 0")
-    out = m.b * z - energy.Vstar(z) - np.asarray(tau_sq, dtype=float) / (4.0 * m.a * z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = m.b * z - energy.Vstar(z) - np.asarray(tau_sq, dtype=float) / (4.0 * m.a * z)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -144,7 +144,7 @@ class Stiffness:
 
     free: tuple            # index of the free nodes in a (starts, *shape) array
     swap: bool             # the free block is (starts, short, long): swap its axes
-    basis: np.ndarray | None  # Q, (short, short); None on an interval
+    basis: np.ndarray      # Q, (short, short); (1, 1) ones on an interval
     coupling: float        # c: minus the off-diagonal of every mode's matrix
     pivots: np.ndarray     # (long, modes) Thomas pivots of the mode matrices
 
@@ -153,7 +153,7 @@ class Stiffness:
         fixed = problem.fixed
         if problem.ndim == 1:
             free, c = _free_slice(~fixed), 1.0 / problem.spacings[0]
-            return cls((slice(None), free), False, None, c,
+            return cls((slice(None), free, None), False, np.ones((1, 1)), c,
                        _thomas_pivots(*_axis_stiffness(fixed.size, free), c, np.zeros(1)))
         (ny, nx), (hx, hy) = problem.shape, problem.spacings
         fy, fx = _free_slice(~fixed.all(axis=1)), _free_slice(~fixed.all(axis=0))
@@ -171,21 +171,15 @@ class Stiffness:
         r = g[self.free]
         if not r.size:  # no start, or no free node (nx = 2 between two fixed edges)
             return d
-        r = r[..., None] if self.basis is None else (r.transpose(0, 2, 1) if self.swap else r)
-        r = np.ascontiguousarray(r)  # (starts, long, modes)
-        if self.basis is not None:
-            r = r @ self.basis
+        r = np.ascontiguousarray(r.transpose(0, 2, 1) if self.swap else r) @ self.basis
         x, c, piv = np.empty_like(r), self.coupling, self.pivots
         x[:, 0] = r[:, 0] / piv[0]
         for i in range(1, len(piv)):
             x[:, i] = (r[:, i] + c * x[:, i - 1]) / piv[i]
         for i in range(len(piv) - 2, -1, -1):
             x[:, i] += c / piv[i] * x[:, i + 1]
-        if self.basis is None:
-            d[self.free] = x[..., 0]
-        else:
-            x = x @ self.basis.T
-            d[self.free] = x.transpose(0, 2, 1) if self.swap else x
+        x = x @ self.basis.T
+        d[self.free] = x.transpose(0, 2, 1) if self.swap else x
         return d
 
 
@@ -478,8 +472,10 @@ def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> fl
 @dataclass(frozen=True, eq=False)
 class ProbeViolations:
     """The violations a probe found, one row each: segment ends gamma1 and
-    gamma2, shape (k, d), and theta and the energy excess, shape (k,)."""
+    gamma2, shape (k, d), and the segment's index, theta and the energy
+    excess, shape (k,).  A segment may violate at several thetas."""
 
+    segment: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
     theta: np.ndarray
@@ -547,4 +543,4 @@ def gquasiconvexity_probe(energy: CanonicalEnergy, m: QuadraticMeasure, tau,
         i, k = np.nonzero(excess > 0.0)
         hits.append((i + sl.start, k, excess[i, k] + PROBE_TOL))
     i, k, excess = map(np.concatenate, zip(*hits))
-    return ProbeViolations(g1[i], g2[i], thetas[k], excess)
+    return ProbeViolations(i, g1[i], g2[i], thetas[k], excess)

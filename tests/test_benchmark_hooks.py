@@ -3,16 +3,18 @@
 `perfbench/tracing.py` swaps timing wrappers into module attributes by name
 with a bare getattr, so a deleted or renamed target crashes every traced
 benchmark run.  `perfbench/gate.py` passes a `verify` step only if its last
-stdout line matches `_VERIFY_OK`.  These tests keep both in step with the
-library.
+stdout line matches `_VERIFY_OK`.  `perfbench/workloads.py` builds the
+command line of every step, so a deleted or renamed CLI flag fails every run
+of that workload.  These tests keep all three in step with the library.
 """
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from triality.cli import main
+from triality.cli import _build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CONFIGS = PERFBENCH.parent / "configs"
@@ -21,6 +23,7 @@ CONFIGS = PERFBENCH.parent / "configs"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # a dataclass looks its module up by name
     spec.loader.exec_module(mod)
     return mod
 
@@ -40,3 +43,12 @@ def test_verify_ends_with_the_gate_ok_line(config, capsys, monkeypatch):
     assert main(["verify", str(config)]) == 0
     match = verify_ok.match(capsys.readouterr().out.splitlines()[-1])
     assert match and match.group(1) == match.group(2)
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_workload_command_lines_parse(name):
+    workloads = _load("workloads")
+    parser = _build_parser()
+    for step in workloads.build(name, seed=1, scale="small").steps:
+        args = parser.parse_args(workloads.cli_args(step, step.config_name, "out"))
+        assert args.command == step.command and args.config == step.config_name

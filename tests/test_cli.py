@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triality import _kernels, config, dualsolve, fields
+from triality import _kernels, config, dualsolve, fields, oracle
 from triality.cli import main, solve_instance, write_roots_csv
 from triality.config import parse_config
 from triality.errors import ConfigError
@@ -408,24 +408,45 @@ def test_verify_falls_back_to_weak_duality_without_branch_1(tmp_path, capsys, mo
     assert out.endswith("[verify] OK: 5/5 checks passed\n")
 
 
-def test_residual_convention_is_a_sweep_flag_only(tmp_path, capsys):
-    # solve and verify always take the derived convention, the one that
-    # satisfies the duality identity; only sweep's figure data has a choice
-    for command in (["solve", "--out", tmp_path / "o"], ["verify"]):
+def test_residual_convention_flag_is_refused(tmp_path, capsys):
+    # the measure comes from the config only: no command takes a flag that
+    # swaps it, and the refusal comes before any output directory is made
+    sweep = ["--tau-min", "0", "--tau-max", "1", "--steps", "5"]
+    for command, extra in (("solve", []), ("sweep", sweep), ("verify", [])):
+        out = [] if command == "verify" else ["--out", tmp_path / command]
         with pytest.raises(SystemExit) as info:
-            run([command[0], CONFIGS / "log_1d_sub.cfg", *command[1:],
-                 "--residual-convention", "derived"])
-        assert info.value.code == 2
-        assert "--residual-convention" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-    assert run(["sweep", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "s", "--tau-min", "0",
-                "--tau-max", "1", "--steps", "5", "--residual-convention", "paper-eq45"]) == 0
-    with pytest.raises(SystemExit) as info:
-        run(["sweep", CONFIGS / "log_1d_sub.cfg", "--out", tmp_path / "n", "--tau-min", "0",
-             "--tau-max", "1", "--steps", "5", "--residual-convention", "nonsense"])
-    assert info.value.code == 2
-    assert "--residual-convention" in capsys.readouterr().err
-    assert not (tmp_path / "n").exists()
+            run([command, CONFIGS / "log_1d_sub.cfg", *out, *extra,
+                 "--residual-convention", "paper-eq45"])
+        assert info.value.code == 2, command
+        assert "--residual-convention" in capsys.readouterr().err, command
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stem", ["log_1d_sub", "doublewell_1d"])
+def test_sweep_to_the_largest_valid_load_runs_clean(stem, tmp_path, capsys):
+    # tau-max^2 is finite, so the sweep is valid; its dual densities at
+    # tau^2 ~ 1e308 overflow to inf, which is data, not a RuntimeWarning
+    # (every warning is an error in this suite)
+    out = tmp_path / "out"
+    assert run(["sweep", CONFIGS / f"{stem}.cfg", "--out", out, "--tau-min", "0",
+                "--tau-max", "1e154", "--steps", "3"]) == 0
+    capsys.readouterr()
+    assert (out / "gdcurve.csv").is_file()
+
+
+def test_verify_counts_violating_segments(capsys):
+    # the probe line counts segments: one that violates at several thetas
+    # counts once
+    cfg = CONFIGS / "doublewell_1d_sub.cfg"
+    spec = parse_config(cfg)
+    tau = np.sqrt(solve_instance(spec).loads[:1])
+    viols = oracle.gquasiconvexity_probe(spec.energy, spec.measure, tau, seed=spec.oracle.seed)
+    first = viols.segment == viols.segment[0]
+    assert np.count_nonzero(first) > 1 and np.all(viols.gamma1[first] == viols.gamma1[0])
+    segments = np.unique(viols.segment).size
+    assert 1 <= segments < len(viols)
+    assert run(["verify", cfg]) == 0
+    assert f"multi-branch load: {segments} violations in 10000 segments" in capsys.readouterr().out
 
 
 def test_missing_fixed_edge_rejected(tmp_path, capsys):

@@ -465,7 +465,7 @@ def test_quasiconvexity_probe_expected_regimes(dw, log11):
     viols = gquasiconvexity_probe(dw, DW_MEASURE, [0.0, 0.0], n_segments=10_000, seed=1)
     assert len(viols) >= 1
     assert viols.gamma1.shape == viols.gamma2.shape == (len(viols), 2)
-    assert viols.theta.shape == viols.excess.shape == (len(viols),)
+    assert viols.segment.shape == viols.theta.shape == viols.excess.shape == (len(viols),)
     assert np.all(viols.excess > 0.0) and np.all((0.0 <= viols.theta) & (viols.theta <= 1.0))
     # convex composed energy: G-quasiconvex for any load
     assert len(gquasiconvexity_probe(QuadraticEnergy(2.0), QuadraticMeasure(1.0, 0.0),
@@ -497,7 +497,7 @@ def test_probe_does_not_depend_on_block_size(case, dw, log11, monkeypatch):
         monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", budget)
         assert (len(oracle._chunks(n, (oracle.PROBE_THETAS, d))) == 1) == one_block
         got = gquasiconvexity_probe(energy, m, tau, n_segments=n, seed=7)
-        for field in ("gamma1", "gamma2", "theta", "excess"):
+        for field in ("segment", "gamma1", "gamma2", "theta", "excess"):
             assert np.array_equal(getattr(got, field), getattr(default, field)), (budget, field)
     if case == "supercritical":
         assert default.gamma1.shape == default.gamma2.shape == (0, d)
