@@ -7,9 +7,9 @@ the quadratic measure family Lambda(gamma) = a*|gamma|^2 + b (Frobenius norm
 for matrices), which covers both the double-well measure (a=1/2, b=-1) and
 the shear-invariant measure (a=1, b=0) with a single parameterization.
 
-Each energy class holds its formulas as array methods (V, dV, d2V, Vstar,
-dVstar, d2Vstar) and the lower end xi_min of its xi domain.  The methods do
-not test the domain; closed_V is the one rule for V and dV at a measure
+Each energy class holds its formulas as array methods (V, dV, Vstar, dVstar,
+d2Vstar) and the lower end xi_min of its xi domain.  The methods do not
+test the domain; closed_V is the one rule for V and dV at a measure
 value, wherever it lies: the closed extension of V, with V's continuous
 limit at the floor xi_min and +inf below it.  lambertw, the real Lambert W,
 gives the log model's closed forms (the critical points of its dual curve).
@@ -59,9 +59,6 @@ class QuadraticEnergy:
     def dV(self, xi):
         return self.alpha * xi
 
-    def d2V(self, xi):
-        return np.full_like(xi, self.alpha)
-
     def Vstar(self, zeta):
         return zeta * zeta / (2.0 * self.alpha)
 
@@ -97,9 +94,6 @@ class LogNeoHookeanEnergy:
 
     def dV(self, xi):
         return self.c1 + self.c2 * (np.log(xi) + 1.0)
-
-    def d2V(self, xi):
-        return self.c2 / xi
 
     def Vstar(self, zeta):
         return self.c2 * np.exp((zeta - self.c1) / self.c2 - 1.0)

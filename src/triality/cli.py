@@ -106,8 +106,7 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
     # loads give every node the bits it would get on its own
     loads, load = np.unique(tau_sq, return_inverse=True)
     roots, resid, degenerate, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, loads)
-    labels = dualsolve.label_array(spec.energy, spec.measure, roots, loads,
-                                   degenerate, spec.dim)
+    labels = dualsolve.label_array(spec.energy, spec.measure, roots, degenerate, spec.dim)
     return InstanceSolution(spec, coords, tau, weights, loads, load,
                             roots, resid, degenerate, counts, labels)
 
@@ -201,8 +200,7 @@ def write_energy_csv(sol: InstanceSolution, reports: dict[int, energies.EnergyRe
 def run_solve(spec: ProblemSpec, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     sol = solve_instance(spec)
-    lines = ["residual convention: derived"]
-    lines.append(_instance_summary(spec))
+    lines = [_instance_summary(spec)]
     try:
         fold = dualsolve.fold_threshold(spec.energy, spec.measure)
         fold45 = dualsolve.fold_threshold(spec.energy, dualsolve.paper_eq45(spec.measure))

@@ -15,12 +15,13 @@ one interior maximum (the fold at zeta_c with level eta^2) it holds zero,
 one (tau = eta) or two roots; for -e^(-4 - c1/c2)/2 < b < 0 the log model's
 negative side has a minimum too, and a load between the two levels has
 four real roots, which solve_roots_array refuses (NotImplementedError).
-Each root is classified from the sign of zeta and the eigenvalues of the
-Hessian of the composed stored energy W(gamma) = V(Lambda(gamma)):
-
-    H = 2a*zeta*I + 4a^2*d2V(xi) * gamma x gamma,   gamma = tau / (2a*zeta),
-
-whose spectrum is {2a*zeta (dim-1 times), 2a*zeta + 4a^2*d2V(xi)*|gamma|^2}.
+Each root is classified from the sign of zeta and the piece it lies on.
+zeta > 0 is the global minimizer.  For zeta < 0 the Hessian of the composed
+stored energy W(gamma) = V(Lambda(gamma)) at gamma = tau/(2a*zeta) has the
+eigenvalue perp = 2a*zeta < 0 (dim-1 times) and one eigenvalue `along`, and
+at a root h'(zeta) = 2*zeta*d2V*(zeta) * along: `along` has the sign opposite
+to h'.  A root on a rising piece of h is therefore a local maximum, one on a
+falling piece a local minimum in 1-D and a saddle for dim > 1.
 
 The equation depends on the energy and the measure only.  The single-factor
 form of the paper's eq. (45), whose log-model curve is the published figure,
@@ -46,8 +47,6 @@ from .canonical import (
 )
 from .errors import DomainError, RootSolveError, SingularDualError
 
-#: scale-aware zero tolerance for Hessian eigenvalues
-EIG_ZERO_RTOL = 1e-12
 _LOG_MAX = 709.782712893384  # log of the largest float
 
 
@@ -163,22 +162,6 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure) -> FoldThreshol
     return FoldThreshold(float(curve.ends[neg[0]]), math.sqrt(curve.levels[neg[0] + 1]))
 
 
-def _hessian_eigs(energy, m, zeta, tau_sq):
-    """(along, perpendicular) Hessian eigenvalues at gamma = tau/(2a*zeta).
-
-    d2V(xi) at xi = dV*(zeta) is taken as 1/d2V*(zeta), which stays defined
-    (+inf) where d2V*(zeta) underflows; at gamma = 0 the term it scales is 0
-    however large d2V gets, and the Hessian is 2a*zeta*I.  The bend term
-    4a^2*d2V*|gamma|^2 is d2V*tau^2/zeta^2: the a factors cancel, so a tiny
-    a cannot underflow 4a^2*zeta^2 to 0 and turn it into 0*inf.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        g2 = tau_sq / (zeta * zeta)
-        d2v = 1.0 / energy.d2Vstar(zeta)
-        bend = np.multiply(d2v, g2, out=np.zeros(np.shape(g2)), where=g2 != 0.0)
-    return 2.0 * m.a * zeta + bend, 2.0 * m.a * zeta
-
-
 #: label codes, 1-5 in TrialityLabel order; _LABELS[code] is the label (None: no root)
 _NO_ROOT, _GLOBAL_MIN, _LOCAL_MIN, _LOCAL_MAX, _SADDLE, _DEGENERATE = range(6)
 _LABELS = np.array([None, *TrialityLabel], dtype=object)
@@ -198,21 +181,20 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq):
     return _kernels.solve_roots_batch(energy, m, t2, *_curve(energy, m))
 
 
-def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, tau_sq,
-                degenerate, dim: int) -> np.ndarray:
-    """Labels of every slot of an (n, k) roots array with per-point tau_sq.
+def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, degenerate,
+                dim: int) -> np.ndarray:
+    """Labels of every slot of an (n, k) roots array.
 
     Returns an object array of TrialityLabel, None at nan slots.  Flagged
     fold roots are DEGENERATE and zeta > 0 is a global minimizer outright.
-    Every other root is labelled from the Hessian spectrum of _hessian_eigs
-    at gamma = tau/(2a*zeta), `along` once and `perp` dim-1 times (dim is the
-    strain dimension: 1 for bars, 2 for anti-plane sections, 9 for 3x3
-    tensors), counting eigenvalues within EIG_ZERO_RTOL*(1 + |2a*zeta|) of
-    zero as zero.  Labels are computed as integer codes over whole arrays
-    and looked up once.
+    A root zeta < 0 takes the direction of the piece of _curve that holds
+    it: LOCAL_MAX on a rising piece, else LOCAL_MIN for dim == 1 and SADDLE
+    for dim > 1 (dim is the strain dimension: 1 for bars, 2 for anti-plane
+    sections, 9 for 3x3 tensors).  A root exactly at the non-critical end
+    alpha*b goes to the piece on its left; both pieces there rise.  Labels
+    are computed as integer codes over whole arrays and looked up once.
     """
     z = np.asarray(roots, dtype=float)
-    t2 = np.broadcast_to(np.asarray(tau_sq, dtype=float)[:, None], z.shape)
     codes = np.full(z.shape, _NO_ROOT, dtype=np.int8)
     found = ~np.isnan(z)
     deg = found & np.asarray(degenerate, dtype=bool)
@@ -222,13 +204,8 @@ def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, tau_sq,
         raise SingularDualError("cannot classify the trivial branch zeta = 0")
     codes[found & (z > 0.0)] = _GLOBAL_MIN
     neg = found & (z < 0.0)
-    zn = z[neg]
-    along, perp = _hessian_eigs(energy, m, zn, t2[neg])
-    tol = EIG_ZERO_RTOL * (1.0 + np.abs(2.0 * m.a * zn))
-    zero, pos, negative = np.abs(along) <= tol, along > 0.0, along < 0.0
-    if dim > 1:
-        zero |= np.abs(perp) <= tol
-        pos &= perp > 0.0
-        negative &= perp < 0.0
-    codes[neg] = np.select([zero, pos, negative], [_DEGENERATE, _LOCAL_MIN, _LOCAL_MAX], _SADDLE)
+    curve = _curve(energy, m)
+    k = np.searchsorted(curve.ends, z[neg])
+    rising = curve.levels[k + 1] > curve.levels[k]
+    codes[neg] = np.where(rising, _LOCAL_MAX, _LOCAL_MIN if dim == 1 else _SADDLE)
     return _LABELS[codes]

@@ -59,7 +59,7 @@ def roots_at(energy, m, tau_sq, dim=1):
     """(zetas, residuals, labels) of every dual root at one load, descending,
     from solve_roots_array + label_array, the calls the pipelines make."""
     roots, resid, degenerate, _ = solve_roots_array(energy, m, np.array([tau_sq], dtype=float))
-    labels = label_array(energy, m, roots, [tau_sq], degenerate, dim)[0]
+    labels = label_array(energy, m, roots, degenerate, dim)[0]
     have = ~np.isnan(roots[0])
     return roots[0][have], resid[0][have], labels[have]
 

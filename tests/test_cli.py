@@ -173,7 +173,7 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     assert distinct == 1 if name == "log_rect_const.cfg" else 1 < distinct < tau_sq.size
     roots, resid, degenerate, counts = dualsolve.solve_roots_array(
         spec.energy, spec.measure, tau_sq)
-    labels = dualsolve.label_array(spec.energy, spec.measure, roots, tau_sq, degenerate, spec.dim)
+    labels = dualsolve.label_array(spec.energy, spec.measure, roots, degenerate, spec.dim)
 
     sizes = []
     batch = _kernels.solve_roots_batch

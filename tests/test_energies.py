@@ -164,12 +164,14 @@ def test_xi_stationarity_at_roots(dw):
 
 def test_hessian_psd_at_global_root(dw, log11):
     # Legendre-Hadamard at the positive branch: both eigenvalues nonnegative
-    for energy, m, t2 in ((dw, DW_MEASURE, 0.2), (log11, SHEAR_MEASURE, 0.2)):
+    # V'' from the model formulas: alpha for the double well, c2/xi for log
+    for energy, m, t2, d2V in ((dw, DW_MEASURE, 0.2, lambda xi: dw.alpha),
+                               (log11, SHEAR_MEASURE, 0.2, lambda xi: log11.c2 / xi)):
         z1 = roots_at(energy, m, t2)[0][0]
         a = m.a
         gsq = t2 / (4 * a * a * z1 * z1)
         xi = energy.dVstar(z1)
-        along = 2 * a * z1 + 4 * a * a * energy.d2V(xi) * gsq
+        along = 2 * a * z1 + 4 * a * a * d2V(xi) * gsq
         assert along >= 0.0 and 2 * a * z1 >= 0.0
 
 

@@ -29,7 +29,7 @@ GOLDEN = {
         "energy_report.csv": "d4328b3311c169f749523ea9d4d10b133189d51b983a08db9afb5428c1aa2741",
         "fields_u_1.csv": "c6a00c9451b789530ff67732c7ca7f983e82cb25a8464180417723082406f30e",
         "fields_u_2.csv": "86824d561a0d81558296ff767f6385ab5a49aed1a8b3d8d3d8bf698be5045df5",
-        "report.txt": "67520e6312f1c6e884944738377908ca330990d8b5bcd9f90ebd2ae5aa196739",
+        "report.txt": "7c9dc73ce4f67a5226c4a201633ca744aca3eae6c7cfc7f60bb73067a8a15da7",
         "roots.csv": "646f3bf95d7410b17ab29c7e2549302e0187c1bee0c4b08474a15b9b7c581a9b",
     },
     ("doublewell_1d", "sweep"): {
@@ -44,7 +44,7 @@ GOLDEN = {
         "fields_u_1.csv": "22ce9b299fd263c0f96b8e873474134299cce201a8dcd458d06433ba6b4ac21f",
         "fields_u_2.csv": "b4d0a4eb8775d0d8c0144ac0f43f50a4d03e05d242d2ff7b5587cd2bdd61c9f7",
         "fields_u_3.csv": "c48c968c012926d003ebd31412cb3c6ac4628056899d259abef871fba7a6c19b",
-        "report.txt": "8491ab813d6d570944b3888199246e6ec21320858708b8fdd52fcec2941b82d5",
+        "report.txt": "2177b3f53abbef89842864abf002768e37c699808b2583f56244226cea936f99",
         "roots.csv": "cf850c86e6776096e34a39007eb61d70b377432707dc9176b122c981aa53458f",
     },
     ("doublewell_1d_sub", "sweep"): {
@@ -56,7 +56,7 @@ GOLDEN = {
     },
     ("doublewell_rect_stream", "solve"): {
         "energy_report.csv": "8bb4d2111aebef51a167d5293a4bbfbd453527da63d061a5382c88239f0b59e1",
-        "report.txt": "67abf4378b6c2ed784dd997b8d0d8f76d8adae79bb43d27713297a895d80812d",
+        "report.txt": "fc00622602ea9baf932ea3cc9e452897e8ea4caf56ec0da9f248e6f3f908978c",
         "roots.csv": "d2a509a7fa851b63fc885fee5e608923ad4548f9a00c4a6a2d71b820f26f4e89",
     },
     ("doublewell_rect_stream", "sweep"): {
@@ -71,7 +71,7 @@ GOLDEN = {
         "fields_u_1.csv": "35b6826075d1d14f3aa8a902e5fbdad0c5d9c51471e8e1ab97b8f63937d6ad82",
         "fields_u_2.csv": "7f09f101aa94b9abcf6a8ba52ef1e47dc877eeea524481af8ceb05402461930a",
         "fields_u_3.csv": "ca67fb743642e19c99bc3931f68cf765d4ff282dfa865fc51c733b91ce3baa42",
-        "report.txt": "284900fceabdb4f5219ad773c68e64e4e0630ba3b2e0de4a944df3155ab2db6b",
+        "report.txt": "367f4dc950f6fbcfb62e39fb2368cd8a18ee32b19bfc719771de0328c363058e",
         "roots.csv": "db3eddabbc8684365f2c1f44dcfd2728f22b0fdb00210c73d0c210cb049e6d05",
     },
     ("log_1d_sub", "sweep"): {
@@ -84,7 +84,7 @@ GOLDEN = {
     ("log_1d_super", "solve"): {
         "energy_report.csv": "9d0752f7eb4951fb762924df3fafd31916f48157d32efbbf37d534b2f25fb5bd",
         "fields_u_1.csv": "693a5d441e6b986a97c5cbcc9db68dd7b45c1e6db25c46ac09f67e03300629ff",
-        "report.txt": "d4a314ba2eb8f3f0d4c93b3cf7aaa32f795ae7f896d884c11b2791ff10e7c7b9",
+        "report.txt": "97c26aafb0903d79c6e4853c19150e457808980c9f0af307a1fa83b1d6bd326a",
         "roots.csv": "3ae9347470b4360427f1bf8ebb2bb045cdf45eeac94138433cca22e1413248f1",
     },
     ("log_1d_super", "sweep"): {
@@ -97,7 +97,7 @@ GOLDEN = {
     ("log_rect_const", "solve"): {
         "energy_report.csv": "7633a5177acc9d2207f02570fb86563e1daf789d38e4ad3e03ce2380a9b2ec62",
         "fields_u_1.csv": "1e4410efacbad1ab187322190cbfde1e4a1fddc3e6220215814740cc300e39d7",
-        "report.txt": "5f1a304d99a40e028c7f718a51a48f0add6fd50c313d7255ae3c84990658d23c",
+        "report.txt": "68bd4295f4559a7c8fd153d2e6205667cae0fd1f77f72d39fffc0db2abaf4757",
         "roots.csv": "9cb2a7637e28a0022bfd511fd35934adc4a579918e6034b27b17a2d941390c43",
     },
     ("log_rect_const", "sweep"): {
@@ -115,7 +115,7 @@ GOLDEN_GENERIC = {
         "energy_report.csv": "f74add177123f518aae1f09621b90779916b7322bde94b725ada610a92bef603",
         "fields_u_1.csv": "eef845f097ee2adf285bfd97b69a44c8eb8a6ab724cb994495b21fd47bce5e41",
         "fields_u_2.csv": "03282a9f781b8fe96a310eb8df710517d52491961c93cc279456c9584a22f342",
-        "report.txt": "00036880c02dca7e6ffafaad6bf16ce8719f7622fc7ff0cf61d875f0d214f15a",
+        "report.txt": "5447740d3c606a8214ce24c6a9703d7a5387f8a7f8c617c28aa99906611d7108",
         "roots.csv": "af3be47a7724f1051af82576e30b52fcb2db8132d1575d6393ff1f022ed92c71",
     }),
     "sweep": (0, {
@@ -132,7 +132,7 @@ GOLDEN_FOLD = {
     "solve": (0, {
         "energy_report.csv": "e750b4c212e22534ff1f838f83e58504d42b32d6586baf7db2125cced49a9f1e",
         "fields_u_1.csv": "c56672a9fe9d5618345da89b93e397edbeaf9c6f001d05c7599b2e6c1d21e44f",
-        "report.txt": "e2b6a427ccb5de0b36a21445d1b5330cdc005c25c62e5649cbb3be2b7e183c9a",
+        "report.txt": "b6965269ebece23f9395c764a864ebd1803189a1c9a05b10d74331077d52dfa6",
         "roots.csv": "f6921c8c5dddef097e99bb90982bdda92158248691de349bc7a832b1cfc5ad0c",
     }),
     "sweep": (0, {
@@ -203,8 +203,8 @@ def _with_lines(stem, lines, tmp_path):
     return cfg
 
 
-# the ids name the derived dual equation, the one report.txt names, which
-# every output solves for the configured measure
+# the ids name the derived dual equation, which every output solves for the
+# configured measure
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(c) + "-derived")
 def test_output_digests(case, tmp_path, capsys):
     stem, command = case
