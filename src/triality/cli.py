@@ -15,7 +15,8 @@ come from the config file; every other solver, oracle and check setting is
 a module constant.  All CSV output uses 17 significant digits; runs are
 serial and deterministic for a fixed config.
 
-Only verify loads the oracle module; solve and sweep never import it.  The
+Only verify loads the oracle module; solve and sweep never import it, and
+only they load the CSV text module (_csvtext, on the first write).  The
 process entry (``entry``, behind ``python -m triality.cli`` and the
 ``triality`` script) runs main() and then freezes the cyclic GC, after
 every output file is closed: interpreter shutdown then skips its final
@@ -126,12 +127,17 @@ def branch_label_name(sol: InstanceSolution, k: int) -> str:
     return names[0] if len(names) == 1 else "mixed"
 
 
-def _label_text(labels: np.ndarray) -> np.ndarray:
-    """str() of every TrialityLabel in an object array, matched by identity."""
-    out = np.empty(labels.shape, dtype=object)
-    for lab in dualsolve.TrialityLabel:
-        out[labels == lab] = str(lab)
-    return out
+#: roots.csv label text by code: code 0 is a slot without a root
+_LABEL_NAMES = np.array(["", *map(str, dualsolve.TrialityLabel)])
+
+
+def _label_codes(labels: np.ndarray) -> np.ndarray:
+    """Index into _LABEL_NAMES of every TrialityLabel in an object array,
+    matched by identity (0 at None)."""
+    codes = np.zeros(labels.shape, np.int8)
+    for i, lab in enumerate(dualsolve.TrialityLabel, 1):
+        codes[labels == lab] = i
+    return codes
 
 
 def _branch_fields(sol: InstanceSolution, k: int) -> tuple[fields.Grid2, np.ndarray, np.ndarray]:
@@ -166,7 +172,7 @@ def _roots_blocks(sol: InstanceSolution):
     at most 3 roots, so a block fills at most one formatted piece, and only
     one block is gathered at a time."""
     found = ~np.isnan(sol.roots)
-    text = _label_text(sol.labels)
+    codes = _label_codes(sol.labels)
     step = fields.CSV_BLOCK_ROWS // 3
     for start in range(0, sol.load.size, step):
         load = sol.load[start:start + step]
@@ -174,7 +180,7 @@ def _roots_blocks(sol: InstanceSolution):
         at = load[node]
         node += start
         yield [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
-               sol.roots[at, k], sol.residuals[at, k], text[at, k]]
+               sol.roots[at, k], sol.residuals[at, k], _LABEL_NAMES[codes[at, k]]]
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
@@ -441,7 +447,8 @@ def run_verify(spec: ProblemSpec) -> int:
         else:
             load, want = ("multi-branch", ">= 1") if second_basin else ("single-branch", "0")
             add("PASS" if bool(viols) == second_basin else "FAIL", "quasiconvexity probe",
-                f"{load} load: {np.unique(viols.segment).size} violations in {n_seg} segments (want {want})")
+                f"{load} load: {len(set(viols.segment.tolist()))} violations in {n_seg} segments "
+                f"(want {want})")
 
     ran = [s for s, _, _ in checks if s != "SKIP"]
     failed = ran.count("FAIL")

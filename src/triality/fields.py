@@ -224,31 +224,12 @@ def reconstruct_interval(interval, zeta: np.ndarray, tau: np.ndarray,
 # ---------------------------------------------------------------------------
 # CSV serialization: blocks of equal-length columns at 17 significant digits for
 # lossless round-trips; scalar fields as x,y,value rows, row-major by y then x.
+# The text of the columns is made by _csvtext, which only the commands that
+# write CSV files import (and so compile).
 # ---------------------------------------------------------------------------
 
 #: rows formatted at once: each piece is written before the next is built
 CSV_BLOCK_ROWS = 4096
-
-
-def _block_field(col: np.ndarray) -> tuple[str, list]:
-    """(%-field, Python values) of one column's slice of a piece.
-
-    Floats whose piece holds repeated bit patterns are formatted once per
-    distinct pattern and indexed back to the rows as text (field "%s").
-    Bits, not values, tell them apart, so -0.0 stays apart from 0.0 and NaN
-    payloads from each other.  An all-distinct float piece keeps "%.17g":
-    it has nothing to share, and formatting in the row template never holds
-    a piece of strings at once (on the 2e4-row sweep benchmark, about 8%
-    less wall time and peak memory than the deduplicating path).  Ints take
-    "%d" and anything else "%s".
-    """
-    if col.dtype.kind == "f":
-        bits, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-        if bits.size == col.size:
-            return _FMT, col.tolist()
-        text = np.array(list(map(_FMT.__mod__, bits.view(col.dtype).tolist())), dtype=object)
-        return "%s", text[inverse].tolist()
-    return ("%d" if col.dtype.kind in "iu" else "%s"), col.tolist()
 
 
 def write_csv(path, header: str, blocks) -> None:
@@ -258,20 +239,22 @@ def write_csv(path, header: str, blocks) -> None:
     length); its rows follow those of the block before.  Callers that hold
     whole columns pass [columns]; a generator of blocks lets the caller
     build each block only when the previous one is written.  Floats are
-    printed "%.17g", ints "%d" and anything else "%s".  Each block is
-    formatted and written in pieces of at most CSV_BLOCK_ROWS rows, so
-    memory stays bounded by one piece (and the caller's block) whatever the
-    file size.  Within a piece each distinct float of a column is formatted
-    once (_block_field): the bytes are those of "%.17g" on every row.
+    printed "%.17g", ints "%d" and anything else "%s" (UTF-8; a NUL in the
+    text raises ValueError).  Each block is formatted and written in pieces
+    of at most CSV_BLOCK_ROWS rows, so memory stays bounded by one piece
+    (and the caller's block) whatever the file size.  numpy makes the text
+    of a whole column at once: a float's digits come from an exact scaling,
+    with Python's "%.17g" only for the roundings that scaling cannot prove,
+    and a float column is formatted once per distinct bit pattern.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    from . import _csvtext
+
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
         for columns in blocks:
             cols = [np.asarray(c) for c in columns]
             for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-                fmts, values = zip(*(_block_field(c[start:start + CSV_BLOCK_ROWS]) for c in cols))
-                template = ",".join(fmts) + "\n"
-                fh.write("".join(map(template.__mod__, zip(*values))))
+                _csvtext.write_piece(fh, [c[start:start + CSV_BLOCK_ROWS] for c in cols])
 
 
 def write_scalar_csv(path, coords: np.ndarray, values: np.ndarray) -> None:

@@ -687,3 +687,28 @@ def test_process_entry_matches_main(tmp_path, capsysbinary, monkeypatch, command
         return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
     assert files(proc) == files(inproc)
+
+
+def _modules_after(argv) -> set[str]:
+    """Names in sys.modules of a fresh interpreter once main(argv) returned 0."""
+    program = "import sys\nfrom triality.cli import main\nprint(main(sys.argv[1:]), *sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.run([sys.executable, "-c", program, *map(str, argv)], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    code, *names = child.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return set(names)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+def test_commands_import_only_what_they_use(tmp_path, command):
+    # solve and sweep never load the oracle, verify never loads the CSV text
+    # module; no command loads numpy.ma, whose import alone costs about 10 ms
+    argv = {"solve": ["solve", CONFIGS / "log_rect_const.cfg", "--out", tmp_path],
+            "sweep": ["sweep", CONFIGS / "log_1d_sub.cfg", "--tau-min", "0", "--tau-max", "1",
+                      "--steps", "50", "--out", tmp_path],
+            "verify": ["verify", CONFIGS / "log_rect_const.cfg"]}[command]
+    modules = _modules_after(argv)
+    assert ("triality.oracle" in modules) == (command == "verify")
+    assert ("triality._csvtext" in modules) == (command != "verify")
+    assert "numpy.ma" not in modules

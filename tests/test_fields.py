@@ -1,5 +1,6 @@
 """Grid fields: stream-function stress, divergence/curl, path reconstruction,
 and the CSV writer."""
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from triality import (
     reconstruct_displacement,
     stress_from_stream,
 )
-from triality import fields
+from triality import _csvtext, fields
 from triality.config import IntervalGeometry
 from triality.fields import (
     CSV_BLOCK_ROWS,
@@ -305,3 +306,61 @@ def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
             assert len(lines) == n + 1
         block_text = sum(map(len, lines[1:CSV_BLOCK_ROWS + 1]))
         assert abs(peaks[60_000] - peaks[20_000]) < block_text, (repeats, peaks, block_text)
+
+
+# ---------------------------------------------------------------------------
+# the float text of write_csv, value by value against "%.17g"
+# ---------------------------------------------------------------------------
+
+def _assert_printed_as_17g(path, values):
+    values = np.asarray(values, dtype=np.float64)
+    write_csv(path, "v", [[values]])
+    got = path.read_bytes().split(b"\n")[1:-1]
+    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != b"%.17g" % v]
+    assert len(got) == values.size and not bad, bad[:5]
+
+
+def _fixed_floats() -> np.ndarray:
+    """Powers of ten and their neighbours, range ends, both sides of the two
+    fixed/exponent switches, exact 17-digit ties, and integers above 2^53
+    whose 18th digit is 5."""
+    tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    ends = [5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 1e16, 1e17,
+            2.0 ** 53, 2.0 ** 53 + 2.0, 1e-280, 1e280]
+    switches = [np.nextafter(v, d) for v in (1e-4, 1e17) for d in (0.0, np.inf)]
+    for _ in range(3):
+        switches += [np.nextafter(v, d) for v, d in zip(switches[-4:], (0.0, np.inf) * 2)]
+    # an exact tie needs an 18-digit decimal ending in 5: 10^(16-e) is then a
+    # double (half to even) or not (3 * 2^-24, left to Python's formatting)
+    ties = [1e14 + 0.125, 1e15 + 0.25, 1e15 + 0.75, 5816408364095.03125, 3 * 2.0 ** -24]
+    ints = [float(10 ** 18 + 128 * k) for k in range(400) if str(10 ** 18 + 128 * k)[17] == "5"]
+    assert ints
+    fixed = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                            ends, switches, ties, ints])
+    return np.concatenate([fixed, -fixed])
+
+
+def test_float_text_of_fixed_values_is_17g(tmp_path):
+    _assert_printed_as_17g(tmp_path / "f.csv", _fixed_floats())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=300))
+def test_float_text_of_any_bit_pattern_is_17g(tmp_path_factory, patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    _assert_printed_as_17g(tmp_path_factory.mktemp("bits") / "b.csv", values)
+
+
+def test_fast_path_proves_nearly_every_rounding():
+    """Python's formatting is a fallback for near-ties only: on a random
+    sample the exact scaling proves at least 99.9% of the roundings."""
+    rng = np.random.default_rng(11)
+    a = np.abs(rng.standard_normal(100_000)) * 10.0 ** rng.integers(-200, 200, 100_000)
+    _, _, unproved = _csvtext._significands(a)
+    assert unproved.size <= 1e-3 * a.size
+
+
+@pytest.mark.parametrize("dtype", [str, object])
+def test_write_csv_refuses_text_with_a_nul(tmp_path, dtype):
+    with pytest.raises(ValueError, match="NUL"):
+        write_csv(tmp_path / "t.csv", "t", [[np.array(["ok", "a\0b"], dtype=dtype)]])
