@@ -77,9 +77,8 @@ class InstanceSolution:
     load: np.ndarray        # (n,) index into loads
     roots: np.ndarray       # (m, 3) nan-padded
     residuals: np.ndarray   # (m, 3)
-    degenerate: np.ndarray  # (m, 3)
     counts: np.ndarray      # (m,)
-    labels: np.ndarray      # (m, 3) object
+    labels: np.ndarray      # (m, 3) int8 TrialityLabel codes, 0 without a root
 
     def node_roots(self, k: int) -> np.ndarray:
         """Root of branch slot k at every node, (n,)."""
@@ -109,7 +108,7 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
     roots, resid, degenerate, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, loads)
     labels = dualsolve.label_array(spec.energy, spec.measure, roots, degenerate, spec.dim)
     return InstanceSolution(spec, coords, tau, weights, loads, load,
-                            roots, resid, degenerate, counts, labels)
+                            roots, resid, counts, labels)
 
 
 def full_branches(sol: InstanceSolution) -> list[int]:
@@ -122,22 +121,15 @@ def branch_energy_report(sol: InstanceSolution, k: int) -> energies.EnergyReport
                                        sol.node_roots(k), sol.tau, sol.weights)
 
 
-def branch_label_name(sol: InstanceSolution, k: int) -> str:
-    names = [str(lab) for lab in dualsolve.TrialityLabel if np.any(sol.labels[:, k] == lab)]
-    return names[0] if len(names) == 1 else "mixed"
-
-
-#: roots.csv label text by code: code 0 is a slot without a root
+#: label text by TrialityLabel code: code 0 is a slot without a root
 _LABEL_NAMES = np.array(["", *map(str, dualsolve.TrialityLabel)])
 
 
-def _label_codes(labels: np.ndarray) -> np.ndarray:
-    """Index into _LABEL_NAMES of every TrialityLabel in an object array,
-    matched by identity (0 at None)."""
-    codes = np.zeros(labels.shape, np.int8)
-    for i, lab in enumerate(dualsolve.TrialityLabel, 1):
-        codes[labels == lab] = i
-    return codes
+def branch_label_name(sol: InstanceSolution, k: int) -> str:
+    """Name of the one label of branch slot k's roots, else "mixed"."""
+    present = np.bincount(sol.labels[:, k], minlength=_LABEL_NAMES.size) > 0
+    names = _LABEL_NAMES[1:][present[1:]]
+    return str(names[0]) if names.size == 1 else "mixed"
 
 
 def _branch_fields(sol: InstanceSolution, k: int) -> tuple[fields.Grid2, np.ndarray, np.ndarray]:
@@ -172,7 +164,6 @@ def _roots_blocks(sol: InstanceSolution):
     at most 3 roots, so a block fills at most one formatted piece, and only
     one block is gathered at a time."""
     found = ~np.isnan(sol.roots)
-    codes = _label_codes(sol.labels)
     step = fields.CSV_BLOCK_ROWS // 3
     for start in range(0, sol.load.size, step):
         load = sol.load[start:start + step]
@@ -180,7 +171,7 @@ def _roots_blocks(sol: InstanceSolution):
         at = load[node]
         node += start
         yield [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
-               sol.roots[at, k], sol.residuals[at, k], _LABEL_NAMES[codes[at, k]]]
+               sol.roots[at, k], sol.residuals[at, k], _LABEL_NAMES[sol.labels[at, k]]]
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
@@ -426,7 +417,8 @@ def run_verify(spec: ProblemSpec) -> int:
     # 5 quasiconvexity probe along the 1-D strain section at the weakest
     # load loads[0] (the section the fold threshold governs; composed 2-D
     # energies carry a load-independent hump off the loading axis).
-    # A nondegenerate negative root there is a second stationary basin, so
+    # A local minimizer, maximizer or saddle root there (a nondegenerate
+    # negative root) is a second stationary basin, so
     # violations must be found; with none (or only the tangent fold root)
     # the section is quasiconvex and the probe must come back empty.
     if sol.loads[0] == 0.0:
@@ -434,10 +426,9 @@ def run_verify(spec: ProblemSpec) -> int:
             "unloaded node present: no load regime to check against")
     else:
         tau_probe = np.array([np.sqrt(float(sol.loads[0]))])
-        second_basin = any(
-            sol.roots[0, k] < 0.0 and not sol.degenerate[0, k]
-            for k in range(3) if not np.isnan(sol.roots[0, k])
-        )
+        basins = (dualsolve.TrialityLabel.LOCAL_MIN, dualsolve.TrialityLabel.LOCAL_MAX,
+                  dualsolve.TrialityLabel.SADDLE)
+        second_basin = any(lab in basins for lab in sol.labels[0].tolist())
         n_seg = oracle.PROBE_SEGMENTS
         try:
             viols = oracle.gquasiconvexity_probe(spec.energy, spec.measure, tau_probe,

@@ -22,9 +22,10 @@ Schema (unknown keys are rejected):
     oracle_starts, oracle_seed   multistart oracle controls
                    (defaults: OracleOptions)
 
-Every number must be finite; a geometry has at most MAX_NODES nodes.  The
-solver's and the oracle's single-valued settings are module constants
-(``canonical.TOL``, ``oracle.START_SPAN``, ...), not keys.
+Every number must be finite; a geometry has at most MAX_NODES nodes and
+the oracle at most MAX_NODES starts.  The solver's and the oracle's
+single-valued settings are module constants (``canonical.TOL``,
+``oracle.START_SPAN``, ...), not keys.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from .canonical import (
 from .errors import ConfigError, DomainError
 from .fields import EDGES, Grid2, stress_from_stream
 
-#: node cap of one instance (and of a sweep's steps)
+#: node cap of one instance (and of a sweep's steps and the oracle's starts)
 MAX_NODES = 10**6
 
 DEFAULT_MEASURES = {
@@ -234,7 +235,8 @@ def parse_config(path) -> ProblemSpec:
         n_starts=_get_int(kv, "oracle_starts", OracleOptions.n_starts),
         seed=_get_int(kv, "oracle_seed", OracleOptions.seed),
     )
-    for ok, rule in ((oracle.n_starts >= 1, "'oracle_starts' must be >= 1"),
+    for ok, rule in ((1 <= oracle.n_starts <= MAX_NODES,
+                      f"'oracle_starts' must be 1 to {MAX_NODES}"),
                      (oracle.seed >= 0, "'oracle_seed' must be >= 0")):
         if not ok:
             raise ConfigError(f"config key {rule}")

@@ -50,15 +50,18 @@ from .errors import DomainError, RootSolveError, SingularDualError
 _LOG_MAX = 709.782712893384  # log of the largest float
 
 
-class TrialityLabel(enum.Enum):
-    GLOBAL_MIN = "global_min"
-    LOCAL_MIN = "local_min"
-    LOCAL_MAX = "local_max"
-    SADDLE = "saddle"
-    DEGENERATE = "degenerate"
+class TrialityLabel(enum.IntEnum):
+    """Triality label of a dual root; its value is the int8 code that
+    label_array stores (code 0: a slot without a root)."""
 
-    def __str__(self) -> str:  # CSV-friendly
-        return self.value
+    GLOBAL_MIN = 1
+    LOCAL_MIN = 2
+    LOCAL_MAX = 3
+    SADDLE = 4
+    DEGENERATE = 5
+
+    def __str__(self) -> str:  # CSV text, e.g. global_min
+        return self.name.lower()
 
 
 class FoldThreshold(NamedTuple):
@@ -162,11 +165,6 @@ def fold_threshold(energy: CanonicalEnergy, m: QuadraticMeasure) -> FoldThreshol
     return FoldThreshold(float(curve.ends[neg[0]]), math.sqrt(curve.levels[neg[0] + 1]))
 
 
-#: label codes, 1-5 in TrialityLabel order; _LABELS[code] is the label (None: no root)
-_NO_ROOT, _GLOBAL_MIN, _LOCAL_MIN, _LOCAL_MAX, _SADDLE, _DEGENERATE = range(6)
-_LABELS = np.array([None, *TrialityLabel], dtype=object)
-
-
 def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq):
     """Enumerate dual roots for an array of tau^2 values.
 
@@ -183,29 +181,29 @@ def solve_roots_array(energy: CanonicalEnergy, m: QuadraticMeasure, tau_sq):
 
 def label_array(energy: CanonicalEnergy, m: QuadraticMeasure, roots, degenerate,
                 dim: int) -> np.ndarray:
-    """Labels of every slot of an (n, k) roots array.
+    """Triality codes of every slot of an (n, k) roots array.
 
-    Returns an object array of TrialityLabel, None at nan slots.  Flagged
+    Returns an int8 array of TrialityLabel values, 0 at nan slots.  Flagged
     fold roots are DEGENERATE and zeta > 0 is a global minimizer outright.
     A root zeta < 0 takes the direction of the piece of _curve that holds
     it: LOCAL_MAX on a rising piece, else LOCAL_MIN for dim == 1 and SADDLE
     for dim > 1 (dim is the strain dimension: 1 for bars, 2 for anti-plane
     sections, 9 for 3x3 tensors).  A root exactly at the non-critical end
-    alpha*b goes to the piece on its left; both pieces there rise.  Labels
-    are computed as integer codes over whole arrays and looked up once.
+    alpha*b goes to the piece on its left; both pieces there rise.
     """
     z = np.asarray(roots, dtype=float)
-    codes = np.full(z.shape, _NO_ROOT, dtype=np.int8)
+    labels = np.zeros(z.shape, dtype=np.int8)
     found = ~np.isnan(z)
     deg = found & np.asarray(degenerate, dtype=bool)
-    codes[deg] = _DEGENERATE
+    labels[deg] = TrialityLabel.DEGENERATE
     found &= ~deg
     if np.any(z[found] == 0.0):
         raise SingularDualError("cannot classify the trivial branch zeta = 0")
-    codes[found & (z > 0.0)] = _GLOBAL_MIN
+    labels[found & (z > 0.0)] = TrialityLabel.GLOBAL_MIN
     neg = found & (z < 0.0)
     curve = _curve(energy, m)
     k = np.searchsorted(curve.ends, z[neg])
     rising = curve.levels[k + 1] > curve.levels[k]
-    codes[neg] = np.where(rising, _LOCAL_MAX, _LOCAL_MIN if dim == 1 else _SADDLE)
-    return _LABELS[codes]
+    falling = TrialityLabel.LOCAL_MIN if dim == 1 else TrialityLabel.SADDLE
+    labels[neg] = np.where(rising, TrialityLabel.LOCAL_MAX, falling)
+    return labels

@@ -71,9 +71,9 @@ def test_c01_cubic_branch_structure():
     err1 = abs(z[0] - 1.0 / 3.0)
     err2 = abs(z[1] + 2.0 / 3.0)
     ok &= len(z) == 2 and err1 <= 1e-10 and err2 <= 1e-10
-    ok &= labels[1] is TrialityLabel.DEGENERATE
+    ok &= labels[1] == TrialityLabel.DEGENERATE
     report("C01", ok, f"cubic branch counts {counts}; fold roots off by "
-                      f"({err1:.2e}, {err2:.2e}), fold label {labels[1]}")
+                      f"({err1:.2e}, {err2:.2e}), fold label {TrialityLabel(labels[1])}")
 
 
 def test_c02_complementary_dual_equality():

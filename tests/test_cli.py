@@ -1,5 +1,6 @@
 """End-to-end CLI pipelines: solve, sweep, verify, exit codes, determinism."""
 import contextlib
+import dataclasses
 import gc
 import io
 import math
@@ -16,8 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triality import _kernels, config, dualsolve, fields, oracle
-from triality.cli import main, solve_instance, write_roots_csv
+from triality.cli import (
+    branch_label_name,
+    full_branches,
+    main,
+    solve_instance,
+    write_roots_csv,
+)
 from triality.config import parse_config
+from triality.dualsolve import TrialityLabel
 from triality.errors import ConfigError
 
 from conftest import dual_residual, read_csv, reference_csv
@@ -105,7 +113,7 @@ def _roots_reference(sol) -> str:
     """roots.csv through the full-length gather: every (node, slot) row at once."""
     node, k = np.nonzero(~np.isnan(sol.roots)[sol.load])
     at = sol.load[node]
-    labels = np.array([str(lab) for lab in sol.labels[at, k]], dtype=object)
+    labels = np.array([str(TrialityLabel(lab)) for lab in sol.labels[at, k]], dtype=object)
     return reference_csv("x,y,tau_sq,k,zeta,residual,label",
                          [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
                           sol.roots[at, k], sol.residuals[at, k], labels])
@@ -162,6 +170,16 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def test_branch_label_name_is_the_one_label_or_mixed():
+    sol = solve_instance(parse_config(CONFIGS / "doublewell_rect_stream.cfg"))
+    assert full_branches(sol) == [0] and sol.loads.size > 1
+    assert branch_label_name(sol, 0) == "global_min"
+    # a full branch whose roots carry two labels
+    labels = sol.labels.copy()
+    labels[-1, 0] = TrialityLabel.LOCAL_MIN
+    assert branch_label_name(dataclasses.replace(sol, labels=labels), 0) == "mixed"
+
+
 @pytest.mark.parametrize("name", ["doublewell_rect_stream.cfg", "log_rect_const.cfg"])
 def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     # psi = s*(x^2 - y^2) on a square grid gives mirrored nodes the same
@@ -189,7 +207,7 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     assert np.array_equal(_bits(sol.loads[node]), _bits(tau_sq))
     assert np.array_equal(_bits(sol.roots[node]), _bits(roots))
     assert np.array_equal(_bits(sol.residuals[node]), _bits(resid))
-    assert np.array_equal(sol.degenerate[node], degenerate)
+    assert np.array_equal(sol.labels[node] == TrialityLabel.DEGENERATE, degenerate)
     assert np.array_equal(sol.counts[node], counts)
     assert np.array_equal(sol.labels[node], labels)
 
@@ -199,7 +217,7 @@ def test_solve_works_once_per_distinct_load(tmp_path, monkeypatch, name):
     lines = ["x,y,tau_sq,k,zeta,residual,label"]
     for i, (x, y) in enumerate(zip(X.ravel(), Y.ravel())):
         lines += ["%.17g,%.17g,%.17g,%d,%.17g,%.17g,%s"
-                  % (x, y, tau_sq[i], k + 1, roots[i, k], resid[i, k], labels[i, k])
+                  % (x, y, tau_sq[i], k + 1, roots[i, k], resid[i, k], TrialityLabel(labels[i, k]))
                   for k in range(3) if not np.isnan(roots[i, k])]
     assert (out / "roots.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
@@ -481,6 +499,7 @@ def test_unknown_key_and_corrupt_config(tmp_path, capsys):
             (rect, "stream_scale = 1e308", "loading"), (base, "tau_x = nan", "tau_x"),
             (base, "tau_x = inf", "tau_x"), (base, "tau_x = 1e200", "loading"),
             (base, "length = inf", "length"), (base, "oracle_starts = 0", "oracle_starts"),
+            (base, "oracle_starts = 1e18", "oracle_starts"),
             (rect, "lx = 5e-324", "lx"), (rect, "lx = -1", "lx"),
             (rect, "fixed_edges = left,north", "fixed_edges"),
             (rect, "fixed_edges = ,", "fixed_edges"),

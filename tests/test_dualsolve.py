@@ -45,8 +45,8 @@ def test_cubic_factorization_at_fold(dw):
     assert len(z) == 2
     assert z[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert z[1] == pytest.approx(-2.0 / 3.0, abs=1e-10)
-    assert labels[1] is TrialityLabel.DEGENERATE
-    assert labels[0] is TrialityLabel.GLOBAL_MIN
+    assert labels[1] == TrialityLabel.DEGENERATE
+    assert labels[0] == TrialityLabel.GLOBAL_MIN
 
 
 def test_supercritical_single_root_location(dw):
@@ -107,7 +107,7 @@ def test_quadratic_positive_shift_has_one_root_from_zero_load(b, t2):
     # zeta = alpha*b
     energy, m = QuadraticEnergy(1.5), QuadraticMeasure(1.0, b)
     z, resid, labels = roots_at(energy, m, t2)
-    assert len(z) == 1 and labels[0] is TrialityLabel.GLOBAL_MIN
+    assert len(z) == 1 and labels[0] == TrialityLabel.GLOBAL_MIN
     if t2 == 0.0:
         assert z.tolist() == [1.5 * b]
     assert np.allclose(z, scan_roots(energy, m, t2), atol=1e-8)
@@ -173,7 +173,7 @@ def test_classification_cases(dw, log11):
     # positive root of the subcritical double well
     z, _, _ = roots_at(dw, DW_MEASURE, 0.1)
     label = label_array(dw, DW_MEASURE, [[z[0]]], [[False]], 1)[0, 0]
-    assert label is TrialityLabel.GLOBAL_MIN
+    assert label == TrialityLabel.GLOBAL_MIN
     # 1-D log model: scalar Hessian 2*zeta + 4*c2 decides the negative branches
     z1, z2, z3 = roots_at(log11, SHEAR_MEASURE, 0.2)[0]
     assert -2.0 < z2 < 0.0 and z3 < -2.0
@@ -188,9 +188,9 @@ def test_classification_2d_negative_branch_is_saddle(log11):
     # in 2-D the perpendicular eigenvalue 2 a zeta < 0 makes the middle
     # branch indefinite
     _, _, labels = roots_at(log11, SHEAR_MEASURE, 0.2, dim=2)
-    assert labels[0] is TrialityLabel.GLOBAL_MIN
-    assert labels[1] is TrialityLabel.SADDLE
-    assert labels[2] is TrialityLabel.LOCAL_MAX
+    assert labels[0] == TrialityLabel.GLOBAL_MIN
+    assert labels[1] == TrialityLabel.SADDLE
+    assert labels[2] == TrialityLabel.LOCAL_MAX
 
 
 def test_dual_density_concavity_around_positive_root(dw, log11, rng):
@@ -231,7 +231,8 @@ def test_log_negative_shift_keeps_far_roots(log11, monkeypatch):
         assert abs(dual_residual(log11, m, roots[0, 1], t2)) <= 1e-10 * t2
     # there dV*(zeta) underflows to 0.0, the edge of the xi domain; the label
     # comes from the piece that holds the root, so it needs no V'' there
-    assert [str(lab) for lab in roots_at(log11, m, 9e6)[2]] == ["global_min", "local_min"]
+    labels = roots_at(log11, m, 9e6)[2]
+    assert [str(TrialityLabel(lab)) for lab in labels] == ["global_min", "local_min"]
     # a root the capped expansion cannot bracket is an error, not a drop
     from triality import _kernels
     monkeypatch.setattr(_kernels, "_EXPAND_LIMIT", 1)
@@ -268,7 +269,7 @@ class _Wrapped:
 def test_folds_on_the_builtin_models(dw):
     # the tangent fold root is reported once, as degenerate
     z, _, labels = roots_at(dw, DW_MEASURE, 8.0 / 27.0)
-    assert [str(lab) for lab in labels] == ["global_min", "degenerate"]
+    assert [str(TrialityLabel(lab)) for lab in labels] == ["global_min", "degenerate"]
     assert z[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
     # so is the log model's, in closed form at b = 0 and from W0 at b = 0.01
     for b, want_zc in ((0.0, -2.0), (0.01, -1.40045)):
@@ -276,7 +277,8 @@ def test_folds_on_the_builtin_models(dw):
         zc, eta = fold_threshold(energy, m)
         assert zc == pytest.approx(want_zc, abs=1e-5)
         z, _, labels = roots_at(energy, m, eta * eta)
-        assert [str(lab) for lab in labels] == ["global_min", "degenerate"] and z[1] == zc
+        assert [str(TrialityLabel(lab)) for lab in labels] == ["global_min", "degenerate"]
+        assert z[1] == zc
         # near-fold root pairs are resolved however close they lie: they
         # straddle zeta_c and solve D, and the scan oracle agrees where its
         # grid separates them
@@ -407,9 +409,9 @@ def test_labels_at_zero_strain_and_extreme_constants():
     energy, m = LogNeoHookeanEnergy(1.0, 1.0), QuadraticMeasure(1.0, 5e-324)
     z, _, labels = roots_at(energy, m, 0.0)
     assert len(z) == 1 and z[0] < -2.0
-    assert labels[0] is TrialityLabel.LOCAL_MAX
+    assert labels[0] == TrialityLabel.LOCAL_MAX
     # also where d2V*(zeta) underflows to 0
-    assert label_array(energy, m, [[-743.49]], [[False]], 1)[0, 0] is TrialityLabel.LOCAL_MAX
+    assert label_array(energy, m, [[-743.49]], [[False]], 1)[0, 0] == TrialityLabel.LOCAL_MAX
     # c2 = 1e308 with b = -1, and with a = 5e-324, whose negative root
     # zeta = -1.85e161 squares beyond the float range: local minima, without
     # a warning

@@ -209,7 +209,7 @@ def test_tensor_reconstruct_identity_case(log11):
                  if abs(z - zbar) < 1e-9]
         assert len(match) == 1
         assert np.max(np.abs(match[0][0] - np.eye(3))) <= 1e-14
-        assert match[0][1] is TrialityLabel.GLOBAL_MIN
+        assert match[0][1] == TrialityLabel.GLOBAL_MIN
 
 
 def test_tensor_reconstruct_unloaded(log11):

@@ -30,6 +30,7 @@ from triality import (
     label_array,
     solve_roots_array,
 )
+from triality import cli
 from triality.canonical import TOL
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -134,15 +135,21 @@ def test_labels_match_fd_hessian(kind, p1, p2, sign, log_b, log_ratio, theta):
                 h = 1e-4 * math.sqrt(dVstar(zeta) / m.a)
             eigs = _fd_hessian(W, gamma, h)
             assume(np.all(np.abs(eigs) > 1e-6 * (1.0 + np.max(np.abs(eigs)))))
-            assert label is _expected(zeta, eigs), (dim, zeta, eigs)
+            assert label == _expected(zeta, eigs), (dim, zeta, eigs)
 
 
 def test_label_array_marks_missing_and_fold_slots():
     energy, m, _, _ = _model("double_well", 1.0, 0.0)
     roots = np.array([[1.0 / 3.0, -2.0 / 3.0, np.nan]])
     labels = label_array(energy, m, roots, np.array([[False, True, False]]), 1)
-    assert labels.dtype == object
-    assert list(labels[0]) == [TrialityLabel.GLOBAL_MIN, TrialityLabel.DEGENERATE, None]
+    assert labels.dtype == np.int8
+    assert labels.tolist() == [[1, 5, 0]]
+    assert list(labels[0]) == [TrialityLabel.GLOBAL_MIN, TrialityLabel.DEGENERATE, 0]
+    # the codes are the label values, and the CSV text stays the former
+    # string value of each label
+    names = ["global_min", "local_min", "local_max", "saddle", "degenerate"]
+    assert [(lab.value, str(lab), format(lab), str(cli._LABEL_NAMES[lab]))
+            for lab in TrialityLabel] == [(i, n, n, n) for i, n in enumerate(names, 1)]
 
 
 def test_zero_root_is_singular():
