@@ -6,9 +6,10 @@ bytes.translate(None, b"\0") squeezes the padding out of the matrix's bytes.
 A float's digits come from a double-double scaling by 10^(16-e)
 (_significands, with Dekker's error-free TwoProduct, Numer. Math. 18, 1971)
 and its text from the %g rule as operations on little-endian words
-(_float_words).  The scaling proves its own rounding; a float it cannot
-prove, like any value outside the numpy paths, goes through Python's own
-formatting (the scheme of Loitsch, PLDI 2010).  Ints get their decimal
+(_float_words).  The scaling proves its own rounding; every float it does
+not prove goes through Python's own "%.17g" (the scheme of Loitsch, PLDI
+2010): nan, +-inf, +-0, magnitudes outside [1e-280, 1e280], values just
+below a power of ten and inexact near-ties.  Ints get their decimal
 digits and ASCII str arrays their code points.  fields.write_csv, the one
 CSV writer, imports this module on its first call.
 """
@@ -43,10 +44,6 @@ _WORD = np.dtype("<u8")
 def _slots(texts, width: int = 0) -> np.ndarray:
     """(n, w) uint8 rows of the given byte strings, NUL-padded to w >= width."""
     return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), -1)
-
-
-#: "%.17g" of the values it prints without digits, in _FLOAT_WIDTH slots
-_SPECIAL = _slots([b"nan", b"inf", b"-inf", b"0", b"-0"], _FLOAT_WIDTH)
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -142,22 +139,9 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, e, unproved) of finite a in [_FAST_MIN, _FAST_MAX]: N is a rounded
     to 17 significant digits as an integer in [1e16, 1e17), e its decimal
     exponent (a ~ N * 10^(e-16)), unproved the indices whose rounding this
-    cannot prove."""
+    cannot prove.  N and e have no meaning at unproved indices."""
     e = np.floor(np.log10(a)).astype(np.int64)
     p, t = _scaled(a, e)
-    # y = p + t must lie in [1e16, 1e17): move e where it does not.  Near the
-    # ends p - 1e16 and p - 1e17 are exact, so the sign is y's unless y is
-    # within about 1e-14 of the end, where both exponents round alike.
-    edge = np.flatnonzero((p < 1.001e16) | (p > 9.99e16))
-    todo = edge
-    for _ in range(2):
-        pt, tt = p[todo], t[todo]
-        shift = ((pt - 1e17) + tt >= 0).astype(np.int64) - ((pt - 1e16) + tt < 0)
-        todo, shift = todo[shift != 0], shift[shift != 0]
-        if todo.size == 0:
-            break
-        e[todo] += shift
-        p[todo], t[todo] = _scaled(a[todo], e[todo])
     f = np.floor(t)
     off = t - (f + 0.5)          # exact near a half-integer (Sterbenz)
     n = p.astype(np.int64) + f.astype(np.int64) + (off > 0)
@@ -165,11 +149,12 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exact = (e[near] >= -6) & (e[near] <= 16)      # 10^(16-e) is a double
     tie = near[exact & (off[near] == 0)]
     n[tie] += n[tie] & 1                           # half to even, as "%.17g"
-    ends = n[edge]
-    top = edge[ends == 10 ** 17]
-    n[top] = 10 ** 16
-    e[top] += 1
-    return n, e, np.concatenate([near[~exact], edge[(ends < 10 ** 16) | (ends > 10 ** 17)]])
+    # e is one too high where log10 rounds up to a power of ten: y = p + t
+    # then lies below 1e16, where n may still round up to 1e16, so y is
+    # tested (near 1e16, p - 1e16 is exact).  e is one too low where log10
+    # rounds down past one: n then reaches 1e17, as where y rounds up to 1e17.
+    low = (p < 1.001e16) & ((p - 1e16) + t < 0)
+    return n, e, np.concatenate([near[~exact], np.flatnonzero(low | (n >= 10 ** 17))])
 
 
 def _float_words(x: np.ndarray, out: np.ndarray) -> None:
@@ -180,9 +165,8 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
     else as d.ddd and e+XX (at least two exponent digits); either way the
     trailing zeros of the fraction, and a bare point, are dropped.  The
     words hold the sign and "0.000" prefix, three words of digits and point,
-    and the exponent.  Zero, -0, nan and +-inf are constant text; values
-    outside the fast range, and those whose rounding _significands cannot
-    prove, are formatted by Python.
+    and the exponent.  nan, +-inf, +-0, values outside the fast range and
+    those whose rounding _significands cannot prove are formatted by Python.
     """
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
@@ -220,14 +204,8 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = out.view(np.uint8)
-        v = x[slow]
-        code = np.select([np.isnan(v), v == np.inf, v == -np.inf, v == 0.0],
-                         [0, 1, 2, np.where(np.signbit(v), 4, 3)], -1)
-        text[slow] = _SPECIAL[code]
-        other = slow[code < 0]
-        if other.size:
-            text[other] = _slots([("%.17g" % v).encode() for v in x[other].tolist()], _FLOAT_WIDTH)
+        out.view(np.uint8)[slow] = _slots([("%.17g" % v).encode() for v in x[slow].tolist()],
+                                          _FLOAT_WIDTH)
 
 
 def _int_slots(col: np.ndarray) -> np.ndarray:

@@ -205,7 +205,7 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
                      f"eta(derived)={format_float(fold.eta)} "
                      f"eta(paper-eq45)={format_float(fold45.eta)}")
     except NotImplementedError:
-        lines.append("fold: none (single-branch model)")
+        lines.append("fold: none (no single negative fold)")
     cmin, cmax = int(sol.counts.min()), int(sol.counts.max())
     lines.append(f"root counts over {sol.load.size} nodes: min={cmin} max={cmax}")
 

@@ -5,8 +5,14 @@ roots come from dense sign scans refined by bisection (or numpy.roots for
 the cubic), conjugates from a brute-force sup over a fine grid, the dual
 residual from the energy's dV* alone and CSV bytes from one per-row
 %-template.  roots_at is the one exception: it runs the library's root path
-at a single load.
+at a single load.  shipped_verify runs `verify` on a shipped config once per
+session for the tests that check its output.
 """
+import contextlib
+import functools
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +21,10 @@ from triality import (
     QuadraticEnergy,
     QuadraticMeasure,
 )
+from triality.cli import main
 from triality.dualsolve import label_array, solve_roots_array
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DW_MEASURE = QuadraticMeasure(a=0.5, b=-1.0)
 SHEAR_MEASURE = QuadraticMeasure(a=1.0, b=0.0)
 
@@ -34,6 +42,14 @@ def log11():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240808)
+
+
+@functools.cache
+def shipped_verify(name: str) -> tuple[int, str]:
+    """(exit code, stdout) of `verify` on configs/<name>, run once."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", str(CONFIGS / name)])
+    return code, out.getvalue()
 
 
 def bisect(fn, lo, hi, iters=200):

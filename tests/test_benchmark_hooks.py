@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from triality.cli import _build_parser, main
+from triality.cli import _build_parser
+
+from conftest import shipped_verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CONFIGS = PERFBENCH.parent / "configs"
@@ -37,11 +39,12 @@ def test_tracer_targets_resolve_to_callables():
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
-def test_verify_ends_with_the_gate_ok_line(config, capsys, monkeypatch):
+def test_verify_ends_with_the_gate_ok_line(config, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # gate.py imports workloads.py by name
     verify_ok = _load("gate")._VERIFY_OK
-    assert main(["verify", str(config)]) == 0
-    match = verify_ok.match(capsys.readouterr().out.splitlines()[-1])
+    code, out = shipped_verify(config.name)
+    assert code == 0
+    match = verify_ok.match(out.splitlines()[-1])
     assert match and match.group(1) == match.group(2)
 
 

@@ -75,6 +75,8 @@ def test_material_constants_validated():
         QuadraticEnergy(alpha=0.0)
     with pytest.raises(DomainError):
         QuadraticMeasure(a=-1.0)
+    with pytest.raises(DomainError):
+        QuadraticMeasure(1.0, math.inf)
 
 
 @pytest.mark.parametrize("energy,xi_lo,xi_hi", [

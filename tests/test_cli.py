@@ -28,7 +28,7 @@ from triality.config import parse_config
 from triality.dualsolve import TrialityLabel
 from triality.errors import ConfigError
 
-from conftest import dual_residual, read_csv, reference_csv
+from conftest import dual_residual, read_csv, reference_csv, shipped_verify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -347,11 +347,11 @@ SHIPPED_VERDICTS = {
 }
 
 
-def test_verify_shipped_configs_pass(capsys):
+def test_verify_shipped_configs_pass():
     assert sorted(SHIPPED_VERDICTS) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
     for name, want in SHIPPED_VERDICTS.items():
-        assert run(["verify", CONFIGS / name]) == 0, name
-        out = capsys.readouterr().out
+        code, out = shipped_verify(name)
+        assert code == 0, name
         got = re.findall(r"^\[verify\] (PASS|FAIL|SKIP) ([^:]+):", out, flags=re.M)
         assert tuple(f"{status} {check}" for status, check in got) == want, name
 
@@ -504,6 +504,12 @@ def test_unknown_key_and_corrupt_config(tmp_path, capsys):
             (rect, "fixed_edges = left,north", "fixed_edges"),
             (rect, "fixed_edges = ,", "fixed_edges"),
             (base, "n = 1e12", "'n'"),
+            (base, "model = mooney_rivlin", "'model'"), (base, "geometry = disc", "'geometry'"),
+            (base, "loading = gravity", "'loading'"),
+            (base, "loading = stream_function", "requires rectangle geometry"),
+            (rect, "stream = cubic", "'stream'"), (rect, "nx = 2", "at least 3 nodes"),
+            (rect, "nx = 60000", f"more than {config.MAX_NODES} nodes"),
+            (rect, "fixed_edges = left,right,bottom,top", "all edges fixed"),
             # four real roots: a model outside the supported family
             (base, "measure_b = -0.001", "more than three")):
         key = line.split("=")[0].strip()
@@ -511,6 +517,11 @@ def test_unknown_key_and_corrupt_config(tmp_path, capsys):
                                if ln.split("=")[0].strip() != key) + line + "\n")
         assert run(["solve", cfg, "--out", tmp_path / "o"]) == 2, line
         assert want in capsys.readouterr().err, line
+    for text, want in ((base + "n = 7\n", "duplicate config key 'n'"),
+                       (base.replace("tau_x", "# tau_x"), "missing required config key 'tau_x'")):
+        cfg.write_text(text)
+        assert run(["solve", cfg, "--out", tmp_path / "o"]) == 2, want
+        assert want in capsys.readouterr().err, want
     for flags in (("--tau-max", "inf"), ("--tau-max", "nan"), ("--tau-min", "nan"),
                   ("--tau-max", "1e200"), ("--steps", str(10**12))):
         args = dict((("--tau-min", "0"), ("--tau-max", "1.1"), ("--steps", "50"), flags))
@@ -568,6 +579,10 @@ def test_config_validation_details(tmp_path):
     cfg.write_text(base.replace("tau_x = 1.0", "tau_x = 1.0\ntau_y = 1.0"))
     with pytest.raises(ConfigError, match="tau_y"):
         parse_config(cfg)
+    cfg.write_text(base)
+    spec = dataclasses.replace(parse_config(cfg), loading=config.StreamLoading("linear"))
+    with pytest.raises(ConfigError, match="constant_tau"):
+        config.build_tau_interval(spec)
 
 
 #: a small solve config and the edge-case strings fed to its numeric keys
@@ -612,7 +627,7 @@ def test_fold_beyond_the_float_range_keeps_both_roots(tmp_path, capsys):
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, "c2": "1e308"}.items()))
     assert run(["solve", cfg, "--out", tmp_path / "o"]) == 0
     out = capsys.readouterr().out
-    assert "fold: none (single-branch model)" in out
+    assert "fold: none (no single negative fold)" in out
     assert "root counts over 5 nodes: min=2 max=2" in out
 
 

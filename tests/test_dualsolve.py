@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triality import (
+    DomainError,
     LogNeoHookeanEnergy,
     QuadraticEnergy,
     QuadraticMeasure,
@@ -97,6 +98,10 @@ def test_roots_match_scan_oracle_log(log11, tau_sq):
 def test_unloaded_state(dw, log11):
     assert roots_at(dw, DW_MEASURE, 0.0)[0].tolist() == [-1.0]
     assert roots_at(log11, SHEAR_MEASURE, 0.0)[0].size == 0
+    # a load is a finite tau^2 >= 0
+    for t2 in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tau"):
+            solve_roots_array(dw, DW_MEASURE, np.array([0.0, t2]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -54,6 +54,9 @@ def test_grid_validation():
         Grid2(lx=0.3, ly=0.3, nx=4, ny=4, fixed_edges=frozenset({"north"}))
     g = Grid2(lx=0.3, ly=2.0, nx=4, ny=9)
     assert (g.hx, g.hy) == (0.3 / 3, 2.0 / 8)
+    # a 2-node axis is a grid, but its stencil needs 3 nodes
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        stress_from_stream(Grid2(lx=0.3, ly=0.3, nx=2, ny=4), np.zeros((4, 2)))
     g = unit_grid(5, fixed=("left", "bottom"))
     mask = g.fixed_mask()
     assert mask[:, 0].all() and mask[0, :].all()
@@ -352,8 +355,9 @@ def test_float_text_of_any_bit_pattern_is_17g(tmp_path_factory, patterns):
 
 
 def test_fast_path_proves_nearly_every_rounding():
-    """Python's formatting is a fallback for near-ties only: on a random
-    sample the exact scaling proves at least 99.9% of the roundings."""
+    """Python's formatting is a fallback for the roundings the scaling cannot
+    prove (near-ties, values next to a power of ten): on a random sample the
+    exact scaling proves at least 99.9% of them."""
     rng = np.random.default_rng(11)
     a = np.abs(rng.standard_normal(100_000)) * 10.0 ** rng.integers(-200, 200, 100_000)
     _, _, unproved = _csvtext._significands(a)

@@ -21,6 +21,8 @@ import pytest
 
 from triality.cli import main
 
+from conftest import shipped_verify
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SWEEP_ARGS = ("--tau-min", "0", "--tau-max", "1.1", "--steps", "500")
 
@@ -115,7 +117,7 @@ GOLDEN_GENERIC = {
         "energy_report.csv": "f74add177123f518aae1f09621b90779916b7322bde94b725ada610a92bef603",
         "fields_u_1.csv": "eef845f097ee2adf285bfd97b69a44c8eb8a6ab724cb994495b21fd47bce5e41",
         "fields_u_2.csv": "03282a9f781b8fe96a310eb8df710517d52491961c93cc279456c9584a22f342",
-        "report.txt": "5447740d3c606a8214ce24c6a9703d7a5387f8a7f8c617c28aa99906611d7108",
+        "report.txt": "58332960695818ae907f3709980f5254ffe309c52fd4a42e81f3b5bb41b5e4c7",
         "roots.csv": "af3be47a7724f1051af82576e30b52fcb2db8132d1575d6393ff1f022ed92c71",
     }),
     "sweep": (0, {
@@ -258,9 +260,9 @@ def test_eq45_sweep_is_the_quarter_measure(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_VERIFY))
-def test_verify_stdout_digests(stem, capsys):
-    assert main(["verify", str(CONFIGS / f"{stem}.cfg")]) == 0
-    out = capsys.readouterr().out
+def test_verify_stdout_digests(stem):
+    code, out = shipped_verify(f"{stem}.cfg")
+    assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_VERIFY[stem]
 
 
