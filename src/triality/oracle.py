@@ -8,9 +8,11 @@ coincides with the dual prediction.  Minimization is preconditioned gradient
 descent from uniform random starts inside the energy's domain.  The
 direction is the Sobolev gradient d = K^-1 g (Neuberger 1997), K the
 stiffness of the grid's Dirichlet energy, so the iteration count does not
-grow with the grid; K^-1 is applied exactly by the tensor-product method
-(Lynch, Rice & Thomas 1964).  The Barzilai-Borwein step in the K metric
-(Barzilai & Borwein 1988) is the first trial of a monotone Armijo
+grow with the grid.  K is diagonal in the product of each axis's closed-form
+sine or cosine eigenbasis, whose transforms are bins of one real FFT per
+axis (Strang 1999), so K^-1 is applied exactly by one transform per axis,
+one division and the inverse transforms.  The Barzilai-Borwein step in the
+K metric (Barzilai & Borwein 1988) is the first trial of a monotone Armijo
 backtracking search (c = 1e-4, shrink 1/2), which keeps the spectral step
 globally convergent (Raydan 1997) and every accepted step an energy
 decrease.  All starts descend together in one loop over fields with a
@@ -46,7 +48,9 @@ START_SPAN = 2.0
 #: values per block of every batched evaluation here: the descent, the start
 #: redraw and the gradient check (nodal values per block of fields) and the
 #: quasiconvexity probe (strain components per block of segments); 1 << 14
-#: float64 values, 128 KiB per block array
+#: float64 values, 128 KiB per block array.  The preconditioner's
+#: temporaries (the field zero-padded to 4N per axis, its complex spectrum)
+#: are about 4x a block array
 _CHUNK_ELEMENTS = 1 << 14
 
 #: energy clustering tolerance for the basin census
@@ -110,18 +114,45 @@ class DiscreteProblem:
         return Stiffness.of(self)
 
 
-def _axis_stiffness(n: int, free: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of the path-graph Laplacian (off-diagonal -1) and trapezoid
-    weights (1/2, 1, ..., 1, 1/2) of an axis of n nodes, on its free nodes."""
-    lap = np.full(n, 2.0)
-    lap[[0, -1]] = 1.0
-    return lap[free], trapezoid_weights_interval(n, 1.0)[free]
+@dataclass(frozen=True, eq=False)
+class _AxisModes:
+    """Closed-form generalized eigenbasis Q of the path-graph Laplacian
+    (diagonal 1, 2, ..., 2, 1, off-diagonal -1) and the trapezoid weights
+    M = diag(1/2, 1, ..., 1, 1/2) of an axis of n nodes on its free nodes
+    (Q^T K Q = diag(lambda), Q^T M Q = I).  With N = n - 1 and f fixed ends,
+    mode m is s cos(theta j) from a free first node or s sin(theta j) from a
+    fixed one, theta = pi k/(2N) at bin k = 2m + f, lambda = 4 sin^2(theta/2)
+    and s^2 = 2/N (1/N at bins 0 and 2N), so Q^T x and Q c are those bins of
+    one real FFT of length 4N (Strang 1999).
+    """
 
+    nodes: int
+    bins: slice    # rfft bins k of the modes
+    sine: bool     # the first node is fixed: the modes are sines
 
-def _free_slice(free: np.ndarray) -> slice:
-    """The free nodes of an axis (only its ends can be fixed) as a slice."""
-    at = np.flatnonzero(free).tolist()
-    return slice(at[0], at[-1] + 1) if at else slice(0, 0)
+    @classmethod
+    def of(cls, fixed: np.ndarray) -> _AxisModes:
+        """The modes of an axis whose fixed node lines are ``fixed`` (ends only)."""
+        n, f = fixed.size, int(fixed[0]) + int(fixed[-1])
+        return cls(n, slice(f, 2 * n - 1 - f, 2), bool(fixed[0]))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        k = np.arange(2 * self.nodes - 1)[self.bins]
+        return 4.0 * np.sin(np.pi * k / (4 * (self.nodes - 1))) ** 2
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """(Q^T x)/s along the last axis, x zero on the fixed ends; negated
+        for sines (the FFT's imaginary part is -sum_j x_j sin(theta j))."""
+        f = np.fft.rfft(x, 4 * (self.nodes - 1))[..., self.bins]
+        return f.imag if self.sine else f.real
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        """Q (s c) / 4 along the last axis, negated for sines like forward,
+        so the two signs cancel in K^-1."""
+        f = np.zeros((*c.shape[:-1], 2 * self.nodes - 1), dtype=complex)
+        (f.imag if self.sine else f.real)[..., self.bins] = c
+        return np.fft.irfft(f, 4 * (self.nodes - 1))[..., :self.nodes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,79 +163,44 @@ class Stiffness:
     b = 0: Kx/h on an interval and (hy/hx) My(x)Kx + (hx/hy) Ky(x)Mx on a
     rectangle, with K* the path-graph Laplacian and M* the trapezoid weights
     of an axis, restricted to the free nodes (fixed edges are whole node
-    lines, so the free nodes are a product set).  K^-1 is applied by the
-    tensor-product method: in the generalized eigenbasis Q of the shorter
-    axis (Q^T K_S Q = Lambda, Q^T M_S Q = I, in closed form) K splits into
-    one tridiagonal matrix c K_L + (1/c) lambda_k M_L per mode k along the
-    longer axis (c = h_S/h_L), and one Thomas sweep solves them all.  An
-    interval is a single mode with lambda = 0 and c = 1/h.  No matrix is
-    larger than the shorter axis squared, and each start's arithmetic is a
-    stacked matmul or elementwise, so it does not depend on the batch.
+    lines, so the free nodes are a product set).  In the product of the
+    axes' generalized eigenbases (see _AxisModes) K is diagonal with the
+    positive eigenvalues lambda/h on an interval and
+    (hy/hx) lambda_x + (hx/hy) lambda_y on a rectangle, so K^-1 is one sine
+    or cosine transform per axis, one division and the inverse transforms.
+    Every transform runs along the last axis of the field, one row at a
+    time, so each start's arithmetic does not depend on the batch.
     """
 
-    free: tuple            # index of the free nodes in a (starts, *shape) array
-    swap: bool             # the free block is (starts, short, long): swap its axes
-    basis: np.ndarray      # Q, (short, short); (1, 1) ones on an interval
-    coupling: float        # c: minus the off-diagonal of every mode's matrix
-    pivots: np.ndarray     # (long, modes) Thomas pivots of the mode matrices
+    fixed: np.ndarray              # boolean mask of the Dirichlet nodes
+    axes: tuple[_AxisModes, ...]   # one per grid axis, in shape order
+    #: K's eigenvalues in the product basis over 4 per axis: each inverse
+    #: transform returns Q(s c)/4
+    eigenvalues: np.ndarray
 
     @classmethod
     def of(cls, problem: DiscreteProblem) -> Stiffness:
-        fixed = problem.fixed
-        if problem.ndim == 1:
-            free, c = _free_slice(~fixed), 1.0 / problem.spacings[0]
-            return cls((slice(None), free, None), False, np.ones((1, 1)), c,
-                       _thomas_pivots(*_axis_stiffness(fixed.size, free), c, np.zeros(1)))
-        (ny, nx), (hx, hy) = problem.shape, problem.spacings
-        fy, fx = _free_slice(~fixed.all(axis=1)), _free_slice(~fixed.all(axis=0))
-        y, x = (ny, fy, hy), (nx, fx, hx)  # nodes, free nodes, spacing
-        swap = fy.stop - fy.start < fx.stop - fx.start  # modes along the axis with fewer free nodes
-        (n_s, f_s, h_s), (n_l, f_l, h_l) = (y, x) if swap else (x, y)
-        lam, basis = _axis_modes(n_s, f_s)
-        c = h_s / h_l
-        return cls((slice(None), fy, fx), swap, basis, c,
-                   _thomas_pivots(*_axis_stiffness(n_l, f_l), c, lam / c))
+        fixed, dim = problem.fixed, problem.ndim
+        axes = tuple(_AxisModes.of(fixed.all(axis=tuple(b for b in range(dim) if b != a)))
+                     for a in range(dim))
+        # axis a's term is weighted by the cell volume over h_a^2
+        h = problem.spacings[::-1]  # per grid axis, in shape order
+        scale = np.prod(h) / 4.0 ** dim
+        lam = np.ix_(*(axis.eigenvalues for axis in axes))
+        return cls(fixed, axes, sum(scale / ha ** 2 * la for ha, la in zip(h, lam)))
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """K^-1 g per start on the free nodes; zero on the fixed ones."""
-        d = np.zeros_like(g)
-        r = g[self.free]
-        if not r.size:  # no start, or no free node (nx = 2 between two fixed edges)
-            return d
-        r = np.ascontiguousarray(r.transpose(0, 2, 1) if self.swap else r) @ self.basis
-        x, c, piv = np.empty_like(r), self.coupling, self.pivots
-        x[:, 0] = r[:, 0] / piv[0]
-        for i in range(1, len(piv)):
-            x[:, i] = (r[:, i] + c * x[:, i - 1]) / piv[i]
-        for i in range(len(piv) - 2, -1, -1):
-            x[:, i] += c / piv[i] * x[:, i + 1]
-        x = x @ self.basis.T
-        d[self.free] = x.transpose(0, 2, 1) if self.swap else x
-        return d
-
-
-def _axis_modes(n: int, free: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized eigenpairs (lambda, Q) of the path-graph Laplacian K and
-    the trapezoid weights M of an axis of n nodes on its free nodes, in
-    closed form (Q^T K Q = diag(lambda), Q^T M Q = I): cos(theta*j) from a
-    free first node, sin(theta*j) from a fixed one, theta = pi*(m + f/2)/(n-1)
-    for mode m with f fixed ends, and lambda = 4 sin^2(theta/2)."""
-    j = np.arange(free.start, free.stop)
-    fixed_ends = (free.start > 0) + (free.stop < n)
-    theta = np.pi * (np.arange(j.size) + 0.5 * fixed_ends) / (n - 1)
-    q = (np.sin if free.start > 0 else np.cos)(np.outer(j, theta))
-    q /= np.sqrt((_axis_stiffness(n, free)[1][:, None] * q * q).sum(axis=0))
-    return 4.0 * np.sin(0.5 * theta) ** 2, q
-
-
-def _thomas_pivots(lap, weights, c, lam):
-    """Pivots of the tridiagonal matrices c*K_L + lam_k*M_L (K_L with
-    diagonal lap and off-diagonal -1, M_L = diag(weights)), one column per
-    mode k; the matrices are diagonally dominant, so no pivoting is needed."""
-    piv = c * lap[:, None] + weights[:, None] * lam[None, :]
-    for i in range(1, len(piv)):
-        piv[i] -= c * c / piv[i - 1]
-    return piv
+        # each pass transforms the last axis and moves it to the front of the
+        # field (a view): after one pass per axis the field is in shape order
+        front = (0, -1, *range(1, len(self.axes)))
+        c = np.where(self.fixed, 0.0, g)
+        for axis in reversed(self.axes):
+            c = axis.forward(c).transpose(front)
+        c = c / self.eigenvalues
+        for axis in reversed(self.axes):
+            c = axis.inverse(c).transpose(front)
+        return np.where(self.fixed, 0.0, c)
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:

@@ -736,13 +736,15 @@ def _modules_after(argv) -> set[str]:
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
 def test_commands_import_only_what_they_use(tmp_path, command):
-    # solve and sweep never load the oracle, verify never loads the CSV text
-    # module; no command loads numpy.ma, whose import alone costs about 10 ms
+    # solve and sweep never load the oracle or the FFT it applies K^-1 with,
+    # verify never loads the CSV text module; no command loads numpy.ma,
+    # whose import alone costs about 10 ms
     argv = {"solve": ["solve", CONFIGS / "log_rect_const.cfg", "--out", tmp_path],
             "sweep": ["sweep", CONFIGS / "log_1d_sub.cfg", "--tau-min", "0", "--tau-max", "1",
                       "--steps", "50", "--out", tmp_path],
             "verify": ["verify", CONFIGS / "log_rect_const.cfg"]}[command]
     modules = _modules_after(argv)
     assert ("triality.oracle" in modules) == (command == "verify")
+    assert ("numpy.fft" in modules) == (command == "verify")
     assert ("triality._csvtext" in modules) == (command != "verify")
     assert "numpy.ma" not in modules

@@ -148,12 +148,12 @@ GOLDEN_FOLD = {
 
 #: SHA-256 of the stdout of `verify` per shipped config (every one exits 0)
 GOLDEN_VERIFY = {
-    "doublewell_1d": "7df61d24e5ed991a26a60619a427b6eba87c0a4c13bde40963c2a3b88b2ce1db",
+    "doublewell_1d": "b1bcac34b903f1c07ec5f10b3b9f455b6906d1d37d8522ca6e04e3f6c03d53d4",
     "doublewell_1d_sub": "476165c75323f379cb684a9a6fb4515d34fff165246b7a4d632a6b32f66dc3e2",
     "doublewell_rect_stream": "203f50862af5f9411c11ef144ded263b86b161125b440a66fb356999be7e1224",
-    "log_1d_sub": "673b6738778fac30ad118bfdc0bc38ff1ab97f204e86d792cc31f590fd7c280f",
+    "log_1d_sub": "2dbcc0cd7313f2a02abe1a884ccf3bb8ee28ed254ed512ed634d92b30d82fa84",
     "log_1d_super": "356472dc2bf69abb1e5e4842cd29398303c7fcb3bee57eadaf68ebdc07685dfb",
-    "log_rect_const": "5e75d3c75da1e6980e60bf33a8db98e33579bb22c9436af45422dd95ed37c508",
+    "log_rect_const": "1160ffa948966804eb45d5a5a004db9d7c29f58abc2c1274f0afbe777d77c6c2",
 }
 
 

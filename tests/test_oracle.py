@@ -1,6 +1,8 @@
 """Direct-minimization oracle, gradient checks, and the quasiconvexity probe."""
+import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from triality import (
     QuadraticMeasure,
     dual_density,
 )
-from triality import _kernels, oracle
+from triality import _kernels, cli, oracle
 from triality.config import ConstantTau, IntervalGeometry, OracleOptions, ProblemSpec, parse_config
 from triality.fields import EDGES, Grid2
 from triality.oracle import (
@@ -257,7 +259,8 @@ def test_batched_descent_matches_lone_starts_2d(log11):
 
 @pytest.mark.parametrize("nx, ny, fixed", [(13, 7, {"left", "top"}), (6, 11, {"bottom"})])
 def test_batched_descent_matches_lone_starts_2d_either_mode_axis(dw, nx, ny, fixed):
-    # the preconditioner's eigenbasis spans y (13x7) and x (6x11)
+    # the preconditioner's modes are sines along x and cosines along y (13x7)
+    # and the reverse (6x11)
     assert_lone_starts_match(ProblemSpec(
         energy=dw, measure=DW_MEASURE,
         geometry=Grid2(lx=1.0, ly=2.0, nx=nx, ny=ny, fixed_edges=frozenset(fixed)),
@@ -355,13 +358,62 @@ def test_precondition_inverts_the_dense_stiffness(spec):
         assert np.linalg.norm(k @ df - gf) <= 1e-12 * np.linalg.norm(gf)
 
 
+def held_arrays(obj):
+    """Every numpy array a dataclass holds, through its fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from held_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from held_arrays(getattr(obj, f.name))
+
+
 def test_precondition_builds_no_matrix_along_a_long_axis():
-    # 500000 x 2 rectangle: the eigenbasis spans the 2-node axis only
+    # 500000 x 2 rectangle: nothing the preconditioner keeps outgrows the grid
     spec = ProblemSpec(energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
                        geometry=Grid2(lx=1.0, ly=1.0, nx=500_000, ny=2),
                        loading=ConstantTau((0.3, 0.0)))
-    stiff = oracle.Stiffness.of(discretize(spec))
-    assert stiff.basis.shape == (2, 2) and stiff.pivots.shape == (499_999, 2)
+    prob = discretize(spec)
+    arrays = list(held_arrays(oracle.Stiffness.of(prob)))
+    assert arrays and max(a.size for a in arrays) <= prob.fixed.size
+
+
+@pytest.mark.parametrize("fixed_end", ["left", "right"])
+def test_precondition_on_a_long_interval_is_the_double_cumulative_sum(fixed_end):
+    # K = D^T D / h with the fixed node held at 0, so from a fixed left end
+    # K^-1 g is d_j = h sum_{i=1..j} sum_{k>=i} g_k; a fixed right end mirrors it
+    n = 100_001
+    prob = discretize(ProblemSpec(energy=QuadraticEnergy(1.0), measure=DW_MEASURE,
+                                  geometry=IntervalGeometry(length=2.5, n=n, fixed_end=fixed_end),
+                                  loading=ConstantTau((0.3,))))
+    g = np.random.default_rng(3).standard_normal((2, n))
+    g[:, prob.fixed] = 0.0
+    flip = slice(None, None, -1) if fixed_end == "right" else slice(None)
+    tail = np.cumsum(g[:, flip][:, ::-1], axis=1)[:, ::-1]  # sum_{k>=i} g_k
+    tail[:, 0] = 0.0
+    want = (prob.spacings[0] * np.cumsum(tail, axis=1))[:, flip]
+    d = prob.precondition(g)
+    assert np.all(d[:, prob.fixed] == 0.0)
+    assert np.max(np.abs(d - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_thin_rectangle_oracle_finds_the_dual_minimum(tmp_path):
+    # ly = 1e-9: the axes' stiffness coefficients hy/hx and hx/hy differ by a
+    # factor of 1e18; the descent still reaches Pi_d(zeta_1), with no warning
+    text = (CONFIGS / "log_rect_const.cfg").read_text(encoding="utf-8")
+    for key, value in (("nx", "5"), ("ny", "5"), ("ly", "1e-9")):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    spec = parse_config(cfg)
+    pd1 = cli.branch_energy_report(cli.solve_instance(spec), 0).dual
+    assert abs(pd1 - -4.99836103e-10) <= 1e-18
+    res = multistart(spec)
+    assert res.converged_fraction == 1.0
+    assert abs(res.energy - pd1) <= cli.ORACLE_TOL
+    assert abs(res.energy - pd1) <= 1e-8 * abs(pd1)
 
 
 def test_multistart_draws_starts_inside_the_domain(log11):
