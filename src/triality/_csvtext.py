@@ -1,5 +1,6 @@
 """CSV text of numpy columns, byte for byte that of Python's "%.17g" (floats),
-"%d" (ints) and "%s" (anything else), made a column at a time.
+"%d" (non-negative ints) and "%s" (ASCII str), made a column at a time; any
+other column raises ValueError.
 
 Every value fills NUL-padded byte slots of one row of a matrix per line, and
 bytes.translate(None, b"\0") squeezes the padding out of the matrix's bytes.
@@ -39,11 +40,6 @@ _K_MIN, _K_MAX = -270, 300
 _E_MIN = -300
 #: little-endian words: byte b of a row of words is bits 8*(b % 8) and up of word b // 8
 _WORD = np.dtype("<u8")
-
-
-def _slots(texts, width: int = 0) -> np.ndarray:
-    """(n, w) uint8 rows of the given byte strings, NUL-padded to w >= width."""
-    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), -1)
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -203,42 +199,36 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
     out[:, 4] = after[ei]
 
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        out.view(np.uint8)[slow] = _slots([("%.17g" % v).encode() for v in x[slow].tolist()],
-                                          _FLOAT_WIDTH)
+    out.view(f"S{_FLOAT_WIDTH}")[slow, 0] = [b"%.17g" % v for v in x[slow].tolist()]
 
 
 def _int_slots(col: np.ndarray) -> np.ndarray:
-    """"%d" text of an int column: a sign slot and as many digit slots as
-    the largest magnitude needs, leading zeros as NUL."""
-    neg = col < 0
-    mag = col.astype(np.uint64)
-    mag[neg] = -mag[neg]                     # two's complement: |int64 min| too
-    width = len(str(int(mag.max()))) if mag.size else 1
-    out = np.empty((mag.size, width + 1), np.uint8)
-    out[:, 0] = np.where(neg, ord("-"), 0)
-    r = mag
-    for j in range(width, 0, -1):
+    """"%d" text of a non-negative int column: as many digit slots as the
+    largest value needs, leading zeros as NUL.  A negative int raises
+    ValueError."""
+    if np.any(col < 0):
+        raise ValueError("write_csv: an int column holds a negative value")
+    r = col.astype(np.uint64)
+    width = len(str(int(r.max()))) if r.size else 1
+    out = np.empty((r.size, width), np.uint8)
+    for j in range(width - 1, -1, -1):
         q = r // 10
-        out[:, j] = np.where((r > 0) | (j == width), r - q * 10 + ord("0"), 0)
+        out[:, j] = np.where((r > 0) | (j == width - 1), r - q * 10 + ord("0"), 0)
         r = q
     return out
 
 
 def _text_slots(col: np.ndarray) -> np.ndarray:
-    """"%s" text of any other column, UTF-8 encoded: a str array's code points
-    directly when all are ASCII, else str() of every value.  A NUL in the
-    text would be squeezed out with the padding, so it is refused."""
-    if col.dtype.kind == "U" and col.dtype.itemsize:
-        points = col.view(np.uint32).reshape(col.size, -1)
-        if points.max(initial=0) < 128:
-            pad = points == 0                   # numpy drops trailing NULs
-            if not np.any(pad[:, :-1] & ~pad[:, 1:]):
-                return points.astype(np.uint8)
-    texts = [str(v).encode() for v in col.tolist()]
-    if b"\0" in b"".join(texts):
+    """"%s" text of an ASCII str column: its code points as bytes.  Any other
+    column (object, bool, non-ASCII text, or a NUL inside the text, which
+    would be squeezed out with the padding) raises ValueError."""
+    points = col.view(np.uint32).reshape(col.size, -1) if col.dtype.kind == "U" else None
+    if points is None or points.max(initial=0) >= 128:
+        raise ValueError(f"write_csv: not a column of ASCII str: {col.dtype}")
+    pad = points == 0                           # numpy drops trailing NULs
+    if np.any(pad[:, :-1] & ~pad[:, 1:]):
         raise ValueError("write_csv: a text value contains a NUL character")
-    return _slots(texts)
+    return points.astype(np.uint8)
 
 
 def _float_column(col: np.ndarray, out: np.ndarray) -> None:

@@ -154,17 +154,15 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> np.ndarray:
     return u
 
 
-def _write_rows(path: Path, header: str, blocks) -> None:
-    """Pipeline CSV files: blocks of equal-length columns through fields.write_csv."""
-    fields.write_csv(path, header, blocks)
+_write_rows = fields.write_csv   # pipeline CSV files; its own name for perfbench's tracer
 
 
 def _roots_blocks(sol: InstanceSolution):
-    """roots.csv columns, one block per CSV_BLOCK_ROWS // 3 nodes: a node has
-    at most 3 roots, so a block fills at most one formatted piece, and only
-    one block is gathered at a time."""
+    """roots.csv columns, one block per CSV_BLOCK_ROWS // (roots per node)
+    nodes, so a block fills at most one formatted piece, and only one block
+    is gathered at a time."""
     found = ~np.isnan(sol.roots)
-    step = fields.CSV_BLOCK_ROWS // 3
+    step = fields.CSV_BLOCK_ROWS // sol.roots.shape[1]
     for start in range(0, sol.load.size, step):
         load = sol.load[start:start + step]
         node, k = np.nonzero(found[load])

@@ -238,14 +238,15 @@ def write_csv(path, header: str, blocks) -> None:
     Each block is a list of equal-length columns (blocks may differ in
     length); its rows follow those of the block before.  Callers that hold
     whole columns pass [columns]; a generator of blocks lets the caller
-    build each block only when the previous one is written.  Floats are
-    printed "%.17g", ints "%d" and anything else "%s" (UTF-8; a NUL in the
-    text raises ValueError).  Each block is formatted and written in pieces
-    of at most CSV_BLOCK_ROWS rows, so memory stays bounded by one piece
-    (and the caller's block) whatever the file size.  numpy makes the text
-    of a whole column at once: a float's digits come from an exact scaling,
-    with Python's "%.17g" only for the roundings that scaling cannot prove,
-    and a float column is formatted once per distinct bit pattern.
+    build each block only when the previous one is written.  A column holds
+    floats ("%.17g"), non-negative ints ("%d") or ASCII str ("%s"); any other
+    column, a negative int or a NUL in the text raises ValueError.  Each
+    block is formatted and written in pieces of at most CSV_BLOCK_ROWS rows,
+    so memory stays bounded by one piece (and the caller's block) whatever
+    the file size.  numpy makes the text of a whole column at once: a
+    float's digits come from an exact scaling, with Python's "%.17g" only
+    for the roundings that scaling cannot prove, and a float column is
+    formatted once per distinct bit pattern.
     """
     from . import _csvtext
 
@@ -257,15 +258,13 @@ def write_csv(path, header: str, blocks) -> None:
                 _csvtext.write_piece(fh, [c[start:start + CSV_BLOCK_ROWS] for c in cols])
 
 
+_write_csv = write_csv   # field files; its own name for perfbench's tracer
+
+
 def write_scalar_csv(path, coords: np.ndarray, values: np.ndarray) -> None:
     """x,y,value rows of a nodal field: coords (n, 2), values n entries in
     the same node order (a grid field ravelled row-major by y then x)."""
     _write_csv(path, "x,y,value", [[coords[:, 0], coords[:, 1], np.ravel(values)]])
-
-
-def _write_csv(path, header: str, blocks) -> None:
-    """Field files: blocks of all-float columns through write_csv."""
-    write_csv(path, header, blocks)
 
 
 def format_float(v: float) -> str:

@@ -56,8 +56,8 @@ _CHUNK_ELEMENTS = 1 << 14
 #: energy clustering tolerance for the basin census
 CLUSTER_TOL = 1e-5
 
-#: gradient check: central-difference step and number of sampled free nodes
-FD_STEP = 1e-6
+#: gradient check: difference step in units of half the smallest spacing; sampled free nodes
+FD_STEP = 1e-5
 FD_NODES = 50
 
 
@@ -252,7 +252,7 @@ def _chunks(n: int, shape: tuple[int, ...]):
 
 
 def descend(problem: DiscreteProblem, u0: np.ndarray) -> DescentResult:
-    """Preconditioned Armijo descent from one start (see descend_batch)."""
+    """Preconditioned Armijo descent from one start (see descend_batch); for tests and perfbench."""
     r = descend_batch(problem, np.asarray(u0, dtype=float)[None])
     return DescentResult(r.u[0], float(r.energy[0]), int(r.iterations[0]), bool(r.converged[0]))
 
@@ -437,18 +437,19 @@ def minimize_multistart(problem: DiscreteProblem, options: OracleOptions) -> Min
 
 def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> float:
     """Max relative error between the analytic gradient and central differences
-    of step FD_STEP over up to FD_NODES randomly chosen free nodes; nan when
-    no node could be compared (every perturbed energy is +inf: u lies outside
-    the domain)."""
+    of step FD_STEP * 0.5 * min(problem.spacings) over up to FD_NODES randomly
+    chosen free nodes; nan when no node could be compared (every perturbed
+    energy is +inf: u lies outside the domain)."""
     u = np.array(u, dtype=float)
     u[problem.fixed] = 0.0
     g = problem.gradient(u[None])[0]
     free = np.argwhere(~problem.fixed)
     rng = np.random.default_rng(seed)
     pick = free[rng.permutation(len(free))[: min(FD_NODES, len(free))]]
-    # copies k < len(pick) move node pick[k] up by FD_STEP, the rest node pick[k - len(pick)] down
+    # copies k < len(pick) move node pick[k] up by step, the rest node pick[k - len(pick)] down
+    step = FD_STEP * 0.5 * min(problem.spacings)
     nodes = np.concatenate([pick, pick])
-    shift = np.repeat([FD_STEP, -FD_STEP], len(pick))
+    shift = np.repeat([step, -step], len(pick))
     e = np.empty(len(nodes))
     for sl in _chunks(len(nodes), problem.shape):
         block = np.repeat(u[None], sl.stop - sl.start, axis=0)
@@ -456,7 +457,7 @@ def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> fl
         e[sl] = problem.energy_value(block)
     at = tuple(pick.T)
     with np.errstate(invalid="ignore"):  # inf - inf where u is outside the domain
-        fd = (e[:len(pick)] - e[len(pick):]) / (2.0 * FD_STEP)
+        fd = (e[:len(pick)] - e[len(pick):]) / (2.0 * step)
         err = np.abs(fd - g[at]) / np.maximum(1.0, np.abs(g[at]))
     return float(np.fmax.reduce(err, initial=np.nan))  # fmax skips nan: nodes not compared
 

@@ -2,10 +2,12 @@
 
 `perfbench/tracing.py` swaps timing wrappers into module attributes by name
 with a bare getattr, so a deleted or renamed target crashes every traced
-benchmark run.  `perfbench/gate.py` passes a `verify` step only if its last
-stdout line matches `_VERIFY_OK`.  `perfbench/workloads.py` builds the
-command line of every step, so a deleted or renamed CLI flag fails every run
-of that workload.  These tests keep all three in step with the library.
+benchmark run, and a caller that no longer looks a target up by that name
+silently empties its per-layer metric.  `perfbench/gate.py` passes a
+`verify` step only if its last stdout line matches `_VERIFY_OK`.
+`perfbench/workloads.py` builds the command line of every step, so a deleted
+or renamed CLI flag fails every run of that workload.  These tests keep all
+three in step with the library.
 """
 import importlib
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from triality.cli import _build_parser
+from triality.cli import _build_parser, main
 
 from conftest import shipped_verify
 
@@ -36,6 +38,31 @@ def test_tracer_targets_resolve_to_callables():
     for modname, attr, _, _ in targets:
         fn = getattr(importlib.import_module(modname), attr, None)
         assert callable(fn), f"{modname}.{attr} is not a callable"
+
+
+def test_tracer_targets_are_called_by_the_pipelines(tmp_path, monkeypatch, capsys):
+    # oracle.descend is off verify's path, which descends all starts at once
+    # (descend_batch); the run record of ROADMAP item 9 deletes it
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for modname, attr, _, _ in _load("tracing").TARGETS:
+        mod = importlib.import_module(modname)
+        calls[modname, attr] = 0
+        monkeypatch.setattr(mod, attr, counting((modname, attr), getattr(mod, attr)))
+    for name in ("log_1d_sub.cfg", "log_rect_const.cfg"):
+        assert main(["solve", str(CONFIGS / name), "--out", str(tmp_path / name)]) == 0
+        assert main(["verify", str(CONFIGS / name)]) == 0
+    assert main(["sweep", str(CONFIGS / "log_1d_sub.cfg"), "--out", str(tmp_path / "sweep"),
+                 "--tau-min", "0", "--tau-max", "1.1", "--steps", "50"]) == 0
+    capsys.readouterr()
+    del calls["triality.oracle", "descend"]
+    assert [key for key, n in calls.items() if n == 0] == []
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)

@@ -148,12 +148,12 @@ GOLDEN_FOLD = {
 
 #: SHA-256 of the stdout of `verify` per shipped config (every one exits 0)
 GOLDEN_VERIFY = {
-    "doublewell_1d": "b1bcac34b903f1c07ec5f10b3b9f455b6906d1d37d8522ca6e04e3f6c03d53d4",
-    "doublewell_1d_sub": "476165c75323f379cb684a9a6fb4515d34fff165246b7a4d632a6b32f66dc3e2",
-    "doublewell_rect_stream": "203f50862af5f9411c11ef144ded263b86b161125b440a66fb356999be7e1224",
-    "log_1d_sub": "2dbcc0cd7313f2a02abe1a884ccf3bb8ee28ed254ed512ed634d92b30d82fa84",
-    "log_1d_super": "356472dc2bf69abb1e5e4842cd29398303c7fcb3bee57eadaf68ebdc07685dfb",
-    "log_rect_const": "1160ffa948966804eb45d5a5a004db9d7c29f58abc2c1274f0afbe777d77c6c2",
+    "doublewell_1d": "1304de117ef2960845ce9c5db1dee27a8311e14044c8033b51b79c18b39b1740",
+    "doublewell_1d_sub": "cf53cf13ae1d212e3c3530a5f613073c793fc4193e7bf33938ceca182ff6d16e",
+    "doublewell_rect_stream": "ecaa1f0d464982b77d444587d0e844609d0c1b484f1fe0276108f9a3bab3e759",
+    "log_1d_sub": "811560238ccf957771e1ef49c5ea75ce6e994d0d33ac375bc065dfcfc3460d22",
+    "log_1d_super": "d64e3dbd7182818b3628e57ea470e5c3900521d4276418f5a2caa05ed465d13e",
+    "log_rect_const": "bad3eb0fde9226d638c31c7d62d763bea5a5c1880bab6a1f86b14cacb3498a47",
 }
 
 

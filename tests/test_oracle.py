@@ -399,21 +399,35 @@ def test_precondition_on_a_long_interval_is_the_double_cumulative_sum(fixed_end)
     assert np.max(np.abs(d - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_thin_rectangle_oracle_finds_the_dual_minimum(tmp_path):
-    # ly = 1e-9: the axes' stiffness coefficients hy/hx and hx/hy differ by a
-    # factor of 1e18; the descent still reaches Pi_d(zeta_1), with no warning
+def _thin_rectangle(tmp_path) -> Path:
+    """log_rect_const.cfg on a 5x5 grid with ly = 1e-9."""
     text = (CONFIGS / "log_rect_const.cfg").read_text(encoding="utf-8")
     for key, value in (("nx", "5"), ("ny", "5"), ("ly", "1e-9")):
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
     cfg = tmp_path / "thin.cfg"
     cfg.write_text(text, encoding="utf-8")
-    spec = parse_config(cfg)
+    return cfg
+
+
+def test_thin_rectangle_oracle_finds_the_dual_minimum(tmp_path):
+    # ly = 1e-9: the axes' stiffness coefficients hy/hx and hx/hy differ by a
+    # factor of 1e18; the descent still reaches Pi_d(zeta_1), with no warning
+    spec = parse_config(_thin_rectangle(tmp_path))
     pd1 = cli.branch_energy_report(cli.solve_instance(spec), 0).dual
     assert abs(pd1 - -4.99836103e-10) <= 1e-18
     res = multistart(spec)
     assert res.converged_fraction == 1.0
     assert abs(res.energy - pd1) <= cli.ORACLE_TOL
     assert abs(res.energy - pd1) <= 1e-8 * abs(pd1)
+
+
+def test_thin_rectangle_verify_passes(tmp_path, capsys):
+    # the gradient check's step scales with the grid: a fixed step of 1e-6,
+    # 8000 times the check point's scale hy/2, read a relative error of 9.6
+    assert cli.main(["verify", str(_thin_rectangle(tmp_path))]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"(?m)^\[verify\] PASS gradient check: max relative error = ", out)
+    assert out.splitlines()[-1] == "[verify] OK: 6/6 checks passed"
 
 
 def test_multistart_draws_starts_inside_the_domain(log11):
@@ -485,12 +499,13 @@ def test_gradient_check_matches_node_by_node_differences(rng, monkeypatch):
     g = prob.gradient(u[None])[0]
     free = np.argwhere(~prob.fixed)
     pick = free[np.random.default_rng(3).permutation(len(free))[:20]]
+    step = oracle.FD_STEP * 0.5 * min(prob.spacings)
     want = 0.0
     for idx in map(tuple, pick):
         up, um = u.copy(), u.copy()
-        up[idx] += 1e-6
-        um[idx] -= 1e-6
-        fd = (prob.energy_value(up[None])[0] - prob.energy_value(um[None])[0]) / 2e-6
+        up[idx] += step
+        um[idx] -= step
+        fd = (prob.energy_value(up[None])[0] - prob.energy_value(um[None])[0]) / (2.0 * step)
         want = max(want, abs(fd - g[idx]) / max(1.0, abs(g[idx])))
     monkeypatch.setattr(oracle, "FD_NODES", 20)
     assert gradient_check(prob, u, seed=3) == want
