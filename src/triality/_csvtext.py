@@ -9,10 +9,12 @@ A float's digits come from a double-double scaling by 10^(16-e)
 and its text from the %g rule as operations on little-endian words
 (_float_words).  The scaling proves its own rounding; every float it does
 not prove goes through Python's own "%.17g" (the scheme of Loitsch, PLDI
-2010): nan, +-inf, +-0, magnitudes outside [1e-280, 1e280], values just
-below a power of ten and inexact near-ties.  Ints get their decimal
-digits and ASCII str arrays their code points.  fields.write_csv, the one
-CSV writer, imports this module on its first call.
+2010), once per distinct bit pattern: nan, +-inf, +-0, magnitudes outside
+[1e-280, 1e280], values just below a power of ten and inexact near-ties.
+Ints get their decimal digits and ASCII str arrays their code points.  A
+(table, index) column of a small float table takes its text words from the
+table's, made once (table_column).  fields.write_csv, the one CSV writer,
+imports this module on its first call.
 """
 from __future__ import annotations
 
@@ -161,19 +163,22 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
     else as d.ddd and e+XX (at least two exponent digits); either way the
     trailing zeros of the fraction, and a bare point, are dropped.  The
     words hold the sign and "0.000" prefix, three words of digits and point,
-    and the exponent.  nan, +-inf, +-0, values outside the fast range and
-    those whose rounding _significands cannot prove are formatted by Python.
+    and the exponent.  Only the values in the fast range get digits made;
+    nan, +-inf, +-0, values outside that range and those whose rounding
+    _significands cannot prove are formatted by Python, each distinct bit
+    pattern once (so -0.0 stays apart from 0.0).
     """
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    n, e, unproved = _significands(np.where(fast, a, 1.0))
-    fast[unproved] = False
+    at = np.flatnonzero(fast)
+    rows = slice(None) if at.size == x.size else at     # a view when every value is fast
+    n, e, unproved = _significands(a[rows])
 
     # 4-digit groups of n, least significant first, and its trailing zeros
     chars, zeros = _digit_groups()
     group = [None] * 5
-    trailing = np.zeros(x.size, np.int64)
-    running = np.ones(x.size, bool)             # every group so far is 0000
+    trailing = np.zeros(n.size, np.int64)
+    running = np.ones(n.size, bool)             # every group so far is 0000
     for j in range(4, 0, -1):
         q = n // 10_000
         r = n - q * 10_000
@@ -189,17 +194,21 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
     layout = whole * 18 + np.maximum(17 - trailing, whole)
     masks = _body_masks()
 
-    out[:, 0] = before[ei] | np.where(x < 0, _WORD.type(ord("-")), 0)
+    out[rows, 0] = before[ei] | np.where(x[rows] < 0, _WORD.type(ord("-")), 0)
     carry = 0
     for k, w in enumerate(digits):
         shifted = w << 8 | carry                # digit bytes one place up
         carry = w >> 56
-        out[:, 1 + k] = ((w & masks[k].take(layout)) | (shifted & masks[3 + k].take(layout))
-                         | masks[6 + k].take(layout))
-    out[:, 4] = after[ei]
+        out[rows, 1 + k] = ((w & masks[k].take(layout)) | (shifted & masks[3 + k].take(layout))
+                            | masks[6 + k].take(layout))
+    out[rows, 4] = after[ei]
 
+    fast[at[unproved]] = False
     slow = np.flatnonzero(~fast)
-    out.view(f"S{_FLOAT_WIDTH}")[slow, 0] = [b"%.17g" % v for v in x[slow].tolist()]
+    if slow.size:
+        bits, inverse = np.unique(x[slow].view(np.int64), return_inverse=True)
+        text = np.array([b"%.17g" % v for v in bits.view(np.float64).tolist()], f"S{_FLOAT_WIDTH}")
+        out.view(f"S{_FLOAT_WIDTH}")[slow, 0] = text[inverse]
 
 
 def _int_slots(col: np.ndarray) -> np.ndarray:
@@ -231,32 +240,56 @@ def _text_slots(col: np.ndarray) -> np.ndarray:
     return points.astype(np.uint8)
 
 
-def _float_column(col: np.ndarray, out: np.ndarray) -> None:
-    """_float_words of a float column, each distinct bit pattern formatted
-    once (so -0.0 stays apart from 0.0)."""
-    x = col.astype(np.float64, copy=False)
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    if bits.size == x.size:
-        _float_words(x, out)
-    else:
-        words = np.empty((bits.size, out.shape[1]), _WORD)
-        _float_words(bits.view(np.float64), words)
-        np.take(words, inverse, axis=0, out=out, mode="clip")   # unbuffered: all in range
+def table_column(table, index, words: dict, key, small: int):
+    """A (table, index) column of write_csv as write_piece takes it: the
+    table's text words and the index, for a float table of at most `small`
+    values, else the table and the index, gathered a piece at a time.  The
+    words dict holds the text of the last small table seen under key, so a
+    table passed again (the same object) is not formatted again.  An index
+    that is not a 1-D integer array inside the table raises ValueError."""
+    values, index = np.asarray(table), np.asarray(index)
+    if (values.ndim != 1 or index.ndim != 1 or index.dtype.kind not in "iu"
+            or index.size and (index.min() < 0 or index.max() >= values.size)):
+        raise ValueError("write_csv: a table index must be a 1-D integer array inside its 1-D table")
+    if values.dtype.kind != "f" or values.size > small:
+        return values, index
+    if words.get(key, (None,))[0] is not table:
+        text = np.empty((values.size, _FLOAT_WIDTH // 8), _WORD)
+        _float_words(values.astype(np.float64, copy=False), text)
+        words[key] = table, text
+    return words[key][1], index
 
 
-def write_piece(fh, cols: list[np.ndarray]) -> None:
-    """Write the CSV lines of equal-length columns.  Each column fills a run
-    of words of one matrix row per line, its separator in the run's last
-    byte; the matrix's bytes with the NULs squeezed out are the lines."""
-    slots = [None if c.dtype.kind == "f" else _int_slots(c) if c.dtype.kind in "iu"
-             else _text_slots(c) for c in cols]
+def piece(col, rows: slice):
+    """The rows of a write_csv column (an array, or a pair from table_column)
+    that one piece writes: an array, or a pair (text words, index)."""
+    if not isinstance(col, tuple):
+        return col[rows]
+    source, index = col
+    return (source, index[rows]) if source.ndim == 2 else source[index[rows]]
+
+
+def length(col) -> int:
+    """Row count of a write_csv column, an array or a pair."""
+    return len(col[1] if isinstance(col, tuple) else col)
+
+
+def write_piece(fh, cols: list) -> None:
+    """Write the CSV lines of equal-length columns, each an array or a pair
+    (text words, index) from piece().  Each column fills a run of words of
+    one matrix row per line, its separator in the run's last byte; the
+    matrix's bytes with the NULs squeezed out are the lines."""
+    slots = [None if isinstance(c, tuple) or c.dtype.kind == "f" else _int_slots(c)
+             if c.dtype.kind in "iu" else _text_slots(c) for c in cols]
     words = [_FLOAT_WIDTH // 8 if sl is None else sl.shape[1] // 8 + 1 for sl in slots]
-    rows = np.zeros((len(cols[0]), sum(words)), _WORD)
+    rows = np.zeros((length(cols[0]), sum(words)), _WORD)
     text = rows.view(np.uint8)
     at = 0
     for c, sl, k in zip(cols, slots, words):
-        if sl is None:
-            _float_column(c, rows[:, at:at + k])
+        if isinstance(c, tuple):    # unbuffered: table_column checked the index
+            np.take(c[0], c[1], axis=0, out=rows[:, at:at + k], mode="clip")
+        elif sl is None:
+            _float_words(c.astype(np.float64, copy=False), rows[:, at:at + k])
         else:
             text[:, 8 * at:8 * at + sl.shape[1]] = sl
         at += k

@@ -66,11 +66,11 @@ class InstanceSolution:
 
     A node's roots, residuals and labels depend on it only through its
     tau^2, so they are held once per distinct load: loads are the distinct
-    tau^2 values, ascending, and node i has tau^2 = loads[load[i]].
+    tau^2 values, ascending, and node i has tau^2 = loads[load[i]].  Node
+    coordinates are not held: _node_axes gives them as the grid's axes.
     """
 
     spec: ProblemSpec
-    coords: np.ndarray      # (n, 2), y = 0 for intervals
     tau: np.ndarray         # (n, d)
     weights: np.ndarray     # (n,) quadrature weights
     loads: np.ndarray       # (m,) distinct tau^2, ascending
@@ -89,14 +89,11 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
     if spec.dim == 1:
         x = spec.geometry.x
         tau = build_tau_interval(spec)[:, None]
-        coords = np.column_stack([x, np.zeros_like(x)])
         weights = energies.trapezoid_weights_interval(x.size, float(x[1] - x[0]))
     else:
         grid = spec.geometry
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             tau = build_tau_grid(spec).reshape(-1, 2)
-        X, Y = grid.coords()
-        coords = np.column_stack([X.ravel(), Y.ravel()])
         weights = energies.trapezoid_weights_grid(grid).ravel()
     with np.errstate(over="ignore"):
         tau_sq = np.sum(tau * tau, axis=-1)
@@ -107,7 +104,7 @@ def solve_instance(spec: ProblemSpec) -> InstanceSolution:
     loads, load = np.unique(tau_sq, return_inverse=True)
     roots, resid, degenerate, counts = dualsolve.solve_roots_array(spec.energy, spec.measure, loads)
     labels = dualsolve.label_array(spec.energy, spec.measure, roots, degenerate, spec.dim)
-    return InstanceSolution(spec, coords, tau, weights, loads, load,
+    return InstanceSolution(spec, tau, weights, loads, load,
                             roots, resid, counts, labels)
 
 
@@ -157,19 +154,37 @@ def reconstruct_branch(sol: InstanceSolution, k: int) -> np.ndarray:
 _write_rows = fields.write_csv   # pipeline CSV files; its own name for perfbench's tracer
 
 
+def _node_axes(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) axes of the nodes: node i sits at x[i % x.size], y[i // x.size]
+    (row-major by y then x); y is [0] on an interval."""
+    if spec.dim == 1:
+        return spec.geometry.x, np.zeros(1)
+    return spec.geometry.x, spec.geometry.y
+
+
+def _node_columns(x: np.ndarray, y: np.ndarray, node: np.ndarray) -> list:
+    """x and y of the given nodes as write_csv (axis, index) columns."""
+    iy, ix = np.divmod(node, x.size)
+    return [(x, ix), (y, iy)]
+
+
 def _roots_blocks(sol: InstanceSolution):
     """roots.csv columns, one block per CSV_BLOCK_ROWS // (roots per node)
     nodes, so a block fills at most one formatted piece, and only one block
-    is gathered at a time."""
+    is gathered at a time.  Every float column is a (table, index) pair
+    into the grid axes or the per-load arrays."""
+    x, y = _node_axes(sol.spec)
+    slots = sol.roots.shape[1]
+    roots, residuals = sol.roots.ravel(), sol.residuals.ravel()
     found = ~np.isnan(sol.roots)
-    step = fields.CSV_BLOCK_ROWS // sol.roots.shape[1]
+    step = fields.CSV_BLOCK_ROWS // slots
     for start in range(0, sol.load.size, step):
         load = sol.load[start:start + step]
         node, k = np.nonzero(found[load])
         at = load[node]
-        node += start
-        yield [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
-               sol.roots[at, k], sol.residuals[at, k], _LABEL_NAMES[sol.labels[at, k]]]
+        slot = at * slots + k
+        yield [*_node_columns(x, y, node + start), (sol.loads, at), k + 1,
+               (roots, slot), (residuals, slot), _LABEL_NAMES[sol.labels[at, k]]]
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
@@ -224,7 +239,8 @@ def run_solve(spec: ProblemSpec, outdir: Path) -> int:
         try:
             u = reconstruct_branch(sol, k)
             fname = f"fields_u_{k + 1}.csv"
-            fields.write_scalar_csv(outdir / fname, sol.coords, u)
+            fields.write_scalar_csv(outdir / fname,
+                                    *_node_columns(*_node_axes(spec), np.arange(u.size)), u)
             lines.append(f"branch {k + 1}: displacement written to {fname}")
         except (NonIntegrableFieldError, SingularDualError) as exc:
             lines.append(f"branch {k + 1}: reconstruction skipped ({exc})")

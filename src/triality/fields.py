@@ -240,31 +240,43 @@ def write_csv(path, header: str, blocks) -> None:
     whole columns pass [columns]; a generator of blocks lets the caller
     build each block only when the previous one is written.  A column holds
     floats ("%.17g"), non-negative ints ("%d") or ASCII str ("%s"); any other
-    column, a negative int or a NUL in the text raises ValueError.  Each
+    column, a negative int or a NUL in the text raises ValueError.  A column
+    may also be a pair (table, index) of 1-D arrays, whose rows are
+    table[index]: a float table of at most CSV_BLOCK_ROWS values is formatted
+    once per file (while each block passes the same, unchanged table object
+    in that column) and each piece gathers its text; a larger table is
+    gathered a piece at a time.  An index outside its table or not of
+    integers raises ValueError, as do columns of different lengths.  Each
     block is formatted and written in pieces of at most CSV_BLOCK_ROWS rows,
-    so memory stays bounded by one piece (and the caller's block) whatever
-    the file size.  numpy makes the text of a whole column at once: a
-    float's digits come from an exact scaling, with Python's "%.17g" only
-    for the roundings that scaling cannot prove, and a float column is
-    formatted once per distinct bit pattern.
+    so memory stays bounded by one piece, the small tables' text (at most
+    160 KB each) and the caller's block, whatever the file size.  numpy
+    makes the text of a whole column at once: a float's digits come from an
+    exact scaling, with Python's "%.17g" only for the roundings that scaling
+    cannot prove, once per distinct bit pattern.
     """
     from . import _csvtext
 
+    words = {}     # by column position: its small table and the table's text
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
         for columns in blocks:
-            cols = [np.asarray(c) for c in columns]
-            for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-                _csvtext.write_piece(fh, [c[start:start + CSV_BLOCK_ROWS] for c in cols])
+            cols = [_csvtext.table_column(*c, words, j, CSV_BLOCK_ROWS) if isinstance(c, tuple)
+                    else np.asarray(c) for j, c in enumerate(columns)]
+            if len({_csvtext.length(c) for c in cols}) > 1:
+                raise ValueError("write_csv: the columns of a block differ in length")
+            for start in range(0, _csvtext.length(cols[0]), CSV_BLOCK_ROWS):
+                rows = slice(start, start + CSV_BLOCK_ROWS)
+                _csvtext.write_piece(fh, [_csvtext.piece(c, rows) for c in cols])
 
 
 _write_csv = write_csv   # field files; its own name for perfbench's tracer
 
 
-def write_scalar_csv(path, coords: np.ndarray, values: np.ndarray) -> None:
-    """x,y,value rows of a nodal field: coords (n, 2), values n entries in
-    the same node order (a grid field ravelled row-major by y then x)."""
-    _write_csv(path, "x,y,value", [[coords[:, 0], coords[:, 1], np.ravel(values)]])
+def write_scalar_csv(path, x, y, values: np.ndarray) -> None:
+    """x,y,value rows of a nodal field: x and y write_csv columns of n rows,
+    such as (grid axis, node index) pairs, and values n entries in the same
+    node order (a grid field ravelled row-major by y then x)."""
+    _write_csv(path, "x,y,value", [[x, y, np.ravel(values)]])
 
 
 def format_float(v: float) -> str:

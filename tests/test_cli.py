@@ -110,12 +110,14 @@ def test_solve_byte_identical_reruns(tmp_path):
 
 
 def _roots_reference(sol) -> str:
-    """roots.csv through the full-length gather: every (node, slot) row at once."""
+    """roots.csv through the full-length gather: every (node, slot) row at once,
+    the coordinates from the grid's own meshgrid."""
     node, k = np.nonzero(~np.isnan(sol.roots)[sol.load])
     at = sol.load[node]
+    X, Y = sol.spec.geometry.coords()
     labels = np.array([str(TrialityLabel(lab)) for lab in sol.labels[at, k]], dtype=object)
     return reference_csv("x,y,tau_sq,k,zeta,residual,label",
-                         [sol.coords[node, 0], sol.coords[node, 1], sol.loads[at], k + 1,
+                         [X.ravel()[node], Y.ravel()[node], sol.loads[at], k + 1,
                           sol.roots[at, k], sol.residuals[at, k], labels])
 
 
@@ -148,13 +150,16 @@ def test_multi_block_roots_csv_bytes(tmp_path, name, edit):
     assert (tmp_path / "o" / "roots.csv").read_bytes() == _roots_reference(sol).encode("utf-8")
 
 
-def test_write_roots_csv_memory_does_not_grow_with_the_grid(tmp_path):
-    """The traced peak of write_roots_csv on a stream rectangle with 3x the
-    nodes differs from that of the smaller one by less than one block of
+@pytest.mark.parametrize("name,edits", [("doublewell_rect_stream.cfg", ()),
+                                        ("log_rect_const.cfg", (("tau_x = 0.8", "tau_x = 0.3"),))],
+                         ids=["stream", "constant-load"])
+def test_write_roots_csv_memory_does_not_grow_with_the_grid(tmp_path, name, edits):
+    """The traced peak of write_roots_csv on a rectangle with 3x the nodes
+    differs from that of the smaller one by less than one block of
     formatted text."""
     peaks = {}
     for n in (71, 123):
-        sol = solve_instance(parse_config(_resized(tmp_path, "doublewell_rect_stream.cfg", n)))
+        sol = solve_instance(parse_config(_resized(tmp_path, name, n, *edits)))
         path = tmp_path / f"roots{n}.csv"
         tracemalloc.start()
         write_roots_csv(sol, path)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triality import (
@@ -222,7 +222,7 @@ def test_csv_round_trip(tmp_path, rng):
     g = unit_grid(5)
     vals = rng.standard_normal(g.shape)
     X, Y = g.coords()
-    write_scalar_csv(tmp_path / "s.csv", np.column_stack([X.ravel(), Y.ravel()]), vals)
+    write_scalar_csv(tmp_path / "s.csv", X.ravel(), Y.ravel(), vals)
     header, data = read_csv(tmp_path / "s.csv")
     assert header == ["x", "y", "value"]
     assert data.shape == (g.nx * g.ny, 3)
@@ -240,7 +240,17 @@ SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf,
                   5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
 
 
+#: (table, index) kinds of write_csv column by table size: one value, one
+#: piece's worth (formatted once per file) and one more (gathered per piece)
+TABLE_SIZES = {"table-1": 1, "table-block": CSV_BLOCK_ROWS, "table-block+1": CSV_BLOCK_ROWS + 1}
+
+
 def _column(kind, n, pool, rng):
+    if kind in TABLE_SIZES:     # repeated pool values, both zeros and distinct ones
+        values = np.concatenate([pool, [0.0, -0.0], rng.standard_normal(TABLE_SIZES[kind])])
+        with np.errstate(over="ignore"):
+            table = rng.choice(values, TABLE_SIZES[kind]).astype(rng.choice([np.float64, np.float32]))
+        return table, rng.integers(0, table.size, n)    # repeated and unsorted
     if kind == "repeats":
         return np.asarray(pool, dtype=np.float64)[rng.integers(0, len(pool), n)]
     if kind == "distinct":
@@ -254,13 +264,27 @@ def _column(kind, n, pool, rng):
     return np.array(["local_min", "local_max", "saddle", "mixed"])[rng.integers(0, 4, n)]  # str
 
 
+def _rows(column, rows, reverse=False):
+    """The rows of a write_csv column: an array, or a (table, index) pair,
+    whose table comes reversed (another object, in another order) on
+    request."""
+    if not isinstance(column, tuple):
+        return column[rows]
+    table, index = column
+    return (table[::-1], table.size - 1 - index[rows]) if reverse else (table, index[rows])
+
+
 def _assert_same_bytes(path, header, columns, cut=0):
     """The columns as one block, and split into two blocks at row cut, both
-    give the reference bytes."""
-    want = reference_csv(header, columns).encode("utf-8")
+    give the reference bytes of table[index] for a (table, index) column.
+    The second block's tables are reversed copies, so text kept from the
+    first block's tables would show."""
+    want = reference_csv(header, [c[0][c[1]] if isinstance(c, tuple) else c
+                                  for c in columns]).encode("utf-8")
     write_csv(path, header, [columns])
     assert path.read_bytes() == want
-    write_csv(path, header, [[c[:cut] for c in columns], [c[cut:] for c in columns]])
+    write_csv(path, header, [[_rows(c, slice(cut)) for c in columns],
+                             [_rows(c, slice(cut, None), reverse=True) for c in columns]])
     assert path.read_bytes() == want
 
 
@@ -273,9 +297,12 @@ def test_write_csv_special_values_share_a_block(tmp_path):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@example(n=CSV_BLOCK_ROWS + 1, kinds=["table-block", "table-block+1", "table-1"], drawn=[],
+         seed=3, split=0.5)
+@example(n=CSV_BLOCK_ROWS, kinds=["table-block+1", "table-block"], drawn=[], seed=4, split=0.0)
 @given(n=st.sampled_from([0, 1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
-       kinds=st.lists(st.sampled_from(["repeats", "distinct", "float32", "int", "str"]),
-                      min_size=1, max_size=4),
+       kinds=st.lists(st.sampled_from(["repeats", "distinct", "float32", "int", "str",
+                                       *TABLE_SIZES]), min_size=1, max_size=4),
        drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
        seed=st.integers(0, 2 ** 32 - 1), split=st.floats(0.0, 1.0))
 def test_write_csv_matches_the_per_row_reference(tmp_path_factory, n, kinds, drawn, seed, split):
@@ -288,16 +315,22 @@ def test_write_csv_matches_the_per_row_reference(tmp_path_factory, n, kinds, dra
 
 def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
     """The traced peak of a 60k-row write exceeds that of a 20k-row write by
-    less than one block of formatted text, with and without repeated values."""
+    less than one block of formatted text, with and without repeated values,
+    and with (table, index) columns of a small table and of one larger than
+    a piece."""
     rng = np.random.default_rng(7)
-    for repeats in (True, False):
+    small, large = rng.standard_normal(121), rng.standard_normal(3 * CSV_BLOCK_ROWS)
+    for case in ("repeats", "distinct", "tables"):
         peaks = {}
         for n in (20_000, 60_000):
-            if repeats:
+            if case == "repeats":
                 cols = [np.tile(np.linspace(0.0, 1.0, 121), n // 121 + 1)[:n],
                         np.repeat(np.linspace(0.0, 1.0, 121), n // 121 + 1)[:n], np.full(n, 0.18)]
-            else:
+            elif case == "distinct":
                 cols = [rng.standard_normal(n) for _ in range(3)]
+            else:
+                cols = [(small, rng.integers(0, small.size, n)),
+                        (large, rng.integers(0, large.size, n)), rng.standard_normal(n)]
             path = tmp_path / f"m{n}.csv"
             tracemalloc.start()
             write_csv(path, "a,b,c", [cols])
@@ -307,7 +340,7 @@ def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
                 lines = fh.readlines()
             assert len(lines) == n + 1
         block_text = sum(map(len, lines[1:CSV_BLOCK_ROWS + 1]))
-        assert abs(peaks[60_000] - peaks[20_000]) < block_text, (repeats, peaks, block_text)
+        assert abs(peaks[60_000] - peaks[20_000]) < block_text, (case, peaks, block_text)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +396,21 @@ def test_fast_path_proves_nearly_every_rounding():
     assert unproved.size <= 1e-3 * a.size
 
 
+_TABLE = np.arange(3.0)
+
+
 @pytest.mark.parametrize("column", [np.array(["ok", "a"], dtype=object), np.array(["ok", "é"]),
                                     np.array(["ok", "a\0b"]), np.array([0, -1]),
-                                    np.array([True, False])],
-                         ids=["object", "non-ascii", "nul", "negative-int", "bool"])
+                                    np.array([True, False]), np.arange(3.0),
+                                    (_TABLE, np.array([0, -1])), (_TABLE, np.array([0, 3])),
+                                    (np.arange(CSV_BLOCK_ROWS + 1.0), np.array([0, CSV_BLOCK_ROWS + 1])),
+                                    (_TABLE, np.array([0.0, 1.0])), (_TABLE, np.array([0, 1, 2]))],
+                         ids=["object", "non-ascii", "nul", "negative-int", "bool", "length",
+                              "index-negative", "index-past-table", "index-past-large-table",
+                              "index-float", "index-length"])
 def test_write_csv_refuses_other_columns(tmp_path, column):
-    # the writer takes float, non-negative int and ASCII str columns only
+    # the writer takes float, non-negative int and ASCII str columns, and
+    # (table, index) columns whose index is of integers inside the table, all
+    # of one length
     with pytest.raises(ValueError, match="write_csv"):
         write_csv(tmp_path / "t.csv", "t", [[np.arange(2.0), column]])
