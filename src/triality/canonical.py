@@ -17,8 +17,7 @@ gives the log model's closed forms (the critical points of its dual curve).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -29,29 +28,24 @@ from .errors import DomainError
 TOL = 1e-12
 
 
-def _as_floats(obj, *names):
-    """Store the named fields of a frozen dataclass as floats: an int constant
-    would make int arrays (and truncated brackets) downstream."""
-    for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
-
-
-@dataclass(frozen=True)
-class QuadraticEnergy:
+class QuadraticEnergy(NamedTuple("QuadraticEnergy", [("alpha", float)])):
     """V(xi) = alpha*xi^2/2, defined on all of R.
 
     The array methods evaluate the formulas on scalars or arrays, without a
-    domain test (see closed_V).
+    domain test (see closed_V).  The energies and the measure, like every
+    record of the package, are NamedTuples; these three store their
+    constants as floats, since an int constant would make int arrays (and
+    truncated brackets) downstream.
     """
 
-    alpha: float = 1.0
-
+    __slots__ = ()
     xi_min = -math.inf  # the xi domain is the open interval (xi_min, inf)
 
-    def __post_init__(self):
-        _as_floats(self, "alpha")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be a positive finite number, got {self.alpha}")
+    def __new__(cls, alpha: float = 1.0):
+        alpha = float(alpha)
+        if not (alpha > 0.0 and math.isfinite(alpha)):
+            raise DomainError(f"alpha must be a positive finite number, got {alpha}")
+        return super().__new__(cls, alpha)
 
     def V(self, xi):
         return 0.5 * self.alpha * xi * xi
@@ -69,25 +63,22 @@ class QuadraticEnergy:
         return np.full_like(zeta, 1.0 / self.alpha)
 
 
-@dataclass(frozen=True)
-class LogNeoHookeanEnergy:
+class LogNeoHookeanEnergy(NamedTuple("LogNeoHookeanEnergy", [("c1", float), ("c2", float)])):
     """V(xi) = c1*xi + c2*xi*log(xi), defined on xi > 0.
 
     Array methods as for QuadraticEnergy.
     """
 
-    c1: float = 1.0
-    c2: float = 1.0
-
+    __slots__ = ()
     xi_min = 0.0
     V_floor = 0.0  # the limit of V at xi_min (xi*log(xi) -> 0)
 
-    def __post_init__(self):
-        _as_floats(self, "c1", "c2")
-        for name in ("c1", "c2"):
-            v = getattr(self, name)
+    def __new__(cls, c1: float = 1.0, c2: float = 1.0):
+        self = super().__new__(cls, float(c1), float(c2))
+        for name, v in zip(self._fields, self):
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be a positive finite material constant, got {v}")
+        return self
 
     def V(self, xi):
         return self.c1 * xi + self.c2 * xi * np.log(xi)
@@ -108,19 +99,18 @@ class LogNeoHookeanEnergy:
 CanonicalEnergy = Union[QuadraticEnergy, LogNeoHookeanEnergy]
 
 
-@dataclass(frozen=True)
-class QuadraticMeasure:
+class QuadraticMeasure(NamedTuple("QuadraticMeasure", [("a", float), ("b", float)])):
     """Lambda(gamma) = a*|gamma|^2 + b with a > 0."""
 
-    a: float = 1.0
-    b: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _as_floats(self, "a", "b")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError(f"measure scale a must be positive and finite, got {self.a}")
-        if not math.isfinite(self.b):
-            raise DomainError(f"measure shift b must be finite, got {self.b}")
+    def __new__(cls, a: float = 1.0, b: float = 0.0):
+        a, b = float(a), float(b)
+        if not (a > 0.0 and math.isfinite(a)):
+            raise DomainError(f"measure scale a must be positive and finite, got {a}")
+        if not math.isfinite(b):
+            raise DomainError(f"measure shift b must be finite, got {b}")
+        return super().__new__(cls, a, b)
 
 
 def closed_V(energy: CanonicalEnergy, m: QuadraticMeasure, xi, slope: bool = False):

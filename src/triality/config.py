@@ -30,9 +30,8 @@ single-valued settings are module constants (``canonical.TOL``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -61,8 +60,7 @@ STREAM_CATALOG: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
-class IntervalGeometry:
+class IntervalGeometry(NamedTuple):
     length: float
     n: int
     fixed_end: str = "left"  # left | right
@@ -76,13 +74,11 @@ class IntervalGeometry:
 Geometry = Union[IntervalGeometry, Grid2]
 
 
-@dataclass(frozen=True)
-class ConstantTau:
+class ConstantTau(NamedTuple):
     vec: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class StreamLoading:
+class StreamLoading(NamedTuple):
     name: str
     scale: float = 1.0
 
@@ -90,14 +86,12 @@ class StreamLoading:
 Loading = Union[ConstantTau, StreamLoading]
 
 
-@dataclass(frozen=True)
-class OracleOptions:
+class OracleOptions(NamedTuple):
     n_starts: int = 50
     seed: int = 1234
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     energy: CanonicalEnergy
     measure: QuadraticMeasure
     geometry: Geometry
@@ -231,9 +225,10 @@ def parse_config(path) -> ProblemSpec:
     else:
         raise ConfigError(f"config key 'loading': expected constant_tau or stream_function, got {load_kind!r}")
 
+    default = OracleOptions()
     oracle = OracleOptions(
-        n_starts=_get_int(kv, "oracle_starts", OracleOptions.n_starts),
-        seed=_get_int(kv, "oracle_seed", OracleOptions.seed),
+        n_starts=_get_int(kv, "oracle_starts", default.n_starts),
+        seed=_get_int(kv, "oracle_seed", default.seed),
     )
     for ok, rule in ((1 <= oracle.n_starts <= MAX_NODES,
                       f"'oracle_starts' must be 1 to {MAX_NODES}"),

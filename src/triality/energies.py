@@ -11,7 +11,7 @@ and is reported, not raised.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .fields import Grid2
 GAP_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Integrated energies of one solution branch and their gap."""
 
     primal: float

@@ -15,7 +15,7 @@ counterpart integrates the same strain along its one axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,9 @@ CURL_RTOL = 1e-6
 _FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class Grid2:
+class Grid2(NamedTuple("Grid2", [("lx", float), ("ly", float), ("nx", int), ("ny", int),
+                                 ("origin", tuple[float, float]),
+                                 ("fixed_edges", frozenset[str])])):
     """Uniform rectangular node grid with Dirichlet/traction edge tags: the
     rectangle geometry of a configured instance.
 
@@ -42,24 +43,23 @@ class Grid2:
     names match the config keys, and the validation messages name them.
     """
 
-    lx: float
-    ly: float
-    nx: int
-    ny: int
-    origin: tuple[float, float] = (0.0, 0.0)
-    fixed_edges: frozenset[str] = field(default_factory=lambda: frozenset({"left"}))
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"nx, ny: need at least 2 nodes per direction, got {self.nx}x{self.ny}")
+    def __new__(cls, lx: float, ly: float, nx: int, ny: int,
+                origin: tuple[float, float] = (0.0, 0.0),
+                fixed_edges: frozenset[str] = frozenset({"left"})):
+        self = super().__new__(cls, lx, ly, nx, ny, origin, fixed_edges)
+        if nx < 2 or ny < 2:
+            raise ValueError(f"nx, ny: need at least 2 nodes per direction, got {nx}x{ny}")
         if not (self.hx > 0.0 and self.hy > 0.0):
             raise ValueError(f"lx, ly: extents must be positive, with nonzero node spacings, "
-                             f"got lx={self.lx}, ly={self.ly}")
-        bad = set(self.fixed_edges) - set(EDGES)
+                             f"got lx={lx}, ly={ly}")
+        bad = set(fixed_edges) - set(EDGES)
         if bad:
             raise ValueError(f"fixed_edges: unknown edge names {sorted(bad)}; expected subset of {EDGES}")
-        if not self.fixed_edges:
+        if not fixed_edges:
             raise ValueError("fixed_edges: at least one fixed edge is required (mixed boundary conditions)")
+        return self
 
     @property
     def hx(self) -> float:

@@ -23,8 +23,7 @@ the batch it runs in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +60,7 @@ FD_STEP = 1e-5
 FD_NODES = 50
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteProblem:
+class DiscreteProblem(NamedTuple):
     """Nodal discretization of one primal instance.
 
     ``energy_value``, ``gradient`` and ``precondition`` take a batch of nodal
@@ -76,6 +74,7 @@ class DiscreteProblem:
     spacings: tuple[float, ...]
     fixed: np.ndarray          # boolean mask of Dirichlet nodes
     load: np.ndarray           # linear functional weights: Pi(u) = E_W(u) - sum(load*u)
+    stiffness: Stiffness       # K of the grid's Dirichlet energy, the preconditioner
 
     @property
     def ndim(self) -> int:
@@ -107,15 +106,10 @@ class DiscreteProblem:
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         """K^-1 g on the free nodes, zero on the fixed ones (see Stiffness)."""
-        return self._stiffness.solve(g)
-
-    @cached_property
-    def _stiffness(self) -> Stiffness:
-        return Stiffness.of(self)
+        return self.stiffness.solve(g)
 
 
-@dataclass(frozen=True, eq=False)
-class _AxisModes:
+class _AxisModes(NamedTuple):
     """Closed-form generalized eigenbasis Q of the path-graph Laplacian
     (diagonal 1, 2, ..., 2, 1, off-diagonal -1) and the trapezoid weights
     M = diag(1/2, 1, ..., 1, 1/2) of an axis of n nodes on its free nodes
@@ -155,8 +149,7 @@ class _AxisModes:
         return np.fft.irfft(f, 4 * (self.nodes - 1))[..., :self.nodes]
 
 
-@dataclass(frozen=True, eq=False)
-class Stiffness:
+class Stiffness(NamedTuple):
     """Exact inverse of the stiffness K of the grid's Dirichlet energy.
 
     K is the quadratic form of the stored energy for V(xi) = xi, a = 1,
@@ -179,12 +172,14 @@ class Stiffness:
     eigenvalues: np.ndarray
 
     @classmethod
-    def of(cls, problem: DiscreteProblem) -> Stiffness:
-        fixed, dim = problem.fixed, problem.ndim
+    def of(cls, fixed: np.ndarray, spacings: tuple[float, ...]) -> Stiffness:
+        """K of the grid whose Dirichlet nodes are ``fixed``, shape (n,) or
+        (ny, nx), and whose node spacings are ``spacings``, (h,) or (hx, hy)."""
+        dim = fixed.ndim
         axes = tuple(_AxisModes.of(fixed.all(axis=tuple(b for b in range(dim) if b != a)))
                      for a in range(dim))
         # axis a's term is weighted by the cell volume over h_a^2
-        h = problem.spacings[::-1]  # per grid axis, in shape order
+        h = spacings[::-1]  # per grid axis, in shape order
         scale = np.prod(h) / 4.0 ** dim
         lam = np.ix_(*(axis.eigenvalues for axis in axes))
         return cls(fixed, axes, sum(scale / ha ** 2 * la for ha, la in zip(h, lam)))
@@ -217,22 +212,24 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
         else:
             fixed[-1] = True
             load[0] = -tau[0]           # outward normal -1
-        return DiscreteProblem(spec.energy, spec.measure, (n,), (float(x[1] - x[0]),), fixed, load)
-    grid = spec.geometry
-    tau = build_tau_grid(spec)
-    load = np.zeros(grid.shape)
-    t_edges = boundary_traction(grid, tau)
-    for edge, tvals in t_edges.items():
-        h = grid.hy if edge in ("left", "right") else grid.hx
-        w = trapezoid_weights_interval(tvals.size, h)
-        load[edge_slice(edge)] += w * tvals
-    fixed = grid.fixed_mask()
-    load[fixed] = 0.0
-    return DiscreteProblem(spec.energy, spec.measure, grid.shape, (grid.hx, grid.hy), fixed, load)
+        shape, spacings = (n,), (float(x[1] - x[0]),)
+    else:
+        grid = spec.geometry
+        tau = build_tau_grid(spec)
+        load = np.zeros(grid.shape)
+        t_edges = boundary_traction(grid, tau)
+        for edge, tvals in t_edges.items():
+            h = grid.hy if edge in ("left", "right") else grid.hx
+            w = trapezoid_weights_interval(tvals.size, h)
+            load[edge_slice(edge)] += w * tvals
+        fixed = grid.fixed_mask()
+        load[fixed] = 0.0
+        shape, spacings = grid.shape, (grid.hx, grid.hy)
+    return DiscreteProblem(spec.energy, spec.measure, shape, spacings, fixed, load,
+                           Stiffness.of(fixed, spacings))
 
 
-@dataclass(frozen=True, eq=False)
-class DescentResult:
+class DescentResult(NamedTuple):
     """Outcome of a descent: scalars from ``descend`` (one start), arrays
     with a leading start axis from ``descend_batch``."""
 
@@ -365,8 +362,7 @@ def _armijo(problem, u, e, d, gd, step):
     return trial, et, step
 
 
-@dataclass(frozen=True, eq=False)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     u: np.ndarray
     energy: float
     starts: DescentResult        # every start's descent, leading start axis
@@ -381,10 +377,6 @@ class MinimizeResult:
     def converged_starts(self) -> int:
         """Starts that converged to a finite energy (the oracle's evidence)."""
         return int(np.count_nonzero(self.starts.converged & np.isfinite(self.starts.energy)))
-
-    @property
-    def converged_fraction(self) -> float:
-        return self.converged_starts / self.starts_used
 
 
 def minimize_multistart(problem: DiscreteProblem, options: OracleOptions) -> MinimizeResult:
@@ -466,8 +458,7 @@ def gradient_check(problem: DiscreteProblem, u: np.ndarray, seed: int = 0) -> fl
 # generalized quasiconvexity probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ProbeViolations:
+class ProbeViolations(NamedTuple):
     """The violations a probe found, one row each: segment ends gamma1 and
     gamma2, shape (k, d), and the segment's index, theta and the energy
     excess, shape (k,).  A segment may violate at several thetas."""
@@ -479,6 +470,9 @@ class ProbeViolations:
     excess: np.ndarray
 
     def __len__(self) -> int:
+        """Rows, not fields: a probe without violations is falsy (the
+        tuple's _make and _replace, which count fields with len, do not
+        apply)."""
         return len(self.theta)
 
 

@@ -13,6 +13,8 @@ from triality import (
     closed_V,
 )
 from triality.canonical import TOL, lambertw
+from triality.config import ConstantTau, StreamLoading
+from triality.oracle import ProbeViolations
 
 from conftest import conjugate_sup, measure_eval, random_rotation
 
@@ -77,6 +79,32 @@ def test_material_constants_validated():
         QuadraticMeasure(a=-1.0)
     with pytest.raises(DomainError):
         QuadraticMeasure(1.0, math.inf)
+
+
+_NO_ROWS = np.empty((0, 2))
+
+
+@pytest.mark.parametrize("record,text", [
+    (QuadraticEnergy(2), "QuadraticEnergy(alpha=2.0)"),
+    (LogNeoHookeanEnergy(1, 1), "LogNeoHookeanEnergy(c1=1.0, c2=1.0)"),
+    (QuadraticMeasure(1, 0), "QuadraticMeasure(a=1.0, b=0.0)"),
+    (ConstantTau((0.5, 0.0)), "ConstantTau(vec=(0.5, 0.0))"),
+    (StreamLoading("linear"), "StreamLoading(name='linear', scale=1.0)"),
+    (ProbeViolations(np.empty(0, np.intp), _NO_ROWS, _NO_ROWS, np.empty(0), np.empty(0)), None),
+])
+def test_record_contracts(record, text):
+    # str() of the energy and the loading is part of report.txt's instance line
+    if text is None:  # a probe that found no violation is falsy (cli.run_verify)
+        assert not record and len(record) == 0
+    else:
+        assert str(record) == text and record
+    # an int constant is stored as a float
+    assert all(type(v) is float for v in record if isinstance(v, (int, float)))
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.other = None
 
 
 @pytest.mark.parametrize("energy,xi_lo,xi_hi", [

@@ -1,6 +1,5 @@
 """End-to-end CLI pipelines: solve, sweep, verify, exit codes, determinism."""
 import contextlib
-import dataclasses
 import gc
 import io
 import math
@@ -182,7 +181,7 @@ def test_branch_label_name_is_the_one_label_or_mixed():
     # a full branch whose roots carry two labels
     labels = sol.labels.copy()
     labels[-1, 0] = TrialityLabel.LOCAL_MIN
-    assert branch_label_name(dataclasses.replace(sol, labels=labels), 0) == "mixed"
+    assert branch_label_name(sol._replace(labels=labels), 0) == "mixed"
 
 
 @pytest.mark.parametrize("name", ["doublewell_rect_stream.cfg", "log_rect_const.cfg"])
@@ -585,7 +584,7 @@ def test_config_validation_details(tmp_path):
     with pytest.raises(ConfigError, match="tau_y"):
         parse_config(cfg)
     cfg.write_text(base)
-    spec = dataclasses.replace(parse_config(cfg), loading=config.StreamLoading("linear"))
+    spec = parse_config(cfg)._replace(loading=config.StreamLoading("linear"))
     with pytest.raises(ConfigError, match="constant_tau"):
         config.build_tau_interval(spec)
 
@@ -743,7 +742,8 @@ def _modules_after(argv) -> set[str]:
 def test_commands_import_only_what_they_use(tmp_path, command):
     # solve and sweep never load the oracle or the FFT it applies K^-1 with,
     # verify never loads the CSV text module; no command loads numpy.ma,
-    # whose import alone costs about 10 ms
+    # whose import alone costs about 10 ms, or dataclasses (the records are
+    # NamedTuples, which generate no methods with exec at import)
     argv = {"solve": ["solve", CONFIGS / "log_rect_const.cfg", "--out", tmp_path],
             "sweep": ["sweep", CONFIGS / "log_1d_sub.cfg", "--tau-min", "0", "--tau-max", "1",
                       "--steps", "50", "--out", tmp_path],
@@ -753,3 +753,4 @@ def test_commands_import_only_what_they_use(tmp_path, command):
     assert ("numpy.fft" in modules) == (command == "verify")
     assert ("triality._csvtext" in modules) == (command != "verify")
     assert "numpy.ma" not in modules
+    assert "dataclasses" not in modules
