@@ -15,12 +15,13 @@ come from the config file; every other solver, oracle and check setting is
 a module constant.  All CSV output uses 17 significant digits; runs are
 serial and deterministic for a fixed config.
 
-Only verify loads the oracle module; solve and sweep never import it, and
-only they load the CSV text module (_csvtext, on the first write).  No
-command path imports dataclasses: the records are NamedTuples (a validating
-one checks its fields in __new__), which generate no methods with exec at
-import, with or without a bytecode cache; that is about 9 ms off every solve
-or sweep process and 12 ms off every verify process.
+Only verify loads the oracle module, only solve and sweep the CSV text module
+(_csvtext, on the first write).  No command imports dataclasses: the records
+are NamedTuples (a validating one checks its fields in __new__), which exec no
+methods at import, cached bytecode or not: about 9 ms off every solve or sweep
+and 12 ms off every verify process.  Nor numpy.random: the oracle draws 53-bit
+uniforms from getrandbits of random.Random(seed), a stream Python documents as
+stable (numpy's may change, NEP 19): about 15 ms and 5.6 MB off each verify.
 
 The process entry (``entry``, behind ``python -m triality.cli`` and the
 ``triality`` script) runs main() and then freezes the cyclic GC, after every
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import random
 import sys
 from pathlib import Path
 from typing import NamedTuple, NoReturn
@@ -405,9 +407,9 @@ def run_verify(spec: ProblemSpec) -> int:
         except OracleError as exc:
             add("FAIL", "oracle agreement", str(exc))
 
-    # 3 gradient check (displacement scaled to order-one strains)
-    rng = np.random.default_rng(spec.oracle.seed)
-    u = 0.5 * min(prob.spacings) * rng.standard_normal(prob.shape)
+    # 3 gradient check at order-one strains: uniform in [-sqrt 3, sqrt 3], unit variance
+    rng, r3 = random.Random(spec.oracle.seed), np.sqrt(3.0)
+    u = 0.5 * min(prob.spacings) * oracle.uniform(rng, -r3, r3, prob.shape)
     err = oracle.gradient_check(prob, u, seed=spec.oracle.seed)
     if np.isnan(err):
         add("SKIP", "gradient check", "no node compared: the check point lies outside the domain")

@@ -742,8 +742,9 @@ def _modules_after(argv) -> set[str]:
 def test_commands_import_only_what_they_use(tmp_path, command):
     # solve and sweep never load the oracle or the FFT it applies K^-1 with,
     # verify never loads the CSV text module; no command loads numpy.ma,
-    # whose import alone costs about 10 ms, or dataclasses (the records are
-    # NamedTuples, which generate no methods with exec at import)
+    # whose import alone costs about 10 ms, dataclasses (the records are
+    # NamedTuples, which generate no methods with exec at import) or
+    # numpy.random (the oracle draws from the stdlib's random.Random)
     argv = {"solve": ["solve", CONFIGS / "log_rect_const.cfg", "--out", tmp_path],
             "sweep": ["sweep", CONFIGS / "log_1d_sub.cfg", "--tau-min", "0", "--tau-max", "1",
                       "--steps", "50", "--out", tmp_path],
@@ -754,3 +755,4 @@ def test_commands_import_only_what_they_use(tmp_path, command):
     assert ("triality._csvtext" in modules) == (command != "verify")
     assert "numpy.ma" not in modules
     assert "dataclasses" not in modules
+    assert "numpy.random" not in modules

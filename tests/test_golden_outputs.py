@@ -148,12 +148,12 @@ GOLDEN_FOLD = {
 
 #: SHA-256 of the stdout of `verify` per shipped config (every one exits 0)
 GOLDEN_VERIFY = {
-    "doublewell_1d": "1304de117ef2960845ce9c5db1dee27a8311e14044c8033b51b79c18b39b1740",
-    "doublewell_1d_sub": "cf53cf13ae1d212e3c3530a5f613073c793fc4193e7bf33938ceca182ff6d16e",
-    "doublewell_rect_stream": "ecaa1f0d464982b77d444587d0e844609d0c1b484f1fe0276108f9a3bab3e759",
-    "log_1d_sub": "811560238ccf957771e1ef49c5ea75ce6e994d0d33ac375bc065dfcfc3460d22",
-    "log_1d_super": "d64e3dbd7182818b3628e57ea470e5c3900521d4276418f5a2caa05ed465d13e",
-    "log_rect_const": "bad3eb0fde9226d638c31c7d62d763bea5a5c1880bab6a1f86b14cacb3498a47",
+    "doublewell_1d": "a83d7d005749e282aa3caa4fedf5be73370ce0fb7bc5f6fc42450a20dcbfde7a",
+    "doublewell_1d_sub": "300def5ed0cd0d99634b3e97a89f626c27cb4a54557e65ba019ef9ad8312e0b5",
+    "doublewell_rect_stream": "a715c37361528d625220b63272e153ed1d9898be4c6e029466cc03708cff727b",
+    "log_1d_sub": "a5a92ac7a5e188c7766a3a822a62ad75485da29ad43eb34941a94942b741b35b",
+    "log_1d_super": "88e54df747c6b484c0710f3d65d14fc8f8666beb21bfd3b967469026c695b34d",
+    "log_rect_const": "a56bd942ba9c2ab77b7b049d6a53ae97a53b46d4633678cf2e79ece48d71b8e5",
 }
 
 
