@@ -1,6 +1,6 @@
-"""CSV text of numpy columns, byte for byte that of Python's "%.17g" (floats),
-"%d" (non-negative ints) and "%s" (ASCII str), made a column at a time; any
-other column raises ValueError.
+"""CSV text of numpy columns, byte for byte that of Python's "%.17g" (floats)
+and "%s" (ASCII str), made a column at a time; a column is plain or a
+(table, index) pair, and any other column raises ValueError.
 
 Every value fills NUL-padded byte slots of one row of a matrix per line, and
 bytes.translate(None, b"\0") squeezes the padding out of the matrix's bytes.
@@ -11,10 +11,10 @@ and its text from the %g rule as operations on little-endian words
 not prove goes through Python's own "%.17g" (the scheme of Loitsch, PLDI
 2010), once per distinct bit pattern: nan, +-inf, +-0, magnitudes outside
 [1e-280, 1e280], values just below a power of ten and inexact near-ties.
-Ints get their decimal digits and ASCII str arrays their code points.  A
-(table, index) column of a small float table takes its text words from the
-table's, made once (table_column).  fields.write_csv, the one CSV writer,
-imports this module on its first call.
+ASCII str arrays get their code points (_text_slots).  A (table, index)
+column of a small table takes its text words from the table's, made once per
+file (_column).  fields.write_csv, the one CSV writer, imports this module on
+its first call and hands it the blocks (write_blocks).
 """
 from __future__ import annotations
 
@@ -211,89 +211,95 @@ def _float_words(x: np.ndarray, out: np.ndarray) -> None:
         out.view(f"S{_FLOAT_WIDTH}")[slow, 0] = text[inverse]
 
 
-def _int_slots(col: np.ndarray) -> np.ndarray:
-    """"%d" text of a non-negative int column: as many digit slots as the
-    largest value needs, leading zeros as NUL.  A negative int raises
-    ValueError."""
-    if np.any(col < 0):
-        raise ValueError("write_csv: an int column holds a negative value")
-    r = col.astype(np.uint64)
-    width = len(str(int(r.max()))) if r.size else 1
-    out = np.empty((r.size, width), np.uint8)
-    for j in range(width - 1, -1, -1):
-        q = r // 10
-        out[:, j] = np.where((r > 0) | (j == width - 1), r - q * 10 + ord("0"), 0)
-        r = q
-    return out
-
-
 def _text_slots(col: np.ndarray) -> np.ndarray:
-    """"%s" text of an ASCII str column: its code points as bytes.  Any other
-    column (object, bool, non-ASCII text, or a NUL inside the text, which
-    would be squeezed out with the padding) raises ValueError."""
-    points = col.view(np.uint32).reshape(col.size, -1) if col.dtype.kind == "U" else None
-    if points is None or points.max(initial=0) >= 128:
-        raise ValueError(f"write_csv: not a column of ASCII str: {col.dtype}")
+    """"%s" text of an ASCII str column: its code points as bytes in rows of
+    words, NUL-padded, the last byte of each row free for a separator.  A
+    non-ASCII text, or a NUL inside a text (it would be squeezed out with the
+    padding), raises ValueError."""
+    points = np.ascontiguousarray(col).view(np.uint32).reshape(col.size, -1)
+    if points.max(initial=0) >= 128:
+        raise ValueError("write_csv: a text value is not ASCII")
     pad = points == 0                           # numpy drops trailing NULs
     if np.any(pad[:, :-1] & ~pad[:, 1:]):
         raise ValueError("write_csv: a text value contains a NUL character")
-    return points.astype(np.uint8)
+    words = np.zeros((col.size, points.shape[1] // 8 + 1), _WORD)
+    words.view(np.uint8)[:, :points.shape[1]] = points
+    return words
 
 
-def table_column(table, index, words: dict, key, small: int):
-    """A (table, index) column of write_csv as write_piece takes it: the
-    table's text words and the index, for a float table of at most `small`
-    values, else the table and the index, gathered a piece at a time.  The
-    words dict holds the text of the last small table seen under key, so a
-    table passed again (the same object) is not formatted again.  An index
-    that is not a 1-D integer array inside the table raises ValueError."""
-    values, index = np.asarray(table), np.asarray(index)
+def _column(col, tables: dict, j: int, small: int) -> tuple:
+    """Column j of a block as (source, index): (values, None) for a plain
+    column; for a (table, index) pair, (the table's text words, index) if the
+    table has at most `small` values, else (table, index).  tables[j] keeps
+    the text of the last small table in column j, so a table passed again
+    (the same object) is not formatted again.  A column not of float or str,
+    or an index not a 1-D integer array inside its 1-D table, raises
+    ValueError."""
+    table, index = col if isinstance(col, tuple) else (col, None)
+    values = np.asarray(table)
+    if values.dtype.kind not in "fU":
+        raise ValueError(f"write_csv: a column is neither float nor str: {values.dtype}")
+    if index is None:
+        return values, None
+    index = np.asarray(index)
     if (values.ndim != 1 or index.ndim != 1 or index.dtype.kind not in "iu"
             or index.size and (index.min() < 0 or index.max() >= values.size)):
         raise ValueError("write_csv: a table index must be a 1-D integer array inside its 1-D table")
-    if values.dtype.kind != "f" or values.size > small:
+    if values.size > small:
         return values, index
-    if words.get(key, (None,))[0] is not table:
-        text = np.empty((values.size, _FLOAT_WIDTH // 8), _WORD)
-        _float_words(values.astype(np.float64, copy=False), text)
-        words[key] = table, text
-    return words[key][1], index
+    if tables.get(j, (None,))[0] is not table:
+        if values.dtype.kind == "U":
+            text = _text_slots(values)
+        else:
+            text = np.empty((values.size, _FLOAT_WIDTH // 8), _WORD)
+            _float_words(values.astype(np.float64, copy=False), text)
+        tables[j] = table, text
+    return tables[j][1], index
 
 
-def piece(col, rows: slice):
-    """The rows of a write_csv column (an array, or a pair from table_column)
-    that one piece writes: an array, or a pair (text words, index)."""
-    if not isinstance(col, tuple):
-        return col[rows]
-    source, index = col
-    return (source, index[rows]) if source.ndim == 2 else source[index[rows]]
-
-
-def length(col) -> int:
-    """Row count of a write_csv column, an array or a pair."""
-    return len(col[1] if isinstance(col, tuple) else col)
-
-
-def write_piece(fh, cols: list) -> None:
-    """Write the CSV lines of equal-length columns, each an array or a pair
-    (text words, index) from piece().  Each column fills a run of words of
-    one matrix row per line, its separator in the run's last byte; the
-    matrix's bytes with the NULs squeezed out are the lines."""
-    slots = [None if isinstance(c, tuple) or c.dtype.kind == "f" else _int_slots(c)
-             if c.dtype.kind in "iu" else _text_slots(c) for c in cols]
-    words = [_FLOAT_WIDTH // 8 if sl is None else sl.shape[1] // 8 + 1 for sl in slots]
-    rows = np.zeros((length(cols[0]), sum(words)), _WORD)
+def _write_piece(fh, n: int, cols: list) -> None:
+    """Write the n CSV lines of a piece whose columns are (source, index)
+    pairs from _column, the index cut to the piece's rows.  Each column fills
+    a run of words of one matrix row per line, its separator in the run's
+    last byte; the matrix's bytes with the NULs squeezed out are the lines."""
+    runs = []
+    for source, index in cols:
+        if source.ndim == 1:        # values: a plain column's, or gathered from a large table
+            values = source if index is None else source[index]
+            source, index = (_text_slots(values) if values.dtype.kind == "U" else values), None
+        runs.append((source, index, _FLOAT_WIDTH // 8 if source.ndim == 1 else source.shape[1]))
+    rows = np.zeros((n, sum(k for _, _, k in runs)), _WORD)
     text = rows.view(np.uint8)
     at = 0
-    for c, sl, k in zip(cols, slots, words):
-        if isinstance(c, tuple):    # unbuffered: table_column checked the index
-            np.take(c[0], c[1], axis=0, out=rows[:, at:at + k], mode="clip")
-        elif sl is None:
-            _float_words(c.astype(np.float64, copy=False), rows[:, at:at + k])
-        else:
-            text[:, 8 * at:8 * at + sl.shape[1]] = sl
+    for source, index, k in runs:
+        out = rows[:, at:at + k]
+        if source.ndim == 1:
+            _float_words(source.astype(np.float64, copy=False), out)
+        elif index is None:
+            out[...] = source
+        else:                       # unbuffered: _column checked the index
+            np.take(source, index, axis=0, out=out, mode="clip")
         at += k
         text[:, 8 * at - 1] = ord(",")
     text[:, -1] = ord("\n")
-    for start in range(0, len(text), _SQUEEZE_ROWS):
+    for start in range(0, n, _SQUEEZE_ROWS):
         fh.write(text[start:start + _SQUEEZE_ROWS].tobytes().translate(None, b"\0"))
+
+
+def write_blocks(fh, blocks, rows_per_piece: int) -> None:
+    """Write the CSV lines of an iterable of column blocks (see
+    fields.write_csv) to the binary file fh, a piece of at most
+    rows_per_piece rows at a time; a table of at most rows_per_piece values
+    is formatted once per file."""
+    tables = {}
+    for columns in blocks:
+        cols = [_column(c, tables, j, rows_per_piece) for j, c in enumerate(columns)]
+        lengths = {len(source if index is None else index) for source, index in cols}
+        if len(lengths) > 1:
+            raise ValueError("write_csv: the columns of a block differ in length")
+        n = lengths.pop()
+        for start in range(0, n, rows_per_piece):
+            rows = slice(start, start + rows_per_piece)
+            _write_piece(fh, min(rows_per_piece, n - start),
+                         [(source[rows], None) if index is None else (source, index[rows])
+                          for source, index in cols])

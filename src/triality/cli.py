@@ -125,6 +125,8 @@ def branch_energy_report(sol: InstanceSolution, k: int) -> energies.EnergyReport
 
 #: label text by TrialityLabel code: code 0 is a slot without a root
 _LABEL_NAMES = np.array(["", *map(str, dualsolve.TrialityLabel)])
+#: text of a root slot 1-3 or a root count 0-3, by value
+_DIGITS = np.array(["0", "1", "2", "3"])
 
 
 def branch_label_name(sol: InstanceSolution, k: int) -> str:
@@ -176,8 +178,8 @@ def _node_columns(x: np.ndarray, y: np.ndarray, node: np.ndarray) -> list:
 def _roots_blocks(sol: InstanceSolution):
     """roots.csv columns, one block per CSV_BLOCK_ROWS // (roots per node)
     nodes, so a block fills at most one formatted piece, and only one block
-    is gathered at a time.  Every float column is a (table, index) pair
-    into the grid axes or the per-load arrays."""
+    is gathered at a time.  Every column is a (table, index) pair into the
+    grid axes, the per-load arrays, the slot digits or the label names."""
     x, y = _node_axes(sol.spec)
     slots = sol.roots.shape[1]
     roots, residuals = sol.roots.ravel(), sol.residuals.ravel()
@@ -188,8 +190,8 @@ def _roots_blocks(sol: InstanceSolution):
         node, k = np.nonzero(found[load])
         at = load[node]
         slot = at * slots + k
-        yield [*_node_columns(x, y, node + start), (sol.loads, at), k + 1,
-               (roots, slot), (residuals, slot), _LABEL_NAMES[sol.labels[at, k]]]
+        yield [*_node_columns(x, y, node + start), (sol.loads, at), (_DIGITS, k + 1),
+               (roots, slot), (residuals, slot), (_LABEL_NAMES, sol.labels[at, k])]
 
 
 def write_roots_csv(sol: InstanceSolution, path: Path) -> None:
@@ -290,7 +292,7 @@ def run_sweep(spec: ProblemSpec, outdir: Path, tau_min: float, tau_max: float, s
     pid = np.full(roots.shape, np.nan)
     pid[found] = energies.dual_density(spec.energy, spec.measure, roots[found], t2[found])
     _write_rows(outdir / "sweep.csv", "tau,root_count,zeta1,zeta2,zeta3,Pi_d_1,Pi_d_2,Pi_d_3",
-                [[taus, counts, *roots.T, *pid.T]])
+                [[taus, (_DIGITS, counts), *roots.T, *pid.T]])
 
     # dual algebraic curve h(zeta) of the measure and of its eq. (45) form
     try:
@@ -347,7 +349,10 @@ def run_verify(spec: ProblemSpec) -> int:
     sol = solve_instance(spec)
     branches = full_branches(sol)
     reports = {k: branch_energy_report(sol, k) for k in branches}
-    prob = oracle.discretize(spec)  # shared by the descent and the gradient check
+    try:
+        prob, no_oracle = oracle.discretize(spec), None  # shared by the descent and the gradient check
+    except OracleError as exc:      # no stiffness to precondition the descent with
+        prob, no_oracle = None, str(exc)
 
     # 1 duality gap on every full branch
     for k in branches:
@@ -371,7 +376,9 @@ def run_verify(spec: ProblemSpec) -> int:
     # node: an interval's is anchored at its one fixed end, a rectangle's
     # fits only a load with no component along a fixed edge.
     u1 = None  # branch-1 displacement of a rectangle, shared with the curl/path audit
-    if not isinstance(spec.loading, ConstantTau):
+    if prob is None:
+        add("FAIL", "oracle agreement", no_oracle)
+    elif not isinstance(spec.loading, ConstantTau):
         add("SKIP", "oracle agreement",
             "non-constant loading: discrete minimum and quadrature differ at O(h^2)")
     elif 0 not in branches:
@@ -408,14 +415,18 @@ def run_verify(spec: ProblemSpec) -> int:
             add("FAIL", "oracle agreement", str(exc))
 
     # 3 gradient check at order-one strains: uniform in [-sqrt 3, sqrt 3], unit variance
-    rng, r3 = random.Random(spec.oracle.seed), np.sqrt(3.0)
-    u = 0.5 * min(prob.spacings) * oracle.uniform(rng, -r3, r3, prob.shape)
-    err = oracle.gradient_check(prob, u, seed=spec.oracle.seed)
-    if np.isnan(err):
-        add("SKIP", "gradient check", "no node compared: the check point lies outside the domain")
+    if prob is None:
+        add("SKIP", "gradient check", no_oracle)
     else:
-        add("PASS" if err <= GRAD_TOL else "FAIL", "gradient check",
-            f"max relative error = {err:.3e} (tol {GRAD_TOL:g})")
+        rng, r3 = random.Random(spec.oracle.seed), np.sqrt(3.0)
+        u = 0.5 * min(prob.spacings) * oracle.uniform(rng, -r3, r3, prob.shape)
+        err = oracle.gradient_check(prob, u, seed=spec.oracle.seed)
+        if np.isnan(err):
+            add("SKIP", "gradient check",
+                "no node compared: the check point lies outside the domain")
+        else:
+            add("PASS" if err <= GRAD_TOL else "FAIL", "gradient check",
+                f"max relative error = {err:.3e} (tol {GRAD_TOL:g})")
 
     # 4 curl / path-independence audit on branch 1
     if spec.dim == 1:

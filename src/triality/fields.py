@@ -238,35 +238,24 @@ def write_csv(path, header: str, blocks) -> None:
     Each block is a list of equal-length columns (blocks may differ in
     length); its rows follow those of the block before.  Callers that hold
     whole columns pass [columns]; a generator of blocks lets the caller
-    build each block only when the previous one is written.  A column holds
-    floats ("%.17g"), non-negative ints ("%d") or ASCII str ("%s"); any other
-    column, a negative int or a NUL in the text raises ValueError.  A column
-    may also be a pair (table, index) of 1-D arrays, whose rows are
-    table[index]: a float table of at most CSV_BLOCK_ROWS values is formatted
-    once per file (while each block passes the same, unchanged table object
-    in that column) and each piece gathers its text; a larger table is
-    gathered a piece at a time.  An index outside its table or not of
-    integers raises ValueError, as do columns of different lengths.  Each
-    block is formatted and written in pieces of at most CSV_BLOCK_ROWS rows,
-    so memory stays bounded by one piece, the small tables' text (at most
-    160 KB each) and the caller's block, whatever the file size.  numpy
-    makes the text of a whole column at once: a float's digits come from an
-    exact scaling, with Python's "%.17g" only for the roundings that scaling
-    cannot prove, once per distinct bit pattern.
+    build each block only when the previous one is written.  A column is a
+    float ("%.17g") or ASCII str ("%s") array, or a pair (table, index) of
+    1-D arrays, a float or str table and an integer index, whose rows are
+    table[index].  A table of at most CSV_BLOCK_ROWS values becomes text once
+    per file (while each block passes the same, unchanged table object in
+    that column); a larger table, and a plain column, become text a piece at
+    a time.  Any other column (int, bool, object, or a table of those), a
+    non-ASCII or NUL character, an index outside its table or columns of
+    different lengths raise ValueError.  Each block is written in pieces of
+    at most CSV_BLOCK_ROWS rows, so memory stays bounded by one piece, the
+    small tables' text (at most 160 KB each for floats) and the caller's
+    block, whatever the file size.
     """
     from . import _csvtext
 
-    words = {}     # by column position: its small table and the table's text
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for columns in blocks:
-            cols = [_csvtext.table_column(*c, words, j, CSV_BLOCK_ROWS) if isinstance(c, tuple)
-                    else np.asarray(c) for j, c in enumerate(columns)]
-            if len({_csvtext.length(c) for c in cols}) > 1:
-                raise ValueError("write_csv: the columns of a block differ in length")
-            for start in range(0, _csvtext.length(cols[0]), CSV_BLOCK_ROWS):
-                rows = slice(start, start + CSV_BLOCK_ROWS)
-                _csvtext.write_piece(fh, [_csvtext.piece(c, rows) for c in cols])
+        _csvtext.write_blocks(fh, blocks, CSV_BLOCK_ROWS)
 
 
 _write_csv = write_csv   # field files; its own name for perfbench's tracer
@@ -280,5 +269,5 @@ def write_scalar_csv(path, x, y, values: np.ndarray) -> None:
 
 
 def format_float(v: float) -> str:
-    """The 17-significant-digit float format used in all emitted CSV files."""
+    """A float at 17 significant digits, as report.txt and stdout lines give it."""
     return _FMT % v

@@ -180,15 +180,22 @@ class Stiffness(NamedTuple):
     @classmethod
     def of(cls, fixed: np.ndarray, spacings: tuple[float, ...]) -> Stiffness:
         """K of the grid whose Dirichlet nodes are ``fixed``, shape (n,) or
-        (ny, nx), and whose node spacings are ``spacings``, (h,) or (hx, hy)."""
+        (ny, nx), and whose node spacings are ``spacings``, (h,) or (hx, hy).
+        Raises OracleError when an eigenvalue is not finite and positive, as
+        at spacings so far out of scale that a weight over- or underflows."""
         dim = fixed.ndim
         axes = tuple(_AxisModes.of(fixed.all(axis=tuple(b for b in range(dim) if b != a)))
                      for a in range(dim))
         # axis a's term is weighted by the cell volume over h_a^2
         h = spacings[::-1]  # per grid axis, in shape order
-        scale = np.prod(h) / 4.0 ** dim
         lam = np.ix_(*(axis.eigenvalues for axis in axes))
-        return cls(fixed, axes, sum(scale / ha ** 2 * la for ha, la in zip(h, lam)))
+        with np.errstate(all="ignore"):     # an out-of-range weight is refused below
+            scale = np.prod(h) / 4.0 ** dim
+            eigenvalues = sum(scale / (ha * ha) * la for ha, la in zip(h, lam))
+        if not np.all(np.isfinite(eigenvalues) & (eigenvalues > 0.0)):
+            raise OracleError(f"the stiffness at node spacings {', '.join(map(repr, spacings))} "
+                              "has an eigenvalue that is not finite and positive")
+        return cls(fixed, axes, eigenvalues)
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """K^-1 g per start on the free nodes; zero on the fixed ones."""

@@ -660,6 +660,35 @@ def test_overflowing_displacement_is_skipped(tmp_path, capsys, geometry):
     assert not list((tmp_path / "o").glob("fields_u_*.csv"))
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("log_1d_sub.cfg", "length = 1.0", "length = 1e160"),
+    ("log_1d_sub.cfg", "length = 1.0", "length = 1e308"),
+    ("log_1d_sub.cfg", "length = 1.0", "length = 1e-300"),
+    ("log_rect_const.cfg", "lx = 1.0", "lx = 1e160"),
+    ("log_rect_const.cfg", "lx = 1.0", "lx = 1e308"),
+    ("log_rect_const.cfg", "ly = 1.0", "ly = 1e-300"),
+    ("doublewell_1d.cfg", "length = 1.0", "length = 1e308"),
+])
+def test_verify_fails_the_oracle_on_a_stiffness_out_of_range(tmp_path, capsys, name, old, new):
+    # the oracle's stiffness weights cell volume / h^2 over- or underflow:
+    # oracle agreement FAILs and the gradient check SKIPs with the reason,
+    # the other checks still run, and filterwarnings = error turns any numpy
+    # RuntimeWarning into a failure
+    text = (CONFIGS / name).read_text()
+    assert old in text
+    cfg = tmp_path / name
+    cfg.write_text(text.replace(old, new))
+    assert run(["verify", cfg]) == 1
+    out = capsys.readouterr().out
+    got = re.findall(r"^\[verify\] (PASS|FAIL|SKIP) ([^:]+): (.+)$", out, flags=re.M)
+    verdicts = {check: (status, reason) for status, check, reason in got}
+    status, reason = verdicts["oracle agreement"]
+    assert status == "FAIL" and reason.endswith("has an eigenvalue that is not finite and positive")
+    assert verdicts["gradient check"] == ("SKIP", reason)
+    assert [check for _, check, _ in got][-2:] == ["curl/path audit", "quasiconvexity probe"]
+    assert "[verify] FAILED: " in out
+
+
 def test_probe_skips_without_a_strain_sample_in_the_domain(tmp_path, capsys):
     # a = 1e-300 keeps a*|gamma|^2 + b = -0.5 below the log model's domain
     # for every strain in the probe's box: the probe has no admissible

@@ -243,6 +243,8 @@ SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, _NAN_PAYLOAD, np.inf, -np.inf,
 #: (table, index) kinds of write_csv column by table size: one value, one
 #: piece's worth (formatted once per file) and one more (gathered per piece)
 TABLE_SIZES = {"table-1": 1, "table-block": CSV_BLOCK_ROWS, "table-block+1": CSV_BLOCK_ROWS + 1}
+#: a str table: label names, the empty one included
+LABEL_TABLE = np.array(["", "global_min", "local_min", "local_max", "saddle", "degenerate"])
 
 
 def _column(kind, n, pool, rng):
@@ -258,9 +260,8 @@ def _column(kind, n, pool, rng):
     if kind == "float32":
         with np.errstate(over="ignore"):  # pool values beyond float32 become inf
             return np.asarray(pool, dtype=np.float32)[rng.integers(0, len(pool), n)]
-    if kind == "int":   # non-negative, up to the int64 maximum
-        top = rng.integers(0, 2 ** 63 - 1, n, dtype=np.int64, endpoint=True)
-        return top // rng.choice([1, 2 ** 60], n)
+    if kind == "str-table":     # repeated and unsorted
+        return LABEL_TABLE, rng.integers(0, LABEL_TABLE.size, n)
     return np.array(["local_min", "local_max", "saddle", "mixed"])[rng.integers(0, 4, n)]  # str
 
 
@@ -293,7 +294,7 @@ def test_write_csv_special_values_share_a_block(tmp_path):
     repeated = np.tile(vals, 3)
     _assert_same_bytes(tmp_path / "r.csv", "v", [repeated])
     assert b"\n-0\n" in (tmp_path / "r.csv").read_bytes()   # -0.0 keeps its sign
-    _assert_same_bytes(tmp_path / "d.csv", "v,k", [vals, np.arange(vals.size)])  # all distinct bits
+    _assert_same_bytes(tmp_path / "d.csv", "v,k", [vals, np.arange(vals.size, dtype=float)])  # all distinct bits
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -301,7 +302,7 @@ def test_write_csv_special_values_share_a_block(tmp_path):
          seed=3, split=0.5)
 @example(n=CSV_BLOCK_ROWS, kinds=["table-block+1", "table-block"], drawn=[], seed=4, split=0.0)
 @given(n=st.sampled_from([0, 1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
-       kinds=st.lists(st.sampled_from(["repeats", "distinct", "float32", "int", "str",
+       kinds=st.lists(st.sampled_from(["repeats", "distinct", "float32", "str", "str-table",
                                        *TABLE_SIZES]), min_size=1, max_size=4),
        drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
        seed=st.integers(0, 2 ** 32 - 1), split=st.floats(0.0, 1.0))
@@ -401,16 +402,16 @@ _TABLE = np.arange(3.0)
 
 @pytest.mark.parametrize("column", [np.array(["ok", "a"], dtype=object), np.array(["ok", "é"]),
                                     np.array(["ok", "a\0b"]), np.array([0, -1]),
-                                    np.array([True, False]), np.arange(3.0),
+                                    np.array([0, 1]), np.array([True, False]), np.arange(3.0),
+                                    (np.arange(3), np.array([0, 1])),
                                     (_TABLE, np.array([0, -1])), (_TABLE, np.array([0, 3])),
                                     (np.arange(CSV_BLOCK_ROWS + 1.0), np.array([0, CSV_BLOCK_ROWS + 1])),
                                     (_TABLE, np.array([0.0, 1.0])), (_TABLE, np.array([0, 1, 2]))],
-                         ids=["object", "non-ascii", "nul", "negative-int", "bool", "length",
-                              "index-negative", "index-past-table", "index-past-large-table",
+                         ids=["object", "non-ascii", "nul", "negative-int", "int", "bool", "length",
+                              "int-table", "index-negative", "index-past-table", "index-past-large-table",
                               "index-float", "index-length"])
 def test_write_csv_refuses_other_columns(tmp_path, column):
-    # the writer takes float, non-negative int and ASCII str columns, and
-    # (table, index) columns whose index is of integers inside the table, all
-    # of one length
+    # the writer takes float and ASCII str columns, plain or as (table, index)
+    # with an index of integers inside the table, all of one length
     with pytest.raises(ValueError, match="write_csv"):
         write_csv(tmp_path / "t.csv", "t", [[np.arange(2.0), column]])
