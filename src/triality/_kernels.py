@@ -26,8 +26,12 @@ holds at most one root.  ``solve_roots_batch`` loops over the pieces, not
 the points: ``expand`` pushes an infinite piece end out until D takes its
 asymptotic sign and ``refine`` solves all brackets of a piece at once by
 safeguarded Newton iteration (bisection fallback keeps iterates inside the
-bracket) under the one stop rule |D| <= TOL*max(1, tau^2).  Loads at a
-critical level give one fold root at that critical point.
+bracket) under the one stop rule |D| <= TOL*max(1, tau^2).  Both loops work
+on an active set: arrays of the points that have not finished, compacted
+as points finish, so a point that converges in a few iterates costs a few
+evaluations whatever the slowest point of its piece needs.  Each Newton
+iterate evaluates dV* once, for D and D' both.  Loads at a critical level
+give one fold root at that critical point.
 """
 from __future__ import annotations
 
@@ -41,75 +45,118 @@ from .errors import RootSolveError
 MAX_ITER = 200           # Newton/bisection steps per bracket
 _DEGENERATE_RTOL = 1e-13  # |tau^2 - eta^2| window treated as the fold
 _EXPAND_LIMIT = 600       # bracket-expansion doublings before giving up
+_REFINE_CHUNK = 1 << 12   # points per refine chunk: 32 KiB per state array
+
+
+def _residual_dv(energy, m, z, t2):
+    """(D(z), dV*(z)): the one formula D(z) = 4a*z^2*(dV*(z) - b) - t2,
+    overflow to +-inf allowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = energy.dVstar(z)
+        return 4.0 * m.a * z * z * (dv - m.b) - t2, dv
 
 
 def residual(energy, m, z, t2):
     """D(z) = 4a*z^2*(dV*(z) - b) - t2, overflow to +-inf allowed."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 4.0 * m.a * z * z * (energy.dVstar(z) - m.b) - t2
+    return _residual_dv(energy, m, z, t2)[0]
 
 
 def expand(energy, m, base, width, sign, t2):
     """Ends base + width*2^k, per entry the fewest doublings k >= 0 at which
     D with the loads t2 takes the sign `sign`; raises RootSolveError after
     _EXPAND_LIMIT doublings rather than leave a root beyond the last end
-    unbracketed."""
-    width = np.array(width, dtype=float)
-    for _ in range(_EXPAND_LIMIT + 1):
+    unbracketed.
+
+    Active set: after the first try only the entries of the wrong sign are
+    doubled and evaluated again, each written out once it has the sign.
+    """
+    width = np.asarray(width, dtype=float)
+    out = base + width
+    bad = np.sign(residual(energy, m, out, t2)) != sign
+    idx = np.flatnonzero(bad)  # the entries still short of the sign, ascending
+    for _ in range(_EXPAND_LIMIT):
+        if not idx.size:
+            break
+        width, t2 = width[bad] * 2.0, t2[bad]
         z = base + width
         f = residual(energy, m, z, t2)
         bad = np.sign(f) != sign
-        if not bad.any():
-            return z
-        width[bad] *= 2.0
-    z, r = float(z[bad][0]), float(f[bad][0])
-    raise RootSolveError(
-        f"dual curve has not reached its asymptotic sign at zeta={z!r}; "
-        "a root beyond the scan range cannot be bracketed",
-        best_zeta=z, best_residual=r,
-    )
+        out[idx[~bad]] = z[~bad]
+        idx = idx[bad]
+    if idx.size:
+        z, r = float(z[bad][0]), float(f[bad][0])
+        raise RootSolveError(
+            f"dual curve has not reached its asymptotic sign at zeta={z!r}; "
+            "a root beyond the scan range cannot be bracketed",
+            best_zeta=z, best_residual=r,
+        )
+    return out
 
 
 def refine(energy, m, lo, hi, t2):
-    """Roots of D in per-point brackets [lo, hi] with a sign change.
+    """Roots of D in per-point brackets [lo, hi] with a sign change; lo and
+    hi are arrays or scalars that broadcast against the loads t2.
 
-    Safeguarded Newton: a step that leaves the bracket or is not finite is
-    replaced by the bisection midpoint.  Stops where |D| <= TOL*max(1, tau^2)
-    and returns (zeta, D(zeta)); raises RootSolveError with the first iterate
-    that did not get there within MAX_ITER steps.
+    Safeguarded Newton from the bracket midpoint: a step that leaves the
+    bracket or is not finite is replaced by the bisection midpoint.  Stops
+    where |D| <= TOL*max(1, tau^2) and returns (zeta, D(zeta)); raises
+    RootSolveError with the first iterate that did not get there within
+    MAX_ITER steps.
+
+    Active set: the loop holds the state of the unconverged brackets only:
+    their indices in ascending order, lo, hi, the iterate x, D(x), dV*(x),
+    tau^2, tol and whether D(hi) > 0 (that flag never changes, since hi only
+    moves to an x where D has its sign).  A point's (zeta, D) is written out
+    in the iterate that meets the stop rule, and the point leaves the state.
+    Each iterate evaluates dV* once: D(x) and D'(x) share it, and d2V* comes
+    from it through energy.d2Vstar(x, dv).  The points go through the loop
+    _REFINE_CHUNK at a time, in order, which bounds the state's memory.
     """
+    zeta, resid = np.empty(t2.shape), np.empty(t2.shape)
+    lo, hi = np.broadcast_to(lo, t2.shape), np.broadcast_to(hi, t2.shape)
+    for i in range(0, t2.size, _REFINE_CHUNK):
+        sl = slice(i, i + _REFINE_CHUNK)
+        _refine_chunk(energy, m, lo[sl], hi[sl], t2[sl], zeta[sl], resid[sl])
+    return zeta, resid
+
+
+def _refine_chunk(energy, m, lo, hi, t2, zeta, resid):
+    """refine on one chunk of points; (zeta, D) go into the views zeta and
+    resid."""
+    np.add(lo, hi, out=zeta)
+    zeta *= 0.5
+    fx, dv = _residual_dv(energy, m, zeta, t2)
+    resid[:] = fx
     tol = TOL * np.maximum(1.0, t2)
-    lo = lo.copy()
-    hi = hi.copy()
-    fhi = residual(energy, m, hi, t2)
-    x = 0.5 * (lo + hi)
-    fx = residual(energy, m, x, t2)
-    done = np.abs(fx) <= tol
+    idx = np.flatnonzero(~(np.abs(fx) <= tol))
+    x, fx, dv, t2, tol, lo, hi = (v[idx] for v in (zeta, fx, dv, t2, tol, lo, hi))
+    hi_pos = residual(energy, m, hi, t2) > 0.0
     for _ in range(MAX_ITER):
-        if done.all():
+        if not idx.size:
             break
-        act = ~done
-        same_side = (fx > 0.0) == (fhi > 0.0)
-        upd_hi = act & same_side
-        upd_lo = act & ~same_side
-        hi[upd_hi] = x[upd_hi]
-        fhi[upd_hi] = fx[upd_hi]
-        lo[upd_lo] = x[upd_lo]
+        # the bracket end on the side of x moves to x
+        same_side = (fx > 0.0) == hi_pos
+        np.copyto(hi, x, where=same_side)
+        np.copyto(lo, x, where=~same_side)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fp = 4.0 * m.a * (2.0 * x * (energy.dVstar(x) - m.b) + x * x * energy.d2Vstar(x))
+            fp = 4.0 * m.a * (2.0 * x * (dv - m.b) + x * x * energy.d2Vstar(x, dv))
             xn = x - fx / fp
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        x = np.where(act, xn, x)
-        fx = np.where(act, residual(energy, m, x, t2), fx)
-        done = done | (np.abs(fx) <= tol)
-    if not done.all():
-        z, r = float(x[~done][0]), float(fx[~done][0])
+        x = np.where(bad, 0.5 * (lo + hi), xn)
+        fx, dv = _residual_dv(energy, m, x, t2)
+        done = np.abs(fx) <= tol
+        if done.any():
+            at = idx[done]
+            zeta[at], resid[at] = x[done], fx[done]
+            keep = ~done
+            idx, x, fx, dv, t2, tol, lo, hi, hi_pos = (
+                v[keep] for v in (idx, x, fx, dv, t2, tol, lo, hi, hi_pos))
+    if idx.size:
+        z, r = float(x[0]), float(fx[0])
         raise RootSolveError(
             f"dual root iteration did not converge: best zeta={z!r}, |D|={abs(r)!r}",
             best_zeta=z, best_residual=r,
         )
-    return x, fx
 
 
 def solve_roots_batch(energy, m, tau_sq, ends, levels, critical):
@@ -166,12 +213,12 @@ def solve_roots_batch(energy, m, tau_sq, ends, levels, critical):
                 width = np.full(at.size, -max(1.0, abs(bounds[1])))
                 lo = expand(energy, m, bounds[1], width, np.sign(llo - lhi), t2)
             else:
-                lo = np.full(at.size, end)
+                lo = end
             if k == len(bounds) - 2:
                 width = np.full(at.size, max(1.0, abs(end)))
                 hi = expand(energy, m, end, width, np.sign(lhi - llo), t2)
             else:
-                hi = np.full(at.size, bounds[k + 1])
+                hi = bounds[k + 1]
             put(at, end >= 0.0, *refine(energy, m, lo, hi, t2))
         if k > 0 and end != 0.0:
             at = np.flatnonzero(fold[k] if critical[k - 1] else tau_sq == llo)

@@ -59,7 +59,8 @@ class QuadraticEnergy(NamedTuple("QuadraticEnergy", [("alpha", float)])):
     def dVstar(self, zeta):
         return zeta / self.alpha
 
-    def d2Vstar(self, zeta):
+    def d2Vstar(self, zeta, dv=None):
+        """d2V*(zeta); dv, when given, is dVstar(zeta) (unused here)."""
         return np.full_like(zeta, 1.0 / self.alpha)
 
 
@@ -92,8 +93,9 @@ class LogNeoHookeanEnergy(NamedTuple("LogNeoHookeanEnergy", [("c1", float), ("c2
     def dVstar(self, zeta):
         return np.exp((zeta - self.c1) / self.c2 - 1.0)
 
-    def d2Vstar(self, zeta):
-        return self.dVstar(zeta) / self.c2
+    def d2Vstar(self, zeta, dv=None):
+        """d2V*(zeta) = dV*(zeta)/c2, from dv = dVstar(zeta) when given."""
+        return (self.dVstar(zeta) if dv is None else dv) / self.c2
 
 
 CanonicalEnergy = Union[QuadraticEnergy, LogNeoHookeanEnergy]
